@@ -68,7 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", help='grid as "min:max:count[,min:max:count...]"')
         p.add_argument("--out", help="output path")
         p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        p.add_argument("--threads", type=int, help="worker cap for grid evaluation")
+        p.add_argument(
+            "--threads", type=int,
+            help="worker cap for grid evaluation; 1-d grids run on one thread "
+            "unless the CF decays slowly (lattices over 16384 nodes)",
+        )
         p.add_argument("--tail-tol", type=float, dest="tail_tol", help="truncation tail tolerance")
         p.add_argument(
             "--negativity-tol", type=float, dest="negativity_tol",

@@ -20,6 +20,25 @@ far better than the documented 1e-10 contract.
 Trapezoid on a symmetric lattice is the right rule here: the integrand
 decays to zero at the box ends, so the Euler-Maclaurin boundary terms
 vanish and the only real error sources are box truncation and aliasing.
+
+The weighted lattice is contracted one axis at a time onto the z axes
+(pointwise evaluations are one-point axes).  Each contraction
+sum_k W_k exp(-i z_a y_k) takes one of three forms, chosen from the array
+shapes alone:
+
+- factored: axes longer than ``_FACTOR_THRESHOLD`` nodes (the decay-scan
+  lattices of slowly decaying CFs such as Laplace) split k = q K + s so
+  the inner sum is one BLAS-sized matrix product;
+- chirp-z: otherwise, when the z axis has more than one point and
+  outnumbers the other axes' elements of the array (every other 1-d
+  grid), the sum is a Bluestein chirp-z transform, an FFT convolution of
+  length m + n - 1 instead of an (n x m) matrix of complex exponentials;
+- direct: everything else, i.e. batched axes of 2-d and 3-d lattices and
+  one-point axes, multiplies by blocks of that phase matrix, where the
+  matrix product dominates and the phases are cheap.
+
+Grid workers split the first z axis across threads, except when it takes
+the chirp-z form, whose values depend on the axis length.
 """
 
 from __future__ import annotations
@@ -222,12 +241,21 @@ def _weight_tensor(cf: CharFn, plan: QuadPlan, sigma: float) -> np.ndarray:
     return w
 
 
+def _takes_chirp(t: np.ndarray, m: int, n_z: int) -> bool:
+    """Whether ``_contract_axis`` uses the chirp-z form: the output axis is
+    longer than the batch of other axes, so the FFT convolution beats one
+    BLAS product against an (n_z x m) phase matrix."""
+    return m <= _FACTOR_THRESHOLD and n_z > 1 and t.size // m < n_z
+
+
 def _contract_axis(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Contract axis 0 of ``t`` (length m) against phases exp(-i z_a y_k);
-    the new z axis is appended last. Long axes are split k = q*K + s so the
-    inner sum becomes one BLAS-sized matmul instead of an (n_z x m) phase
-    matrix."""
+    the new z axis is appended last.  ``y`` and ``z`` are uniform axes.
+    The form (chirp-z, direct phase matrix, or factored k = q*K + s for
+    long axes) follows from the shapes; see the module docstring."""
     m = len(y)
+    if _takes_chirp(t, m, len(z)):
+        return _chirp_contract(t, y, z)
     if m <= _FACTOR_THRESHOLD:
         out_blocks = []
         step = max(1, _PHASE_BLOCK // m)
@@ -254,6 +282,44 @@ def _contract_axis(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.concatenate(out_blocks, axis=-1) if len(out_blocks) > 1 else out_blocks[0]
 
 
+def _chirp(theta: float, length: int) -> np.ndarray:
+    """exp(i theta j^2 / 2) for j = 0 .. length - 1.
+
+    theta j^2 reaches 1e5 rad on coarse axes, where rounding the product
+    would cost 1e-11 in phase.  theta is split into a head whose product
+    with j^2 is exact in double precision (``exp`` reduces an exact
+    argument correctly) and a tail whose product is tiny.
+    """
+    jj = np.arange(length) ** 2
+    bits = 53 - int(jj[-1]).bit_length()
+    exp2 = math.frexp(theta)[1] - bits
+    head = math.ldexp(round(math.ldexp(theta, -exp2)), exp2)
+    return np.exp(0.5j * head * jj) * np.exp(0.5j * (theta - head) * jj)
+
+
+def _chirp_contract(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Bluestein chirp-z form of ``_contract_axis``.
+
+    With y_k = y_0 + k h, z_a = z_0 + a dz and theta = h dz, the identity
+    a k = (a^2 + k^2 - (a - k)^2) / 2 turns the sum into
+        exp(-i z_a y_0 - i theta a^2 / 2)
+          * sum_k [t_k exp(-i z_0 k h - i theta k^2 / 2)] exp(i theta (a - k)^2 / 2),
+    a linear convolution with a chirp, done by FFT on m + n - 1 points.
+    """
+    m, n = len(y), len(z)
+    h = (y[-1] - y[0]) / (m - 1)
+    chirp = _chirp(h * (z[-1] - z[0]) / (n - 1), max(m, n))
+    size = 1 << (m + n - 2).bit_length()
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n] = chirp[:n]
+    kernel[size - m + 1 :] = chirp[m - 1 : 0 : -1]
+    batch = (-1,) + (1,) * (t.ndim - 1)
+    pre = np.exp(-1j * z[0] * h * np.arange(m)) * chirp[:m].conj()
+    spec = np.fft.fft(t * pre.reshape(batch), size, axis=0) * np.fft.fft(kernel).reshape(batch)
+    post = np.exp(-1j * z * y[0]) * chirp[:n].conj()
+    return np.moveaxis(np.fft.ifft(spec, axis=0)[:n] * post.reshape(batch), 0, -1)
+
+
 def _transform_lattice(w: np.ndarray, plan: QuadPlan, z_axes: list[np.ndarray]) -> np.ndarray:
     """Sum_y W(y) exp(-i<z,y>) for z on the tensor lattice of z_axes;
     returns an array of shape (len(z_1), ..., len(z_d))."""
@@ -261,24 +327,6 @@ def _transform_lattice(w: np.ndarray, plan: QuadPlan, z_axes: list[np.ndarray]) 
     for j, z in enumerate(z_axes):
         t = _contract_axis(t, plan.nodes[j], np.asarray(z, dtype=float))
     return t
-
-
-def _transform_points(w: np.ndarray, plan: QuadPlan, pts: np.ndarray) -> np.ndarray:
-    """Arbitrary evaluation points (N, d).  d = 1 reuses the lattice path so
-    pointwise and grid evaluations are numerically identical."""
-    if plan.d == 1:
-        return _transform_lattice(w, plan, [pts.reshape(-1)])
-    mesh = np.meshgrid(*plan.nodes, indexing="ij")
-    nodes_flat = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    w_flat = w.reshape(-1)
-    out = np.empty(pts.shape[0], dtype=complex)
-    for i, z in enumerate(pts):
-        acc = 0.0 + 0.0j
-        for lo in range(0, nodes_flat.shape[0], _PHASE_BLOCK):
-            chunk = nodes_flat[lo : lo + _PHASE_BLOCK]
-            acc += np.dot(w_flat[lo : lo + _PHASE_BLOCK], np.exp(-1j * (chunk @ z)))
-        out[i] = acc
-    return out
 
 
 def _check_imag(im_max: float, tail_tol: float, absmass: float) -> None:
@@ -307,30 +355,30 @@ def _scaled_transform(
     plan: QuadPlan,
     sigma: float,
     tail_tol: float,
-    z_axes: list[np.ndarray] | None = None,
-    pts: np.ndarray | None = None,
+    z_axes: list[np.ndarray],
     workers: int = 1,
 ) -> tuple[np.ndarray, float]:
-    """Real part of the (2 pi)^-d scaled transform plus the |chi| L1
-    quadrature mass; checks the Hermitian imaginary residue."""
+    """Real part of the (2 pi)^-d scaled transform on the tensor lattice of
+    ``z_axes`` plus the |chi| L1 quadrature mass; checks the Hermitian
+    imaginary residue.  Pointwise calls pass one-point axes.
+
+    With ``workers > 1`` the first z axis is split across threads, unless
+    that axis takes the chirp-z form: a chunk's chirp and FFT length depend
+    on its length, so splitting would change the values in the last bits.
+    """
     w = _weight_tensor(cf, plan, sigma)
     scale = (2.0 * math.pi) ** (-cf.d)
     absmass = scale * float(np.sum(np.abs(w)))
-    if z_axes is not None:
-        first = np.asarray(z_axes[0], dtype=float)
-        if workers > 1 and len(first) >= 2 * workers:
-            chunks = np.array_split(first, workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(
-                        lambda c: _transform_lattice(w, plan, [c, *z_axes[1:]]), chunks
-                    )
-                )
-            raw = np.concatenate(parts, axis=0)
-        else:
-            raw = _transform_lattice(w, plan, z_axes)
+    first = np.asarray(z_axes[0], dtype=float)
+    if workers > 1 and len(first) >= 2 * workers and not _takes_chirp(w, len(w), len(first)):
+        chunks = np.array_split(first, workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(
+                pool.map(lambda c: _transform_lattice(w, plan, [c, *z_axes[1:]]), chunks)
+            )
+        raw = np.concatenate(parts, axis=0)
     else:
-        raw = _transform_points(w, plan, pts)
+        raw = _transform_lattice(w, plan, z_axes)
     raw = raw * scale
     _check_imag(float(np.max(np.abs(raw.imag))), tail_tol, absmass)
     return np.ascontiguousarray(raw.real), absmass
@@ -362,8 +410,9 @@ def mollified_density_at(
     _check_dim(cf.d, params)
     point = _as_point(z, cf.d)
     plan = _plan_mollified(cf.d, sigma, params)
-    vals, _ = _scaled_transform(cf, plan, sigma, params.tail_tol, pts=point[None, :])
-    return float(vals[0])
+    # one-point axes: the lattice path evaluates a single point
+    vals, _ = _scaled_transform(cf, plan, sigma, params.tail_tol, list(point[:, None]))
+    return float(vals.item())
 
 
 def mollified_density_grid(
@@ -435,8 +484,9 @@ def invert_density_at(
     _check_dim(cf.d, params)
     point = _as_point(z, cf.d)
     plan = _plan_inversion(cf, params)
-    vals, bound = _scaled_transform(cf, plan, 0.0, params.tail_tol, pts=point[None, :])
-    val = float(vals[0])
+    # one-point axes: the lattice path evaluates a single point
+    vals, bound = _scaled_transform(cf, plan, 0.0, params.tail_tol, list(point[:, None]))
+    val = float(vals.item())
     if val < -params.negativity_tol:
         raise NumericFailure(
             f"inverted density {val:g} below -{params.negativity_tol:g} at z={point}"

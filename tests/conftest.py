@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,3 +38,11 @@ def spec_zoo(rademacher):
 def gaussian_density(z, mean=0.0, var=1.0):
     z = np.asarray(z, dtype=float)
     return np.exp(-0.5 * (z - mean) ** 2 / var) / np.sqrt(2.0 * np.pi * var)
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports the cfmoll under
+    test, installed or not."""
+    src = str(Path(cm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -7,6 +7,7 @@ import pytest
 
 import cfmoll as cm
 from cfmoll.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
+from tests.conftest import subprocess_env
 
 
 @pytest.fixture
@@ -185,7 +186,7 @@ def test_module_entry_point(tmp_path, spec_files):
     rc = subprocess.run(
         [sys.executable, "-m", "cfmoll", "mollify", "--spec", spec_files["pm"],
          "--sigma", "1.0", "--grid", "-6:6:97", "--out", str(tmp_path / "pm.csv")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert rc.returncode == 0, rc.stderr
     assert (tmp_path / "pm.csv").exists()

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -20,7 +22,7 @@ from cfmoll import (
 )
 from cfmoll.charfn import CharFn
 from cfmoll.mollify import _apply_negativity_policy
-from tests.conftest import gaussian_density
+from tests.conftest import gaussian_density, subprocess_env
 
 INV_SQRT_2PI = 0.39894228040143268  # standard normal density at 0
 INV_SQRT_4PI = 0.28209479177387814  # N(0,2) density at 0
@@ -136,6 +138,21 @@ class TestMollifiedDensityGrid:
         pts = grid.points()
         for i in range(0, grid.size, 97):
             pw = max(mollified_density_at(cf, 0.6, pts[i]), 0.0)
+            assert abs(field.values[i] - pw) <= 1e-10
+
+    def test_agrees_with_pointwise_path_3d(self):
+        # correlated, off-centre 3-d Gaussian: pointwise calls run the lattice
+        # path on one-point axes and must match the grid to the contract
+        spec = cm.Gaussian(
+            mean=[0.0, 0.3, -0.2],
+            cov=[[1.0, 0.5, 0.2], [0.5, 1.0, -0.3], [0.2, -0.3, 0.8]],
+        )
+        cf = make_cf(spec)
+        grid = cm.Grid(axes=((-6.0, 6.0, 9), (-5.5, 6.5, 10), (-6.0, 5.0, 11)))
+        field = mollified_density_grid(cf, 1.0, grid)
+        pts = grid.points()
+        for i in (0, 404, 495, 517, grid.size - 1):
+            pw = max(mollified_density_at(cf, 1.0, pts[i]), 0.0)
             assert abs(field.values[i] - pw) <= 1e-10
 
     def test_axis_swap_symmetry(self):
@@ -366,3 +383,48 @@ class TestContractAxis:
             assert fact.shape == direct.shape
             scale = np.max(np.abs(direct))
             assert np.max(np.abs(fact - direct)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("m", [16, 652])
+    @pytest.mark.parametrize("n_z", [2, 3, 513, 2049])
+    @pytest.mark.parametrize("window", [(-8.0, 8.0), (-9.5, 10.5), (3.0, 40.0)])
+    def test_chirp_matches_phase_matrix(self, m, n_z, window):
+        # a vector onto a longer z axis takes the chirp-z form; it must agree
+        # with the explicit phase matrix, also on off-centre windows
+        from cfmoll.mollify import _contract_axis, _takes_chirp
+
+        rng = np.random.default_rng(m + n_z)
+        y = np.linspace(-17.3, 17.3, m)
+        z = np.linspace(*window, n_z)
+        t = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        assert _takes_chirp(t, m, n_z)
+        direct = np.tensordot(t, np.exp(-1j * np.outer(z, y)), axes=([0], [1]))
+        chirp = _contract_axis(t, y, z)
+        assert chirp.shape == direct.shape
+        assert np.max(np.abs(chirp - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_batched_short_axis_takes_direct_path(self):
+        # (m, 7) onto 3 points: the batch outnumbers the outputs, so the
+        # blocked phase-matrix path runs
+        from cfmoll.mollify import _contract_axis, _takes_chirp
+
+        rng = np.random.default_rng(1)
+        m = 652
+        y = np.linspace(-17.3, 17.3, m)
+        z = np.linspace(-9.5, 10.5, 3)
+        t = rng.standard_normal((m, 7)) + 1j * rng.standard_normal((m, 7))
+        assert not _takes_chirp(t, m, len(z))
+        direct = np.tensordot(t, np.exp(-1j * np.outer(z, y)), axes=([0], [1]))
+        out = _contract_axis(t, y, z)
+        assert out.shape == (7, 3)
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal costs about a second and 50 MB at import; the chirp-z
+    # contraction is built on numpy.fft so that `import cfmoll` avoids it
+    code = "import sys, cfmoll; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
