@@ -29,16 +29,19 @@ shapes alone:
 - factored: axes longer than ``_FACTOR_THRESHOLD`` nodes (the decay-scan
   lattices of slowly decaying CFs such as Laplace) split k = q K + s so
   the inner sum is one BLAS-sized matrix product;
-- chirp-z: otherwise, when the z axis has more than one point and
-  outnumbers the other axes' elements of the array (every other 1-d
-  grid), the sum is a Bluestein chirp-z transform, an FFT convolution of
-  length m + n - 1 instead of an (n x m) matrix of complex exponentials;
-- direct: everything else, i.e. batched axes of 2-d and 3-d lattices and
-  one-point axes, multiplies by blocks of that phase matrix, where the
-  matrix product dominates and the phases are cheap.
+- chirp-z: otherwise, when the array is a vector (a 1-d lattice) and the
+  z axis has more than one point (every other 1-d grid), the sum is a
+  Bluestein chirp-z transform, an FFT convolution of length m + n - 1
+  instead of an (n x m) matrix of complex exponentials;
+- direct: everything else, i.e. every axis of a 2-d or 3-d lattice and
+  one-point axes, multiplies by blocks of that phase matrix.  On the
+  batched 3-d axes the matrix product dominates and the chirp-z form was
+  measured 4-5x slower; between a vector and those, it is unmeasured.
 
-Grid workers split the first z axis across threads, except when it takes
-the chirp-z form, whose values depend on the axis length.
+The choice depends on the lattice dimension, not on how many z points an
+array carries, so splitting a grid across workers never changes it.
+Grid workers split the first z axis across threads, except on 1-d grids
+that take the chirp-z form, whose values depend on the axis length.
 """
 
 from __future__ import annotations
@@ -241,11 +244,11 @@ def _weight_tensor(cf: CharFn, plan: QuadPlan, sigma: float) -> np.ndarray:
     return w
 
 
-def _takes_chirp(t: np.ndarray, m: int, n_z: int) -> bool:
-    """Whether ``_contract_axis`` uses the chirp-z form: the output axis is
-    longer than the batch of other axes, so the FFT convolution beats one
-    BLAS product against an (n_z x m) phase matrix."""
-    return m <= _FACTOR_THRESHOLD and n_z > 1 and t.size // m < n_z
+def _takes_chirp(t: np.ndarray, n_z: int) -> bool:
+    """Whether ``_contract_axis`` uses the chirp-z form: ``t`` is a vector
+    (a 1-d lattice) short of the factored form, contracted onto more than
+    one point."""
+    return t.ndim == 1 and len(t) <= _FACTOR_THRESHOLD and n_z > 1
 
 
 def _contract_axis(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -254,7 +257,7 @@ def _contract_axis(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     The form (chirp-z, direct phase matrix, or factored k = q*K + s for
     long axes) follows from the shapes; see the module docstring."""
     m = len(y)
-    if _takes_chirp(t, m, len(z)):
+    if _takes_chirp(t, len(z)):
         return _chirp_contract(t, y, z)
     if m <= _FACTOR_THRESHOLD:
         out_blocks = []
@@ -363,14 +366,15 @@ def _scaled_transform(
     imaginary residue.  Pointwise calls pass one-point axes.
 
     With ``workers > 1`` the first z axis is split across threads, unless
-    that axis takes the chirp-z form: a chunk's chirp and FFT length depend
-    on its length, so splitting would change the values in the last bits.
+    it takes the chirp-z form (1-d grids): a chunk's chirp and FFT length
+    depend on its length, so splitting would change the values in the last
+    bits.
     """
     w = _weight_tensor(cf, plan, sigma)
     scale = (2.0 * math.pi) ** (-cf.d)
     absmass = scale * float(np.sum(np.abs(w)))
     first = np.asarray(z_axes[0], dtype=float)
-    if workers > 1 and len(first) >= 2 * workers and not _takes_chirp(w, len(w), len(first)):
+    if workers > 1 and len(first) >= 2 * workers and not _takes_chirp(w, len(first)):
         chunks = np.array_split(first, workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(

@@ -396,26 +396,28 @@ class TestContractAxis:
         y = np.linspace(-17.3, 17.3, m)
         z = np.linspace(*window, n_z)
         t = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        assert _takes_chirp(t, m, n_z)
+        assert _takes_chirp(t, n_z)
         direct = np.tensordot(t, np.exp(-1j * np.outer(z, y)), axes=([0], [1]))
         chirp = _contract_axis(t, y, z)
         assert chirp.shape == direct.shape
         assert np.max(np.abs(chirp - direct)) <= 1e-12 * np.max(np.abs(direct))
 
-    def test_batched_short_axis_takes_direct_path(self):
-        # (m, 7) onto 3 points: the batch outnumbers the outputs, so the
-        # blocked phase-matrix path runs
+    @pytest.mark.parametrize("batch, n_z", [(7, 3), (21, 64)])
+    def test_batched_axis_takes_direct_path(self, batch, n_z):
+        # batched axes of 2-d/3-d lattices run the blocked phase matrix,
+        # also when the z axis outnumbers the batch (a 2-d grid whose first
+        # axis a worker split into 21-point chunks)
         from cfmoll.mollify import _contract_axis, _takes_chirp
 
         rng = np.random.default_rng(1)
         m = 652
         y = np.linspace(-17.3, 17.3, m)
-        z = np.linspace(-9.5, 10.5, 3)
-        t = rng.standard_normal((m, 7)) + 1j * rng.standard_normal((m, 7))
-        assert not _takes_chirp(t, m, len(z))
+        z = np.linspace(-9.5, 10.5, n_z)
+        t = rng.standard_normal((m, batch)) + 1j * rng.standard_normal((m, batch))
+        assert not _takes_chirp(t, n_z)
         direct = np.tensordot(t, np.exp(-1j * np.outer(z, y)), axes=([0], [1]))
         out = _contract_axis(t, y, z)
-        assert out.shape == (7, 3)
+        assert out.shape == (batch, n_z)
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
