@@ -70,8 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="RNG seed (default 0)")
         p.add_argument(
             "--threads", type=int,
-            help="worker cap for grid evaluation; 1-d grids run on one thread "
-            "unless the CF decays slowly (lattices over 16384 nodes)",
+            help="worker threads for grid evaluation (>= 1): 2-d and 3-d lattices "
+            "are split into slabs; 1-d grids run on one thread unless the CF "
+            "decays slowly (lattices over 16384 nodes)",
         )
         p.add_argument("--tail-tol", type=float, dest="tail_tol", help="truncation tail tolerance")
         p.add_argument(
@@ -158,6 +159,12 @@ def _load_single_spec(cfg: dict, command: str):
     return load_spec(raw)
 
 
+def _threads(cfg: dict) -> int:
+    """Worker count; 1 when unset.  Values below 1 are rejected downstream."""
+    threads = cfg.get("threads")
+    return 1 if threads is None else int(threads)
+
+
 def _cmd_invert(cfg: dict) -> int:
     cf = make_cf(_load_single_spec(cfg, "invert"))
     grid = Grid.parse(_require(cfg, "grid", "invert"))
@@ -167,7 +174,7 @@ def _cmd_invert(cfg: dict) -> int:
         grid,
         params,
         allow_unknown_integrability=bool(cfg.get("allow_unknown_integrability", False)),
-        workers=int(cfg.get("threads") or 1),
+        workers=_threads(cfg),
     )
     out = Path(cfg.get("out") or "inverted_density.csv")
     write_density_csv(field, out, params)
@@ -183,7 +190,7 @@ def _cmd_mollify(cfg: dict) -> int:
         raise ValidationError(f"--sigma must be positive, got {sigma}")
     params = _params_from(cfg, grid.d, sigma=sigma)
     field = mollified_density_grid(
-        cf, sigma, grid, params, workers=int(cfg.get("threads") or 1)
+        cf, sigma, grid, params, workers=_threads(cfg)
     )
     out = Path(cfg.get("out") or "mollified_density.csv")
     write_density_csv(field, out, params)
@@ -214,7 +221,7 @@ def _cmd_converge(cfg: dict) -> int:
         grid,
         epsilon,
         params=_params_from(cfg, grid.d),
-        workers=int(cfg.get("threads") or 1),
+        workers=_threads(cfg),
     )
     out = Path(cfg.get("out") or "convergence_report.json")
     report.write_json(out)
@@ -238,7 +245,7 @@ def _cmd_clt_demo(cfg: dict) -> int:
         float(cfg.get("epsilon") or 0.1),
         params=_params_from(cfg, grid.d),
         seq_labels=ns,
-        workers=int(cfg.get("threads") or 1),
+        workers=_threads(cfg),
     )
     out = Path(cfg.get("out") or "clt_demo_report.json")
     report.write_json(out)

@@ -8,6 +8,7 @@ use the plain cell-volume rule: sum(values) * prod(h_j).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -193,10 +194,6 @@ class MollificationParams:
 # DensityField serialization: CSV values plus a JSON metadata sidecar
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_density_csv(
     field: DensityField,
     csv_path: str | Path,
@@ -206,12 +203,13 @@ def write_density_csv(
     and a sidecar <stem>.meta.json with grid, params, and the
     normalization residual.  Returns the sidecar path."""
     csv_path = Path(csv_path)
-    pts = field.grid.points()
-    header = ",".join(f"z{j + 1}" for j in range(field.grid.d)) + ",density"
-    lines = [header]
-    for row, v in zip(pts, field.values):
-        lines.append(",".join(_fmt(c) for c in row) + "," + _fmt(v))
-    csv_path.write_text("\n".join(lines) + "\n")
+    grid = field.grid
+    header = ",".join(f"z{j + 1}" for j in range(grid.d)) + ",density"
+    # each axis coordinate is formatted once; product() walks them row-major
+    axes = [[format(c, ".17g") for c in grid.axis_points(j).tolist()] for j in range(grid.d)]
+    values = [format(v, ".17g") for v in field.values.tolist()]
+    rows = (",".join(coords) + "," + v for coords, v in zip(itertools.product(*axes), values))
+    csv_path.write_text("\n".join(itertools.chain([header], rows)) + "\n")
 
     sidecar = csv_path.with_suffix(".meta.json")
     meta = {

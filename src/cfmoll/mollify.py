@@ -40,16 +40,25 @@ shapes alone:
 
 The choice depends on the lattice dimension, not on how many z points an
 array carries, so splitting a grid across workers never changes it.
-Grid workers split the first z axis across threads, except on 1-d grids
-that take the chirp-z form, whose values depend on the axis length.
+
+A 2-d or 3-d lattice is never held whole: it is walked in slabs of axis-0
+rows whose bounds depend on the lattice shape alone.  Each slab is
+evaluated, weighted and contracted by itself, and the partial sums are
+added in slab order; the checks run on the summed result.  Grid workers
+take slabs from a thread pool, so values are the same on any worker
+count.  A 1-d lattice is one slab; there workers split the z axis
+instead, except on grids that take the chirp-z form (whose values depend
+on the axis length), which run on one thread.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.special import erfcinv
@@ -72,6 +81,11 @@ _SCAN_PROBES = 33
 _SCAN_MAX_RADIUS = 2.0**26
 _FACTOR_THRESHOLD = 16384
 _PHASE_BLOCK = 1 << 22  # complex temporaries capped near 64 MiB
+# Slabs of a 2-d or 3-d lattice: at most this many nodes, and at least
+# _MIN_SLABS slabs where the rows allow, so a 512^2 lattice still spreads
+# over the workers and bounds an Empirical evaluator's temporaries.
+_SLAB_NODES = 1 << 18
+_MIN_SLABS = 8
 
 
 def truncation_radius(sigma: float, tail_tol: float, d: int) -> float:
@@ -229,19 +243,40 @@ def _plan_inversion(cf: CharFn, params: MollificationParams) -> QuadPlan:
 # Core transform
 # ---------------------------------------------------------------------------
 
-def _weight_tensor(cf: CharFn, plan: QuadPlan, sigma: float) -> np.ndarray:
-    """chi on the node lattice times quadrature weights and, when sigma > 0,
-    the Gaussian damping, as per-axis factors."""
-    shape = plan.shape
-    mesh = np.meshgrid(*plan.nodes, indexing="ij")
+def _slabs(shape: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of lattice axis 0 for the slab walk (see
+    ``_SLAB_NODES``); a 1-d lattice is one slab.  The ranges depend on the
+    lattice shape alone, so the values never depend on the worker count."""
+    m0 = shape[0]
+    if len(shape) == 1:
+        return [(0, m0)]
+    rows = max(1, min(_SLAB_NODES // math.prod(shape[1:]), -(-m0 // _MIN_SLABS)))
+    return [(lo, min(lo + rows, m0)) for lo in range(0, m0, rows)]
+
+
+def _weight_tensor(cf: CharFn, plan: QuadPlan, sigma: float, lo: int, hi: int) -> np.ndarray:
+    """chi on rows [lo, hi) of the node lattice times quadrature weights and,
+    when sigma > 0, the Gaussian damping, as per-axis factors."""
+    nodes = (plan.nodes[0][lo:hi],) + plan.nodes[1:]
+    mesh = np.meshgrid(*nodes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    w = np.asarray(cf.batch_eval(pts), dtype=complex).reshape(shape)
+    w = np.asarray(cf.batch_eval(pts), dtype=complex).reshape([len(y) for y in nodes])
     for j in range(plan.d):
         factor = plan.weights[j]
         if sigma > 0.0:
             factor = factor * np.exp(-0.5 * sigma * sigma * plan.nodes[j] ** 2)
+        if j == 0:
+            factor = factor[lo:hi]
         w *= factor.reshape([-1 if a == j else 1 for a in range(plan.d)])
     return w
+
+
+def _weighted_slab(
+    cf: CharFn, plan: QuadPlan, sigma: float, lo: int, hi: int
+) -> tuple[np.ndarray, float]:
+    """W on rows [lo, hi) of the lattice and its unscaled sum of |W|."""
+    w = _weight_tensor(cf, plan, sigma, lo, hi)
+    return w, float(np.sum(np.abs(w)))
 
 
 def _takes_chirp(t: np.ndarray, n_z: int) -> bool:
@@ -323,15 +358,6 @@ def _chirp_contract(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.fft.ifft(spec, axis=0)[:n] * post.reshape(batch), 0, -1)
 
 
-def _transform_lattice(w: np.ndarray, plan: QuadPlan, z_axes: list[np.ndarray]) -> np.ndarray:
-    """Sum_y W(y) exp(-i<z,y>) for z on the tensor lattice of z_axes;
-    returns an array of shape (len(z_1), ..., len(z_d))."""
-    t = w
-    for j, z in enumerate(z_axes):
-        t = _contract_axis(t, plan.nodes[j], np.asarray(z, dtype=float))
-    return t
-
-
 def _check_imag(im_max: float, tail_tol: float, absmass: float) -> None:
     combined = tail_tol + 1e-12 * max(1.0, absmass)
     if im_max > 100.0 * combined:
@@ -353,6 +379,36 @@ def _apply_negativity_policy(values: np.ndarray, tol: float) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
+def _slab_transform(
+    cf: CharFn, plan: QuadPlan, sigma: float, z_axes: list[np.ndarray], lo: int, hi: int
+) -> tuple[np.ndarray, float]:
+    """Sum over rows [lo, hi) of W(y) exp(-i<z,y>) on the z lattice, plus the
+    slab's sum of |W|.  Axes d-1 .. 1 are contracted first and the slab's
+    axis-0 nodes last, so the slabs together cost what one lattice would."""
+    t, mass = _weighted_slab(cf, plan, sigma, lo, hi)
+    for j in reversed(range(plan.d)):
+        y = plan.nodes[j][lo:hi] if j == 0 else plan.nodes[j]
+        t = _contract_axis(np.moveaxis(t, j, 0), y, z_axes[j])
+    return t.transpose(), mass
+
+
+def _run_jobs(jobs: list, workers: int) -> Iterator:
+    """Results of ``jobs`` in order, computed on at most ``workers`` threads.
+    They are yielded as they complete, so a caller that folds them holds
+    only the few that are done but not yet consumed."""
+    n = min(workers, len(jobs))
+    if n == 1:
+        yield from (job() for job in jobs)
+        return
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        yield from pool.map(lambda job: job(), jobs)
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers!r}")
+
+
 def _scaled_transform(
     cf: CharFn,
     plan: QuadPlan,
@@ -365,24 +421,32 @@ def _scaled_transform(
     ``z_axes`` plus the |chi| L1 quadrature mass; checks the Hermitian
     imaginary residue.  Pointwise calls pass one-point axes.
 
-    With ``workers > 1`` the first z axis is split across threads, unless
-    it takes the chirp-z form (1-d grids): a chunk's chirp and FFT length
-    depend on its length, so splitting would change the values in the last
-    bits.
+    A 2-d or 3-d lattice is walked in the slabs of ``_slabs`` on up to
+    ``workers`` threads, and the partial sums are added in slab order.  On
+    a 1-d lattice ``workers > 1`` splits the first z axis instead, unless
+    it takes the chirp-z form: a chunk's chirp and FFT length depend on its
+    length, so splitting would change the values in the last bits.
     """
-    w = _weight_tensor(cf, plan, sigma)
-    scale = (2.0 * math.pi) ** (-cf.d)
-    absmass = scale * float(np.sum(np.abs(w)))
-    first = np.asarray(z_axes[0], dtype=float)
-    if workers > 1 and len(first) >= 2 * workers and not _takes_chirp(w, len(first)):
-        chunks = np.array_split(first, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda c: _transform_lattice(w, plan, [c, *z_axes[1:]]), chunks)
-            )
-        raw = np.concatenate(parts, axis=0)
+    z_axes = [np.asarray(z, dtype=float) for z in z_axes]
+    if plan.d == 1:
+        w, mass = _weighted_slab(cf, plan, sigma, 0, plan.shape[0])
+        first = z_axes[0]
+        chunks = [first]
+        if len(first) >= 2 * workers and not _takes_chirp(w, len(first)):
+            chunks = np.array_split(first, workers)
+        jobs = [functools.partial(_contract_axis, w, plan.nodes[0], c) for c in chunks]
+        raw = np.concatenate(list(_run_jobs(jobs, workers)), axis=0)
     else:
-        raw = _transform_lattice(w, plan, z_axes)
+        jobs = [
+            functools.partial(_slab_transform, cf, plan, sigma, z_axes, lo, hi)
+            for lo, hi in _slabs(plan.shape)
+        ]
+        raw, mass = None, 0.0
+        for part, slab_mass in _run_jobs(jobs, workers):
+            raw = part if raw is None else raw + part
+            mass += slab_mass
+    scale = (2.0 * math.pi) ** (-cf.d)
+    absmass = scale * mass
     raw = raw * scale
     _check_imag(float(np.max(np.abs(raw.imag))), tail_tol, absmass)
     return np.ascontiguousarray(raw.real), absmass
@@ -432,7 +496,9 @@ def mollified_density_grid(
     values match the pointwise ones to rounding.  Values are clamped or
     rejected by the negativity policy and the Riemann sum must come out
     within 1e-3 of 1, else the grid window or quadrature is inadequate
-    and a NumericFailure is raised.
+    and a NumericFailure is raised.  ``workers`` (at least 1) caps the
+    threads, which may call ``cf.batch_eval`` concurrently; the values
+    do not depend on it.
     """
     sigma = float(sigma)
     if not (sigma > 0 and np.isfinite(sigma)):
@@ -441,6 +507,7 @@ def mollified_density_grid(
         raise ValidationError(f"grid dimension {grid.d} != CF dimension {cf.d}")
     if params is None:
         params = MollificationParams.for_dimension(cf.d, sigma=sigma)
+    _check_workers(workers)
     _check_dim(cf.d, params)
     plan = _plan_mollified(cf.d, sigma, params)
     z_axes = [grid.axis_points(j) for j in range(grid.d)]
@@ -514,13 +581,16 @@ def invert_density_grid(
 
     Unlike the smoothed grid, no mass window is enforced: a deliberately
     partial window is legitimate here, so the normalization claim is
-    simply recorded as observed.
+    simply recorded as observed.  ``workers`` (at least 1) caps the
+    threads, which may call ``cf.batch_eval`` concurrently; the values
+    do not depend on it.
     """
     _require_integrable(cf, allow_unknown_integrability)
     if grid.d != cf.d:
         raise ValidationError(f"grid dimension {grid.d} != CF dimension {cf.d}")
     if params is None:
         params = MollificationParams.for_dimension(cf.d)
+    _check_workers(workers)
     _check_dim(cf.d, params)
     plan = _plan_inversion(cf, params)
     z_axes = [grid.axis_points(j) for j in range(grid.d)]
@@ -554,5 +624,5 @@ def cf_l1_bound(
         params = MollificationParams.for_dimension(cf.d)
     _check_dim(cf.d, params)
     plan = _plan_inversion(cf, params)
-    w = _weight_tensor(cf, plan, 0.0)
-    return (2.0 * math.pi) ** (-cf.d) * float(np.sum(np.abs(w)))
+    masses = [_weighted_slab(cf, plan, 0.0, lo, hi)[1] for lo, hi in _slabs(plan.shape)]
+    return (2.0 * math.pi) ** (-cf.d) * sum(masses)

@@ -12,6 +12,7 @@ distribution.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -174,10 +175,9 @@ def write_batch_csv(batch: SampleBatch, csv_path: str | Path) -> Path:
     spec, seed, and n; returns the sidecar path."""
     csv_path = Path(csv_path)
     header = ",".join(f"x{j + 1}" for j in range(batch.d))
-    lines = [header]
-    for row in batch.points:
-        lines.append(",".join(format(c, ".17g") for c in row))
-    csv_path.write_text("\n".join(lines) + "\n")
+    row = ",".join(["{:.17g}"] * batch.d)
+    rows = itertools.starmap(row.format, batch.points.tolist())
+    csv_path.write_text("\n".join(itertools.chain([header], rows)) + "\n")
     sidecar = csv_path.with_suffix(".meta.json")
     meta = {"spec": sp.spec_to_dict(batch.spec), "seed": batch.seed, "n": batch.n}
     sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

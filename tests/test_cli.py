@@ -190,3 +190,12 @@ def test_module_entry_point(tmp_path, spec_files):
     )
     assert rc.returncode == 0, rc.stderr
     assert (tmp_path / "pm.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exits_2(tmp_path, spec_files, threads, capsys):
+    out = tmp_path / "out.csv"
+    rc = main(["mollify", "--spec", spec_files["gauss"], "--sigma", "0.5",
+               "--grid", "-8:8:64", "--threads", threads, "--out", str(out)])
+    assert rc == EXIT_VALIDATION and not out.exists()
+    assert "workers" in capsys.readouterr().err

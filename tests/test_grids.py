@@ -72,3 +72,29 @@ def test_params_with_sigma():
     p = MollificationParams(tail_tol=1e-10)
     q = p.with_sigma(0.25)
     assert q.sigma == 0.25 and q.tail_tol == 1e-10
+
+
+# values whose .17g text is easy to get wrong: zero, a subnormal, 0.1, 1/3
+AWKWARD = [0.0, 5e-324, 0.1, 1.0 / 3.0, 2.0 / 3.0, 1e-300, 0.7]
+
+
+def _reference_density_csv(field) -> str:
+    """The row-by-row writer the vectorized one must match byte for byte."""
+    lines = [",".join(f"z{j + 1}" for j in range(field.grid.d)) + ",density"]
+    for row, v in zip(field.grid.points(), field.values):
+        lines.append(",".join(format(float(c), ".17g") for c in row) + "," + format(float(v), ".17g"))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("axes", [
+    ((-1.0 / 3.0, 0.7, 7),),
+    ((-8.0, 8.0, 5), (0.1, 0.3, 3)),
+    ((-6.1, 6.1, 4), (-1.0 / 3.0, 2.0 / 3.0, 3), (0.0, 1e-3, 2)),
+])
+def test_density_csv_matches_row_formatter(tmp_path, axes):
+    grid = Grid(axes=axes)
+    values = np.resize(AWKWARD, grid.size) * np.where(np.arange(grid.size) % 3 == 2, -1.0, 1.0)
+    field = cm.DensityField(grid=grid, values=values, normalized=False)
+    path = tmp_path / "f.csv"
+    cm.write_density_csv(field, path)
+    assert path.read_text() == _reference_density_csv(field)

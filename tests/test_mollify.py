@@ -1,12 +1,14 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import cfmoll as cm
+import cfmoll.mollify as mo
 from cfmoll import (
     MollificationParams,
     NumericFailure,
@@ -187,8 +189,8 @@ class TestMollifiedDensityGrid:
         assert np.array_equal(serial.values, threaded.values)
 
     def test_workers_deterministic_and_consistent_2d(self):
-        # same worker count twice: bit-identical; different counts may
-        # differ only by BLAS reassociation, far below the 1e-10 contract
+        # the slab bounds depend on the lattice alone, so any worker count
+        # gives the same bits
         spec = cm.Gaussian(mean=[0.0, 0.5], cov=[[1.0, 0.6], [0.6, 1.0]])
         grid = cm.Grid(axes=((-5.0, 5.0, 64), (-5.0, 5.5, 64)))
         cf = make_cf(spec)
@@ -196,7 +198,7 @@ class TestMollifiedDensityGrid:
         threaded = mollified_density_grid(cf, 0.5, grid, workers=3)
         again = mollified_density_grid(cf, 0.5, grid, workers=3)
         assert np.array_equal(threaded.values, again.values)
-        assert np.allclose(serial.values, threaded.values, rtol=0, atol=1e-13)
+        assert np.array_equal(serial.values, threaded.values)
         assert abs(serial.riemann_sum - 1.0) <= 1e-3
 
     def test_d3_product_uniform_closed_form(self):
@@ -430,3 +432,160 @@ def test_import_does_not_load_scipy_signal():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records the requested pool size and
+    runs the jobs serially, so no thread is started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def _small_3d_case():
+    # 48^3 lattice in 8 slabs of 6 rows; non-square grid
+    spec = cm.Gaussian(
+        mean=[0.0, 0.3, -0.2],
+        cov=[[1.0, 0.5, 0.2], [0.5, 1.0, -0.3], [0.2, -0.3, 0.8]],
+    )
+    params = MollificationParams(sigma=1.0, truncation_radius=6.0, nodes_per_axis=48)
+    grid = cm.Grid(axes=((-6.0, 6.0, 13), (-6.0, 6.5, 14), (-6.5, 6.0, 15)))
+    return make_cf(spec), params, grid
+
+
+def _empirical_2d(atoms):
+    rng = np.random.default_rng(2024)
+    pts = rng.uniform(-2.0, 2.0, size=(atoms, 2))
+    w = rng.uniform(0.5, 1.5, size=atoms)
+    return make_cf(cm.Empirical(points=pts, weights=w / w.sum()))
+
+
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2.0**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestSlabs:
+    def test_3d_grid_bytes_identical_across_workers(self):
+        cf, params, grid = _small_3d_case()
+        assert len(mo._slabs(mo._plan_mollified(3, 1.0, params).shape)) > 1
+        fields = [mollified_density_grid(cf, 1.0, grid, params, workers=w) for w in (1, 2, 3)]
+        for f in fields[1:]:
+            assert f.values.tobytes() == fields[0].values.tobytes()
+
+    def test_1d_long_axis_identical_across_workers(self):
+        # the Laplace decay scan gives a lattice over _FACTOR_THRESHOLD nodes,
+        # whose z axis is split between the workers
+        cf = make_cf(cm.Laplace1D(scale=1.0))
+        grid = cm.Grid(axes=((-6.0, 6.0, 101),))
+        assert mo._plan_inversion(cf, MollificationParams()).shape[0] > mo._FACTOR_THRESHOLD
+        serial = invert_density_grid(cf, grid, workers=1)
+        threaded = invert_density_grid(cf, grid, workers=2)
+        assert serial.values.tobytes() == threaded.values.tobytes()
+
+    @pytest.mark.parametrize("case", ["2d", "3d"])
+    def test_slabs_match_one_slab(self, case, monkeypatch):
+        if case == "2d":
+            cf, sigma = _empirical_2d(10), 0.5
+            params = MollificationParams.for_dimension(2, sigma=sigma)
+            z_axes = [np.linspace(-5.0, 5.0, 64), np.linspace(-4.0, 5.0, 48)]
+        else:
+            cf, params, grid = _small_3d_case()
+            sigma = 1.0
+            z_axes = [grid.axis_points(j) for j in range(3)]
+        plan = mo._plan_mollified(cf.d, sigma, params)
+        assert len(mo._slabs(plan.shape)) > 1
+        vals, mass = mo._scaled_transform(cf, plan, sigma, params.tail_tol, z_axes)
+        monkeypatch.setattr(mo, "_SLAB_NODES", plan.total_nodes)
+        monkeypatch.setattr(mo, "_MIN_SLABS", 1)
+        assert mo._slabs(plan.shape) == [(0, plan.shape[0])]
+        whole, whole_mass = mo._scaled_transform(cf, plan, sigma, params.tail_tol, z_axes)
+        assert np.max(np.abs(vals - whole)) <= 1e-13 * np.max(np.abs(whole))
+        assert mass == pytest.approx(whole_mass, rel=1e-12, abs=0)
+
+    def test_rebuilt_charfn_gives_identical_bytes(self):
+        # a CharFn rebuilt from its public fields (as a tracing wrapper does)
+        # must not change the values
+        cf, params, grid = _small_3d_case()
+        rebuilt = CharFn(cf.d, cf.batch_eval, cf.integrable, cf.provenance)
+        a = mollified_density_grid(cf, 1.0, grid, params, workers=2)
+        b = mollified_density_grid(rebuilt, 1.0, grid, params, workers=2)
+        assert a.values.tobytes() == b.values.tobytes()
+
+    def test_2d_empirical_memory_is_bounded(self):
+        # the whole 512^2 lattice times 50 atoms peaked near 400 MB
+        cf = _empirical_2d(50)
+        grid = cm.Grid(axes=((-5.0, 5.0, 64),) * 2)
+        peak = _traced_peak_mb(lambda: mollified_density_grid(cf, 0.5, grid, workers=1))
+        assert peak < 64.0
+
+    def test_3d_threaded_memory_is_bounded(self):
+        # 164^3 lattice on two workers: about 45 MB in slabs, 370 MB whole
+        cf = make_cf(cm.Gaussian(mean=[0.0] * 3, cov=np.eye(3).tolist()))
+        grid = cm.Grid(axes=((-6.0, 6.0, 48),) * 3)
+        peak = _traced_peak_mb(lambda: mollified_density_grid(cf, 0.7, grid, workers=2))
+        assert peak < 80.0
+
+    def test_l1_bound_is_the_grid_certificate(self, monkeypatch):
+        # cf_l1_bound sums the same slabs as the transform, in the same order
+        cf = make_cf(cm.Gaussian(mean=[0.0, 0.5], cov=[[1.0, 0.6], [0.6, 1.5]]))
+        bounds = []
+        inner = mo._scaled_transform
+
+        def recording(*args, **kwargs):
+            vals, bound = inner(*args, **kwargs)
+            bounds.append(bound)
+            return vals, bound
+
+        monkeypatch.setattr(mo, "_scaled_transform", recording)
+        invert_density_grid(cf, cm.Grid(axes=((-5.0, 5.0, 32), (-5.0, 5.0, 32))), workers=2)
+        plan = mo._plan_inversion(cf, MollificationParams.for_dimension(2))
+        assert len(mo._slabs(plan.shape)) > 1
+        assert bounds == [cf_l1_bound(cf)]
+
+
+class TestWorkers:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(mo, "ThreadPoolExecutor", _RecordingPool)
+        return _RecordingPool.sizes
+
+    def test_pool_never_exceeds_the_slab_count(self, pool_sizes):
+        cf, params, grid = _small_3d_case()
+        n_slabs = len(mo._slabs(mo._plan_mollified(3, 1.0, params).shape))
+        for workers in (3, n_slabs + 4):
+            mollified_density_grid(cf, 1.0, grid, params, workers=workers)
+        assert pool_sizes == [3, n_slabs]
+
+    def test_pool_on_1d_grids(self, pool_sizes, std_gaussian):
+        # chirp-z grids and workers=1 start no pool; long axes split the z axis
+        mollified_density_grid(make_cf(std_gaussian), 0.5, cm.Grid(axes=((-8.0, 8.0, 128),)), workers=4)
+        invert_density_grid(make_cf(cm.Laplace1D(scale=1.0)), cm.Grid(axes=((-6.0, 6.0, 11),)), workers=1)
+        assert pool_sizes == []
+        invert_density_grid(make_cf(cm.Laplace1D(scale=1.0)), cm.Grid(axes=((-6.0, 6.0, 11),)), workers=2)
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers, std_gaussian):
+        cf = make_cf(std_gaussian)
+        grid = cm.Grid(axes=((-8.0, 8.0, 64),))
+        with pytest.raises(ValidationError):
+            mollified_density_grid(cf, 0.5, grid, workers=workers)
+        with pytest.raises(ValidationError):
+            invert_density_grid(cf, grid, workers=workers)
