@@ -72,7 +72,7 @@ def _gaussian_eval(mean: np.ndarray, cov: np.ndarray):
     def ev(pts: np.ndarray) -> np.ndarray:
         # PSD tolerance can leave slightly negative quadratic forms; clamp
         # so |chi| <= 1 holds.
-        quad = np.einsum("ni,ij,nj->n", pts, cov, pts)
+        quad = np.einsum("ni,ni->n", pts @ cov, pts)
         np.maximum(quad, 0.0, out=quad)
         return np.exp(1j * (pts @ mean) - 0.5 * quad)
 

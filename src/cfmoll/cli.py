@@ -71,8 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads", type=int,
             help="worker threads for grid evaluation (>= 1): 2-d and 3-d lattices "
-            "are split into slabs; 1-d grids run on one thread unless the CF "
-            "decays slowly (lattices over 16384 nodes)",
+            "are split into slabs; 1-d grids always run on one thread",
         )
         p.add_argument("--tail-tol", type=float, dest="tail_tol", help="truncation tail tolerance")
         p.add_argument(

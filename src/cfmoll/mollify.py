@@ -26,29 +26,31 @@ The weighted lattice is contracted one axis at a time onto the z axes
 sum_k W_k exp(-i z_a y_k) takes one of three forms, chosen from the array
 shapes alone:
 
-- factored: axes longer than ``_FACTOR_THRESHOLD`` nodes (the decay-scan
-  lattices of slowly decaying CFs such as Laplace) split k = q K + s so
-  the inner sum is one BLAS-sized matrix product;
-- chirp-z: otherwise, when the array is a vector (a 1-d lattice) and the
-  z axis has more than one point (every other 1-d grid), the sum is a
-  Bluestein chirp-z transform, an FFT convolution of length m + n - 1
-  instead of an (n x m) matrix of complex exponentials;
-- direct: everything else, i.e. every axis of a 2-d or 3-d lattice and
-  one-point axes, multiplies by blocks of that phase matrix.  On the
+- chirp-z: when the array is a vector (a 1-d lattice) and the z axis has
+  more than one point (every 1-d grid), the axis is cut into rows of
+  K = min(m, 4096) nodes, k = q K + s.  The inner sums over s for all rows
+  are one batched Bluestein chirp-z transform, an FFT convolution of
+  length K + n - 1 instead of an (n x m) matrix of complex exponentials,
+  and the rows are then added with their phases exp(-i z_a y_{qK}).
+  Keeping s below 4096 keeps the chirp phases accurate on the 1.3M-node
+  decay-scan lattices of slowly decaying CFs such as Laplace;
+- factored: otherwise, axes longer than ``_FACTOR_THRESHOLD`` nodes use
+  the same split with an explicit phase row for s, so the inner sum is
+  one BLAS-sized matrix product;
+- direct: everything else, i.e. the shorter axes of a 2-d or 3-d lattice
+  and one-point axes, multiplies by blocks of that phase matrix.  On the
   batched 3-d axes the matrix product dominates and the chirp-z form was
   measured 4-5x slower; between a vector and those, it is unmeasured.
 
-The choice depends on the lattice dimension, not on how many z points an
-array carries, so splitting a grid across workers never changes it.
+The form depends on the lattice dimension, the axis length and whether
+the z axis has one point, never on the worker count.
 
-A 2-d or 3-d lattice is never held whole: it is walked in slabs of axis-0
-rows whose bounds depend on the lattice shape alone.  Each slab is
-evaluated, weighted and contracted by itself, and the partial sums are
-added in slab order; the checks run on the summed result.  Grid workers
-take slabs from a thread pool, so values are the same on any worker
-count.  A 1-d lattice is one slab; there workers split the z axis
-instead, except on grids that take the chirp-z form (whose values depend
-on the axis length), which run on one thread.
+The lattice is walked in slabs of axis-0 rows whose bounds depend on the
+lattice shape alone, so a 2-d or 3-d lattice is never held whole.  Each
+slab is evaluated, weighted and contracted by itself, and the partial
+sums are added in slab order; the checks run on the summed result.  Grid
+workers take slabs from a thread pool, so values are the same on any
+worker count.  A 1-d lattice is one slab and runs on one thread.
 """
 
 from __future__ import annotations
@@ -281,20 +283,19 @@ def _weighted_slab(
 
 def _takes_chirp(t: np.ndarray, n_z: int) -> bool:
     """Whether ``_contract_axis`` uses the chirp-z form: ``t`` is a vector
-    (a 1-d lattice) short of the factored form, contracted onto more than
-    one point."""
-    return t.ndim == 1 and len(t) <= _FACTOR_THRESHOLD and n_z > 1
+    (a 1-d lattice) contracted onto more than one point."""
+    return t.ndim == 1 and n_z > 1
 
 
 def _contract_axis(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Contract axis 0 of ``t`` (length m) against phases exp(-i z_a y_k);
     the new z axis is appended last.  ``y`` and ``z`` are uniform axes.
-    The form (chirp-z, direct phase matrix, or factored k = q*K + s for
-    long axes) follows from the shapes; see the module docstring."""
+    The form (chirp-z over blocks of the axis, direct phase matrix, or
+    factored phase matrix) follows from the shapes; see the module
+    docstring."""
     m = len(y)
-    if _takes_chirp(t, len(z)):
-        return _chirp_contract(t, y, z)
-    if m <= _FACTOR_THRESHOLD:
+    chirp = _takes_chirp(t, len(z))
+    if not chirp and m <= _FACTOR_THRESHOLD:
         out_blocks = []
         step = max(1, _PHASE_BLOCK // m)
         for lo in range(0, len(z), step):
@@ -302,19 +303,25 @@ def _contract_axis(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
             out_blocks.append(np.tensordot(t, phases, axes=([0], [1])))
         return np.concatenate(out_blocks, axis=-1) if len(out_blocks) > 1 else out_blocks[0]
 
-    k_inner = 4096
+    # k = q K + s: the phase of node k is z_a y_{qK} + z_a h s.  h comes from
+    # the endpoints: on an axis reaching 65536, y[1] - y[0] is off by up to
+    # 1.5e-11, which s < 4096 and |z| ~ 6 turn into phase errors near 1e-7.
+    k_inner = min(m, 4096)
     q_outer = -(-m // k_inner)
-    h = y[1] - y[0]
+    h = (y[-1] - y[0]) / (m - 1)
+    starts = y[::k_inner]
     pad = q_outer * k_inner - m
     if pad:
         t = np.concatenate([t, np.zeros((pad,) + t.shape[1:], dtype=t.dtype)], axis=0)
     t2 = t.reshape((q_outer, k_inner) + t.shape[1:])
+    if chirp:
+        return _chirp_contract(t2, starts, h, z)
     out_blocks = []
     step = max(1, _PHASE_BLOCK // (k_inner + q_outer))
     for lo in range(0, len(z), step):
         zb = z[lo : lo + step]
         inner_ph = np.exp(-1j * np.outer(zb, h * np.arange(k_inner)))
-        outer_ph = np.exp(-1j * np.outer(zb, y[0] + h * k_inner * np.arange(q_outer)))
+        outer_ph = np.exp(-1j * np.outer(zb, starts))
         partial = np.tensordot(t2, inner_ph, axes=([1], [1]))  # (q, rest..., nz)
         out_blocks.append(np.einsum("q...a,aq->...a", partial, outer_ph))
     return np.concatenate(out_blocks, axis=-1) if len(out_blocks) > 1 else out_blocks[0]
@@ -335,27 +342,53 @@ def _chirp(theta: float, length: int) -> np.ndarray:
     return np.exp(0.5j * head * jj) * np.exp(0.5j * (theta - head) * jj)
 
 
-def _chirp_contract(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Bluestein chirp-z form of ``_contract_axis``.
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n; numpy's FFT runs such lengths about twice
+    as fast as the next power of two when that is much longer."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    With y_k = y_0 + k h, z_a = z_0 + a dz and theta = h dz, the identity
-    a k = (a^2 + k^2 - (a - k)^2) / 2 turns the sum into
-        exp(-i z_a y_0 - i theta a^2 / 2)
-          * sum_k [t_k exp(-i z_0 k h - i theta k^2 / 2)] exp(i theta (a - k)^2 / 2),
-    a linear convolution with a chirp, done by FFT on m + n - 1 points.
+
+def _chirp_contract(
+    t2: np.ndarray, starts: np.ndarray, h: float, z: np.ndarray
+) -> np.ndarray:
+    """Chirp-z form of ``_contract_axis`` for a vector cut into rows of k
+    nodes: sum_q exp(-i z_a starts_q) sum_s t2[q, s] exp(-i z_a h s).
+
+    With z_a = z_0 + a dz and theta = h dz, the identity
+    a s = (a^2 + s^2 - (a - s)^2) / 2 turns the inner sum into
+        exp(-i theta a^2 / 2)
+          * sum_s [t_s exp(-i z_0 s h - i theta s^2 / 2)] exp(i theta (a - s)^2 / 2),
+    a linear convolution with one chirp, done by FFT on k + n - 1 points
+    for every row at once (Bluestein).  s stays below k <= 4096, so the
+    chirp phases stay accurate on any axis length.  Rows go through in
+    groups whose FFT temporaries hold at most ``_PHASE_BLOCK`` elements,
+    and the groups are added in row order.
     """
-    m, n = len(y), len(z)
-    h = (y[-1] - y[0]) / (m - 1)
-    chirp = _chirp(h * (z[-1] - z[0]) / (n - 1), max(m, n))
-    size = 1 << (m + n - 2).bit_length()
+    q, k = t2.shape
+    n = len(z)
+    chirp = _chirp(h * (z[-1] - z[0]) / (n - 1), max(k, n))
+    size = _fft_size(k + n - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:n] = chirp[:n]
-    kernel[size - m + 1 :] = chirp[m - 1 : 0 : -1]
-    batch = (-1,) + (1,) * (t.ndim - 1)
-    pre = np.exp(-1j * z[0] * h * np.arange(m)) * chirp[:m].conj()
-    spec = np.fft.fft(t * pre.reshape(batch), size, axis=0) * np.fft.fft(kernel).reshape(batch)
-    post = np.exp(-1j * z * y[0]) * chirp[:n].conj()
-    return np.moveaxis(np.fft.ifft(spec, axis=0)[:n] * post.reshape(batch), 0, -1)
+    kernel[size - k + 1 :] = chirp[k - 1 : 0 : -1]
+    kernel = np.fft.fft(kernel)
+    pre = np.exp(-1j * z[0] * h * np.arange(k)) * chirp[:k].conj()
+    rows = max(1, _PHASE_BLOCK // size)
+    out = np.zeros(n, dtype=complex)
+    for lo in range(0, q, rows):
+        spec = np.fft.fft(t2[lo : lo + rows] * pre, size)
+        spec *= kernel
+        inner = np.fft.ifft(spec)[:, :n]
+        out += np.einsum("qa,qa->a", inner, np.exp(-1j * np.outer(starts[lo : lo + rows], z)))
+    return out * chirp[:n].conj()
 
 
 def _check_imag(im_max: float, tail_tol: float, absmass: float) -> None:
@@ -421,30 +454,19 @@ def _scaled_transform(
     ``z_axes`` plus the |chi| L1 quadrature mass; checks the Hermitian
     imaginary residue.  Pointwise calls pass one-point axes.
 
-    A 2-d or 3-d lattice is walked in the slabs of ``_slabs`` on up to
-    ``workers`` threads, and the partial sums are added in slab order.  On
-    a 1-d lattice ``workers > 1`` splits the first z axis instead, unless
-    it takes the chirp-z form: a chunk's chirp and FFT length depend on its
-    length, so splitting would change the values in the last bits.
+    The lattice is walked in the slabs of ``_slabs`` on up to ``workers``
+    threads, and the partial sums are added in slab order.  A 1-d lattice
+    is one slab, so it runs on one thread.
     """
     z_axes = [np.asarray(z, dtype=float) for z in z_axes]
-    if plan.d == 1:
-        w, mass = _weighted_slab(cf, plan, sigma, 0, plan.shape[0])
-        first = z_axes[0]
-        chunks = [first]
-        if len(first) >= 2 * workers and not _takes_chirp(w, len(first)):
-            chunks = np.array_split(first, workers)
-        jobs = [functools.partial(_contract_axis, w, plan.nodes[0], c) for c in chunks]
-        raw = np.concatenate(list(_run_jobs(jobs, workers)), axis=0)
-    else:
-        jobs = [
-            functools.partial(_slab_transform, cf, plan, sigma, z_axes, lo, hi)
-            for lo, hi in _slabs(plan.shape)
-        ]
-        raw, mass = None, 0.0
-        for part, slab_mass in _run_jobs(jobs, workers):
-            raw = part if raw is None else raw + part
-            mass += slab_mass
+    jobs = [
+        functools.partial(_slab_transform, cf, plan, sigma, z_axes, lo, hi)
+        for lo, hi in _slabs(plan.shape)
+    ]
+    raw, mass = None, 0.0
+    for part, slab_mass in _run_jobs(jobs, workers):
+        raw = part if raw is None else raw + part
+        mass += slab_mass
     scale = (2.0 * math.pi) ** (-cf.d)
     absmass = scale * mass
     raw = raw * scale

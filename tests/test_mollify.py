@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -370,21 +371,72 @@ class TestParamsAndPolicies:
 
 class TestContractAxis:
     def test_factored_long_axis_matches_direct(self):
-        # above _FACTOR_THRESHOLD the contraction splits k = q*K + s; the
-        # regrouped sum must agree with the plain phase matrix
+        # above _FACTOR_THRESHOLD the contraction splits k = q*K + s (20000
+        # is not a multiple of K); the regrouped sum (a batched chirp-z for
+        # a vector onto several points, phase rows otherwise) must agree
+        # with the plain phase matrix on uniform z axes, also off-centre
         from cfmoll.mollify import _contract_axis
 
         rng = np.random.default_rng(0)
         m = 20000
         y = np.linspace(-30.0, 30.0, m)
-        z = rng.uniform(-3, 3, 40)
-        for shape in ((m,), (m, 7)):
+        cases = [((m,), 1), ((m,), 2), ((m,), 1201), ((m, 7), 1), ((m, 7), 3)]
+        for (shape, n_z), window in itertools.product(cases, [(-3.0, 3.0), (-2.5, 9.5)]):
+            z = np.linspace(*window, n_z) if n_z > 1 else np.array([window[1]])
             t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            direct = np.tensordot(t, np.exp(-1j * np.outer(z, y)), axes=([0], [1]))
             fact = _contract_axis(t, y, z)
-            assert fact.shape == direct.shape
-            scale = np.max(np.abs(direct))
-            assert np.max(np.abs(fact - direct)) <= 1e-9 * scale
+            assert fact.shape == shape[1:] + (n_z,)
+            picks = np.unique(np.r_[np.arange(0, n_z, 37), n_z - 1])
+            direct = np.tensordot(t, np.exp(-1j * np.outer(z[picks], y)), axes=([0], [1]))
+            assert np.max(np.abs(fact[..., picks] - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.fixture(scope="class")
+    def laplace_axis(self):
+        """The 1.3M-node decay-scan lattice of Laplace(1), which reaches
+        |y| = 65536, with its weights W and sum of |W|."""
+        cf = make_cf(cm.Laplace1D(scale=1.0))
+        plan = mo._plan_inversion(cf, MollificationParams())
+        y = plan.nodes[0]
+        assert len(y) > mo._FACTOR_THRESHOLD
+        t, abs_sum = mo._weighted_slab(cf, plan, 0.0, 0, len(y))
+        return y, t, abs_sum
+
+    def test_long_laplace_axis_matches_extended_precision(self, laplace_axis):
+        # at |y| = 65536, y[1] - y[0] loses about 5 digits of the node
+        # spacing; the grid and the one-point contractions must both match
+        # a long-double sum
+        y, t, abs_sum = laplace_axis
+        z = np.linspace(-3.7, 8.3, 1201)
+        picks = [0, 517, 1200]
+        grid = mo._contract_axis(t, y, z)[picks]
+        points = [mo._contract_axis(t, y, z[i : i + 1])[0] for i in picks]
+        yl = y.astype(np.longdouble)
+        re, im = t.real.astype(np.longdouble), t.imag.astype(np.longdouble)
+        for g, p, za in zip(grid, points, z[picks].astype(np.longdouble)):
+            c, s = np.cos(za * yl), np.sin(za * yl)
+            ref = complex(float(np.sum(re * c + im * s)), float(np.sum(im * c - re * s)))
+            for value in (g, p):
+                assert abs(value.real - ref.real) <= 1e-11 * abs_sum
+                assert abs(value.imag - ref.imag) <= 1e-11 * abs_sum
+
+    def test_chirp_batch_cap_bounds_memory(self, laplace_axis, monkeypatch):
+        # the chirp takes the 4096-node rows of a long vector in groups whose
+        # FFT temporaries hold at most _PHASE_BLOCK elements; capping them
+        # must leave the values alone and keep the peak near the input size
+        y, t, _ = laplace_axis
+        z = np.linspace(-3.7, 8.3, 1201)
+        whole = mo._contract_axis(t, y, z)
+        monkeypatch.setattr(mo, "_PHASE_BLOCK", 1 << 16)
+        capped = None
+
+        def run():
+            nonlocal capped
+            capped = mo._contract_axis(t, y, z)
+
+        peak = _traced_peak_mb(run)
+        assert np.max(np.abs(capped - whole)) <= 1e-13 * np.max(np.abs(whole))
+        # a zero-padded copy of t plus a few 1 MiB temporaries (86 MB uncapped)
+        assert peak < t.nbytes / 2.0**20 + 8.0
 
     @pytest.mark.parametrize("m", [16, 652])
     @pytest.mark.parametrize("n_z", [2, 3, 513, 2049])
@@ -489,8 +541,8 @@ class TestSlabs:
             assert f.values.tobytes() == fields[0].values.tobytes()
 
     def test_1d_long_axis_identical_across_workers(self):
-        # the Laplace decay scan gives a lattice over _FACTOR_THRESHOLD nodes,
-        # whose z axis is split between the workers
+        # the Laplace decay scan gives a lattice over _FACTOR_THRESHOLD nodes;
+        # a 1-d lattice is one job, whatever the worker count
         cf = make_cf(cm.Laplace1D(scale=1.0))
         grid = cm.Grid(axes=((-6.0, 6.0, 101),))
         assert mo._plan_inversion(cf, MollificationParams()).shape[0] > mo._FACTOR_THRESHOLD
@@ -574,12 +626,13 @@ class TestWorkers:
         assert pool_sizes == [3, n_slabs]
 
     def test_pool_on_1d_grids(self, pool_sizes, std_gaussian):
-        # chirp-z grids and workers=1 start no pool; long axes split the z axis
+        # a 1-d lattice is one job, so no 1-d grid starts a pool, also on
+        # the long Laplace lattice
         mollified_density_grid(make_cf(std_gaussian), 0.5, cm.Grid(axes=((-8.0, 8.0, 128),)), workers=4)
         invert_density_grid(make_cf(cm.Laplace1D(scale=1.0)), cm.Grid(axes=((-6.0, 6.0, 11),)), workers=1)
         assert pool_sizes == []
         invert_density_grid(make_cf(cm.Laplace1D(scale=1.0)), cm.Grid(axes=((-6.0, 6.0, 11),)), workers=2)
-        assert pool_sizes == [2]
+        assert pool_sizes == []
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_fewer_than_one_worker(self, workers, std_gaussian):
