@@ -28,15 +28,20 @@ class CheckResult:
 
 
 def _spec_zoo() -> list[sp.DistributionSpec]:
+    """One spec per constructor (two for Gaussian and PointMass: 1-d and
+    2-d), all with unit-scale parameters; the test suite uses the same list."""
+    rademacher = sp.Empirical(points=[[-1.0], [1.0]], weights=[0.5, 0.5])
     return [
         sp.Gaussian(mean=[0.3], cov=[[1.2]]),
         sp.Gaussian(mean=[0.0, -1.0], cov=[[1.0, 0.4], [0.4, 2.0]]),
         sp.PointMass(location=[0.7]),
+        sp.PointMass(location=[1.0, -2.0]),
         sp.UniformBox(lo=[-1.0], hi=[2.0]),
         sp.Laplace1D(scale=0.8),
-        sp.Empirical(points=[[-1.0], [1.0]], weights=[0.5, 0.5]),
+        sp.Empirical(points=[[-1.0], [0.5], [2.0]], weights=[0.25, 0.5, 0.25]),
         sp.Convolution(parts=(sp.UniformBox(lo=[-1.0], hi=[1.0]), sp.Laplace1D(scale=1.0))),
-        sp.StandardizedIIDSum(base=sp.Empirical(points=[[-1.0], [1.0]], weights=[0.5, 0.5]), n=9),
+        sp.AffineMap(matrix=[[0.5], [1.0]], shift=[1.0, -1.0], inner=sp.Laplace1D(scale=1.0)),
+        sp.StandardizedIIDSum(base=rademacher, n=9),
         sp.Product(factors=(sp.Laplace1D(scale=1.0), sp.UniformBox(lo=[-1.0], hi=[1.0]))),
     ]
 

@@ -2,11 +2,14 @@
 
 A DistributionSpec is a small tree of constructors (Gaussian, PointMass,
 UniformBox, Laplace1D, Empirical, Convolution, AffineMap,
-StandardizedIIDSum, Product).  Every node validates its own invariants on
-construction and knows its dimension.  Specs are plain data: evaluation of
-the characteristic function lives in ``charfn``, sampling in ``montecarlo``.
+StandardizedIIDSum, Product).  Each constructor is one frozen dataclass
+that holds everything about its law: it validates its own invariants on
+construction, knows its dimension, builds its characteristic function
+(``cf``) and draws samples (``draw``).  Adding a constructor means adding
+one class here.
 
-Each spec has a canonical JSON-compatible form, e.g.::
+Each spec has a canonical JSON-compatible form: the ``type`` name the class
+registers, then its dataclass fields in declaration order, e.g.::
 
     {"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}
     {"type": "convolution", "parts": [ ... ]}
@@ -17,16 +20,27 @@ and validates a file.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .charfn import CharFn, convolve
 from .errors import ValidationError
 
 WEIGHT_SUM_TOL = 1e-12
 COV_EIG_TOL = 1e-12
+
+# Switch to the 2-term Taylor expansion of sin(x)/x once t*(hi-lo) is this
+# small; avoids 0/0 at t=0 and cancellation nearby.
+UNIFORM_TAYLOR_SWITCH = 1e-8
+
+# JSON ``type`` name -> constructor class, filled as the classes are defined
+SPEC_TYPES: dict[str, type[DistributionSpec]] = {}
 
 
 def _vector(x, name: str) -> np.ndarray:
@@ -36,16 +50,45 @@ def _vector(x, name: str) -> np.ndarray:
     return v
 
 
+def philox(seq: np.random.SeedSequence) -> np.random.Generator:
+    """The counter-based generator every sampler draws from."""
+    return np.random.Generator(np.random.Philox(seq))
+
+
 class DistributionSpec:
-    """Base class; concrete specs define ``dim`` and a JSON form."""
+    """Base class of the constructors.
+
+    A subclass names its JSON type in the class statement, e.g.
+    ``class Gaussian(DistributionSpec, type="gaussian")``, and is a frozen
+    dataclass whose fields are its JSON fields: arrays, numbers, nested
+    specs (annotated ``DistributionSpec``) or tuples of nested specs.
+    """
+
+    json_type: str
+
+    def __init_subclass__(cls, *, type: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if type in SPEC_TYPES:
+            raise TypeError(f"spec type {type!r} is already taken by {SPEC_TYPES[type]}")
+        cls.json_type = type
+        SPEC_TYPES[type] = cls
 
     @property
     def dim(self) -> int:
         raise NotImplementedError
 
+    def cf(self) -> CharFn:
+        """The characteristic function of the law."""
+        raise NotImplementedError
+
+    def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
+        """n i.i.d. draws as an (n, dim) array; composite specs give each
+        component its own child stream of ``seq``."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
-class Gaussian(DistributionSpec):
+class Gaussian(DistributionSpec, type="gaussian"):
     """Normal law with mean vector and symmetric PSD covariance."""
 
     mean: np.ndarray
@@ -58,6 +101,8 @@ class Gaussian(DistributionSpec):
             raise ValidationError(
                 f"covariance shape {cov.shape} does not match mean of length {mean.size}"
             )
+        if not np.all(np.isfinite(cov)):
+            raise ValidationError("covariance must be finite")
         scale = max(1.0, float(np.max(np.abs(cov))))
         if not np.all(np.abs(cov - cov.T) <= 1e-12 * scale):
             raise ValidationError("covariance must be symmetric")
@@ -79,9 +124,29 @@ class Gaussian(DistributionSpec):
         eigs = np.linalg.eigvalsh(self.cov)
         return bool(eigs.min() > COV_EIG_TOL * max(float(np.trace(self.cov)), 1e-300))
 
+    def cf(self) -> CharFn:
+        """exp(i<a,t> - <t,Ct>/2); integrable when C is positive definite."""
+        mean, cov = self.mean, self.cov
+
+        def ev(pts: np.ndarray) -> np.ndarray:
+            # PSD tolerance can leave slightly negative quadratic forms; clamp
+            # so |chi| <= 1 holds.
+            quad = np.einsum("ni,ni->n", pts @ cov, pts)
+            np.maximum(quad, 0.0, out=quad)
+            return np.exp(1j * (pts @ mean) - 0.5 * quad)
+
+        flag = "yes" if self.is_positive_definite() else "unknown"
+        return CharFn(self.dim, ev, flag, self.json_type)
+
+    def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
+        # exact normal sampler; eigh handles PSD covariances that Cholesky rejects
+        z = philox(seq).standard_normal((n, self.dim))
+        eigvals, eigvecs = np.linalg.eigh(self.cov)
+        return self.mean + z @ (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))).T
+
 
 @dataclass(frozen=True)
-class PointMass(DistributionSpec):
+class PointMass(DistributionSpec, type="point_mass"):
     """Unit mass at a single point."""
 
     location: np.ndarray
@@ -93,9 +158,21 @@ class PointMass(DistributionSpec):
     def dim(self) -> int:
         return self.location.size
 
+    def cf(self) -> CharFn:
+        """exp(i<x,t>); an atom, so never integrable."""
+        location = self.location
+
+        def ev(pts: np.ndarray) -> np.ndarray:
+            return np.exp(1j * (pts @ location))
+
+        return CharFn(self.dim, ev, "no", self.json_type)
+
+    def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
+        return np.tile(self.location, (n, 1))
+
 
 @dataclass(frozen=True)
-class UniformBox(DistributionSpec):
+class UniformBox(DistributionSpec, type="uniform_box"):
     """Uniform law on the axis-aligned box [lo_1,hi_1] x ... x [lo_d,hi_d]."""
 
     lo: np.ndarray
@@ -115,9 +192,32 @@ class UniformBox(DistributionSpec):
     def dim(self) -> int:
         return self.lo.size
 
+    def cf(self) -> CharFn:
+        """Product over axes of exp(i t c_j) sin(t w_j)/(t w_j), with c the
+        box centre and w its half-widths."""
+        center = 0.5 * (self.lo + self.hi)
+        half = 0.5 * (self.hi - self.lo)
+        width = self.hi - self.lo
+
+        def ev(pts: np.ndarray) -> np.ndarray:
+            vals = np.ones(pts.shape[0], dtype=complex)
+            for j in range(width.size):
+                tj = pts[:, j]
+                x = tj * half[j]
+                small = np.abs(tj * width[j]) < UNIFORM_TAYLOR_SWITCH
+                safe = np.where(small, 1.0, x)
+                ratio = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+                vals *= ratio * np.exp(1j * tj * center[j])
+            return vals
+
+        return CharFn(self.dim, ev, "unknown", self.json_type)
+
+    def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
+        return philox(seq).uniform(self.lo, self.hi, size=(n, self.dim))
+
 
 @dataclass(frozen=True)
-class Laplace1D(DistributionSpec):
+class Laplace1D(DistributionSpec, type="laplace"):
     """Symmetric Laplace law on R with density exp(-|x|/scale)/(2*scale)."""
 
     scale: float
@@ -132,9 +232,22 @@ class Laplace1D(DistributionSpec):
     def dim(self) -> int:
         return 1
 
+    def cf(self) -> CharFn:
+        """1/(1 + b^2 t^2), integrable."""
+        scale = self.scale
+
+        def ev(pts: np.ndarray) -> np.ndarray:
+            t = pts[:, 0]
+            return (1.0 / (1.0 + (scale * t) ** 2)).astype(complex)
+
+        return CharFn(1, ev, "yes", self.json_type)
+
+    def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
+        return philox(seq).laplace(0.0, self.scale, size=(n, 1))
+
 
 @dataclass(frozen=True)
-class Empirical(DistributionSpec):
+class Empirical(DistributionSpec, type="empirical"):
     """Finite discrete law: atoms at ``points`` with the given weights.
 
     Weights must be nonnegative and sum to 1 within 1e-12; they are stored
@@ -165,9 +278,26 @@ class Empirical(DistributionSpec):
     def dim(self) -> int:
         return self.points.shape[1]
 
+    def cf(self) -> CharFn:
+        """sum_j w_j exp(i<t,x_j>); atoms, so never integrable."""
+        points, weights = self.points, self.weights
+        wsum = float(np.sum(weights))
+
+        def ev(pts: np.ndarray) -> np.ndarray:
+            # numerator and wsum share np.sum's reduction order, so at t = 0
+            # the ratio is exactly 1 even for weights that do not sum to 1.0
+            # in floating point
+            return np.sum(np.exp(1j * (pts @ points.T)) * weights, axis=1) / wsum
+
+        return CharFn(self.dim, ev, "no", self.json_type)
+
+    def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
+        idx = philox(seq).choice(self.points.shape[0], size=n, p=self.weights)
+        return self.points[idx]
+
 
 @dataclass(frozen=True)
-class Convolution(DistributionSpec):
+class Convolution(DistributionSpec, type="convolution"):
     """Law of the sum of independent draws from each part."""
 
     parts: tuple[DistributionSpec, ...]
@@ -188,9 +318,19 @@ class Convolution(DistributionSpec):
     def dim(self) -> int:
         return self.parts[0].dim
 
+    def cf(self) -> CharFn:
+        """Pointwise product of the part CFs (``charfn.convolve``)."""
+        return functools.reduce(convolve, [p.cf() for p in self.parts])
+
+    def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
+        out = np.zeros((n, self.dim))
+        for part, child in zip(self.parts, seq.spawn(len(self.parts))):
+            out += part.draw(n, child)
+        return out
+
 
 @dataclass(frozen=True)
-class AffineMap(DistributionSpec):
+class AffineMap(DistributionSpec, type="affine_map"):
     """Law of A X + b where X follows ``inner``."""
 
     matrix: np.ndarray
@@ -215,14 +355,27 @@ class AffineMap(DistributionSpec):
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def cf(self) -> CharFn:
+        """chi_inner(A^T t) exp(i<b,t>)."""
+        inner, matrix, shift = self.inner.cf(), self.matrix, self.shift
+
+        def ev(pts: np.ndarray) -> np.ndarray:
+            return inner.batch_eval(pts @ matrix) * np.exp(1j * (pts @ shift))
+
+        return CharFn(self.dim, ev, "unknown", self.json_type)
+
+    def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
+        return self.inner.draw(n, seq.spawn(1)[0]) @ self.matrix.T + self.shift
+
 
 @dataclass(frozen=True)
-class StandardizedIIDSum(DistributionSpec):
+class StandardizedIIDSum(DistributionSpec, type="standardized_iid_sum"):
     """Law of (X_1 + ... + X_n)/sqrt(n) for i.i.d. draws from ``base``.
 
     The base must be one-dimensional with mean 0 and variance 1.  That
     standardization is declared by the caller and is not inferred or
-    checked; a wrong declaration silently shifts/scales the limit.
+    checked; a wrong declaration silently shifts/scales the limit.  ``n``
+    must be an integer (4 or 4.0, not 2.7).
     """
 
     base: DistributionSpec
@@ -231,18 +384,36 @@ class StandardizedIIDSum(DistributionSpec):
     def __post_init__(self):
         if self.base.dim != 1:
             raise ValidationError("standardized iid sum requires a 1-d base")
-        n = int(self.n)
+        n = self.n
+        if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+            raise ValidationError(f"n must be an integer, got {n!r}")
         if n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n!r}")
-        object.__setattr__(self, "n", n)
+            raise ValidationError(f"n must be >= 1, got {n!r}")
+        object.__setattr__(self, "n", int(n))
 
     @property
     def dim(self) -> int:
         return 1
 
+    def cf(self) -> CharFn:
+        """chi_base(t/sqrt(n))^n."""
+        base, n = self.base.cf(), self.n
+        root = math.sqrt(n)
+
+        def ev(pts: np.ndarray) -> np.ndarray:
+            return base.batch_eval(pts / root) ** n
+
+        return CharFn(1, ev, "unknown", self.json_type)
+
+    def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
+        acc = np.zeros((n, 1))
+        for child in seq.spawn(self.n):
+            acc += self.base.draw(n, child)
+        return acc / np.sqrt(self.n)
+
 
 @dataclass(frozen=True)
-class Product(DistributionSpec):
+class Product(DistributionSpec, type="product"):
     """Independent product of 1-d factors, one per coordinate."""
 
     factors: tuple[DistributionSpec, ...] = field(default=())
@@ -260,6 +431,22 @@ class Product(DistributionSpec):
     def dim(self) -> int:
         return len(self.factors)
 
+    def cf(self) -> CharFn:
+        """Product over axes of the factor CFs."""
+        factors = [f.cf() for f in self.factors]
+
+        def ev(pts: np.ndarray) -> np.ndarray:
+            vals = np.ones(pts.shape[0], dtype=complex)
+            for j, f in enumerate(factors):
+                vals *= f.batch_eval(pts[:, j : j + 1])
+            return vals
+
+        return CharFn(self.dim, ev, "unknown", self.json_type)
+
+    def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
+        children = seq.spawn(len(self.factors))
+        return np.concatenate([f.draw(n, c) for f, c in zip(self.factors, children)], axis=1)
+
 
 # ---------------------------------------------------------------------------
 # JSON form
@@ -267,45 +454,29 @@ class Product(DistributionSpec):
 
 def spec_to_dict(spec: DistributionSpec) -> dict:
     """Canonical JSON-compatible dict for a spec tree."""
-    if isinstance(spec, Gaussian):
-        return {"type": "gaussian", "mean": spec.mean.tolist(), "cov": spec.cov.tolist()}
-    if isinstance(spec, PointMass):
-        return {"type": "point_mass", "location": spec.location.tolist()}
-    if isinstance(spec, UniformBox):
-        return {"type": "uniform_box", "lo": spec.lo.tolist(), "hi": spec.hi.tolist()}
-    if isinstance(spec, Laplace1D):
-        return {"type": "laplace", "scale": spec.scale}
-    if isinstance(spec, Empirical):
-        return {
-            "type": "empirical",
-            "points": spec.points.tolist(),
-            "weights": spec.weights.tolist(),
-        }
-    if isinstance(spec, Convolution):
-        return {"type": "convolution", "parts": [spec_to_dict(p) for p in spec.parts]}
-    if isinstance(spec, AffineMap):
-        return {
-            "type": "affine_map",
-            "matrix": spec.matrix.tolist(),
-            "shift": spec.shift.tolist(),
-            "inner": spec_to_dict(spec.inner),
-        }
-    if isinstance(spec, StandardizedIIDSum):
-        return {
-            "type": "standardized_iid_sum",
-            "base": spec_to_dict(spec.base),
-            "n": spec.n,
-        }
-    if isinstance(spec, Product):
-        return {"type": "product", "factors": [spec_to_dict(f) for f in spec.factors]}
-    raise ValidationError(f"unknown spec class {type(spec).__name__}")
+    if not isinstance(spec, DistributionSpec):
+        raise ValidationError(f"unknown spec class {type(spec).__name__}")
+    out = {"type": spec.json_type}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, DistributionSpec):
+            value = spec_to_dict(value)
+        elif isinstance(value, tuple):
+            value = [spec_to_dict(v) for v in value]
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        out[f.name] = value
+    return out
 
 
-def _require(d: dict, *keys: str) -> list:
-    missing = [k for k in keys if k not in d]
-    if missing:
-        raise ValidationError(f"spec of type {d.get('type')!r} missing fields {missing}")
-    return [d[k] for k in keys]
+def _field_from_json(annotation: str, value):
+    """A nested spec or tuple of specs is parsed; anything else is left for
+    the constructor to convert and validate."""
+    if annotation == "DistributionSpec":
+        return spec_from_dict(value)
+    if annotation.startswith("tuple["):
+        return tuple(spec_from_dict(v) for v in value)
+    return value
 
 
 def spec_from_dict(d: dict) -> DistributionSpec:
@@ -313,41 +484,16 @@ def spec_from_dict(d: dict) -> DistributionSpec:
     if not isinstance(d, dict) or "type" not in d:
         raise ValidationError(f"spec must be an object with a 'type' field, got {d!r}")
     t = d["type"]
+    cls = SPEC_TYPES.get(t) if isinstance(t, str) else None
+    if cls is None:
+        raise ValidationError(f"unknown spec type {t!r}")
+    missing = [f.name for f in fields(cls) if f.name not in d]
+    if missing:
+        raise ValidationError(f"spec of type {t!r} missing fields {missing}")
     try:
-        if t == "gaussian":
-            mean, cov = _require(d, "mean", "cov")
-            return Gaussian(mean=np.asarray(mean, float), cov=np.asarray(cov, float))
-        if t == "point_mass":
-            (loc,) = _require(d, "location")
-            return PointMass(location=np.asarray(loc, float))
-        if t == "uniform_box":
-            lo, hi = _require(d, "lo", "hi")
-            return UniformBox(lo=np.asarray(lo, float), hi=np.asarray(hi, float))
-        if t == "laplace":
-            (scale,) = _require(d, "scale")
-            return Laplace1D(scale=float(scale))
-        if t == "empirical":
-            pts, w = _require(d, "points", "weights")
-            return Empirical(points=np.asarray(pts, float), weights=np.asarray(w, float))
-        if t == "convolution":
-            (parts,) = _require(d, "parts")
-            return Convolution(parts=tuple(spec_from_dict(p) for p in parts))
-        if t == "affine_map":
-            a, b, inner = _require(d, "matrix", "shift", "inner")
-            return AffineMap(
-                matrix=np.asarray(a, float),
-                shift=np.asarray(b, float),
-                inner=spec_from_dict(inner),
-            )
-        if t == "standardized_iid_sum":
-            base, n = _require(d, "base", "n")
-            return StandardizedIIDSum(base=spec_from_dict(base), n=int(n))
-        if t == "product":
-            (factors,) = _require(d, "factors")
-            return Product(factors=tuple(spec_from_dict(f) for f in factors))
-    except (TypeError, ValueError) as exc:
+        return cls(**{f.name: _field_from_json(f.type, d[f.name]) for f in fields(cls)})
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {t!r} spec: {exc}") from exc
-    raise ValidationError(f"unknown spec type {t!r}")
 
 
 def load_spec(path: str | Path) -> DistributionSpec:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cfmoll as cm
+from cfmoll.selfcheck import _spec_zoo
 
 
 @pytest.fixture
@@ -18,21 +19,10 @@ def rademacher():
 
 
 @pytest.fixture
-def spec_zoo(rademacher):
-    """One spec per constructor, all with unit-scale parameters."""
-    return [
-        cm.Gaussian(mean=[0.3], cov=[[1.2]]),
-        cm.Gaussian(mean=[0.0, -1.0], cov=[[1.0, 0.4], [0.4, 2.0]]),
-        cm.PointMass(location=[0.7]),
-        cm.PointMass(location=[1.0, -2.0]),
-        cm.UniformBox(lo=[-1.0], hi=[2.0]),
-        cm.Laplace1D(scale=0.8),
-        cm.Empirical(points=[[-1.0], [0.5], [2.0]], weights=[0.25, 0.5, 0.25]),
-        cm.Convolution(parts=(cm.UniformBox(lo=[-1.0], hi=[1.0]), cm.Laplace1D(scale=1.0))),
-        cm.AffineMap(matrix=[[0.5], [1.0]], shift=[1.0, -1.0], inner=cm.Laplace1D(scale=1.0)),
-        cm.StandardizedIIDSum(base=rademacher, n=9),
-        cm.Product(factors=(cm.Laplace1D(scale=1.0), cm.UniformBox(lo=[-1.0], hi=[1.0]))),
-    ]
+def spec_zoo():
+    """One spec per constructor, all with unit-scale parameters; the same
+    list ``cfmoll selfcheck`` checks."""
+    return _spec_zoo()
 
 
 def gaussian_density(z, mean=0.0, var=1.0):

@@ -199,3 +199,22 @@ def test_threads_below_one_exits_2(tmp_path, spec_files, threads, capsys):
                "--grid", "-8:8:64", "--threads", threads, "--out", str(out)])
     assert rc == EXIT_VALIDATION and not out.exists()
     assert "workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"type": "gaussian", "mean": [0.0], "cov": [[float("nan")]]}, "must be finite"),
+        ({"type": "gaussian", "mean": [0.0], "cov": [[float("inf")]]}, "must be finite"),
+        (
+            {"type": "standardized_iid_sum", "base": {"type": "laplace", "scale": 1.0}, "n": 2.7},
+            "must be an integer",
+        ),
+    ],
+)
+def test_bad_spec_values_exit_2(tmp_path, spec, message, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    rc = main(["mollify", "--spec", str(path), "--sigma", "0.5", "--grid", "-4:4:64"])
+    assert rc == EXIT_VALIDATION
+    assert message in capsys.readouterr().err

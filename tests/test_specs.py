@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import cfmoll as cm
-from cfmoll import ValidationError, spec_from_dict, spec_to_dict
+from cfmoll import DistributionSpec, ValidationError, spec_from_dict, spec_to_dict
+from cfmoll.specs import SPEC_TYPES
 
 
 def test_round_trip_every_constructor(spec_zoo):
@@ -49,6 +50,9 @@ def test_gaussian_validation():
         cm.Gaussian(mean=[0.0], cov=[[-1.0]])  # negative variance
     with pytest.raises(ValidationError):
         cm.Gaussian(mean=[0.0, 0.0], cov=[[1.0]])  # shape mismatch
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="must be finite"):
+            cm.Gaussian(mean=[0.0, 0.0], cov=[[1.0, bad], [bad, 1.0]])
     # PSD with a zero eigenvalue is allowed
     cm.Gaussian(mean=[0.0, 0.0], cov=[[1.0, 1.0], [1.0, 1.0]])
 
@@ -101,3 +105,57 @@ def test_laplace_validation():
         cm.Laplace1D(scale=0.0)
     with pytest.raises(ValidationError):
         cm.Laplace1D(scale=np.nan)
+
+
+def test_iid_sum_n_must_be_integral(rademacher):
+    for n in (2.7, np.nan, np.inf, "4"):
+        with pytest.raises(ValidationError, match="integer"):
+            cm.StandardizedIIDSum(base=rademacher, n=n)
+    base = spec_to_dict(rademacher)
+    with pytest.raises(ValidationError, match="integer"):
+        spec_from_dict({"type": "standardized_iid_sum", "base": base, "n": 2.7})
+    spec = spec_from_dict({"type": "standardized_iid_sum", "base": base, "n": 4.0})
+    assert spec.n == 4 and type(spec.n) is int
+    assert spec_to_dict(spec)["n"] == 4
+
+
+def test_registry_contract(spec_zoo):
+    # the zoo holds every registered class, so each one is exercised below
+    assert set(SPEC_TYPES.values()) == {type(s) for s in spec_zoo}
+    for name, cls in SPEC_TYPES.items():
+        assert cls.json_type == name
+    seq = np.random.SeedSequence(5)
+    for spec in spec_zoo:
+        d = spec_to_dict(spec)
+        assert d["type"] == spec.json_type
+        assert spec_to_dict(spec_from_dict(json.loads(json.dumps(d)))) == d
+        cf = spec.cf()
+        assert cf.d == spec.dim
+        assert cf.batch_eval(np.zeros((1, spec.dim)))[0] == 1.0 + 0.0j
+        assert spec.draw(7, seq).shape == (7, spec.dim)
+    with pytest.raises(TypeError, match="already taken"):
+
+        class Again(DistributionSpec, type="gaussian"):
+            pass
+
+    assert SPEC_TYPES["gaussian"] is cm.Gaussian
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"type": ["gaussian"], "mean": [0.0], "cov": [[1.0]]},  # unhashable type
+        {"type": {"name": "laplace"}, "scale": 1.0},
+        {"mean": [0.0], "cov": [[1.0]]},  # no type
+        {"type": "convolution", "parts": 5},
+        {"type": "convolution", "parts": [{"type": "cauchy"}]},
+        {"type": "affine_map", "matrix": [[1.0]], "shift": [0.0], "inner": {"type": "laplace"}},
+        {"type": "product", "factors": {"type": "laplace", "scale": 1.0}},
+        {"type": "gaussian", "mean": {"type": "laplace", "scale": 1.0}, "cov": [[1.0]]},
+        {"type": "laplace", "scale": 10**400},  # beyond float range
+        {"type": "standardized_iid_sum", "base": {"type": "laplace", "scale": 1.0}, "n": 10**400},
+    ],
+)
+def test_hostile_dicts_raise_validation_error(bad):
+    with pytest.raises(ValidationError):
+        spec_from_dict(bad)
