@@ -50,7 +50,11 @@ lattice shape alone, so a 2-d or 3-d lattice is never held whole.  Each
 slab is evaluated, weighted and contracted by itself, and the partial
 sums are added in slab order; the checks run on the summed result.  Grid
 workers take slabs from a thread pool, so values are the same on any
-worker count.  A 1-d lattice is one slab and runs on one thread.
+worker count.  A 1-d lattice is one slab and runs on one thread.  chi
+fills each preallocated slab in blocks of ``_EVAL_BLOCK`` points built in
+one reused buffer, so no slab builds a meshgrid or a stacked point array,
+and an evaluator's temporaries (an ``Empirical`` law's atom chunks among
+them) are sized by the block, not the slab.
 """
 
 from __future__ import annotations
@@ -83,9 +87,12 @@ _SCAN_PROBES = 33
 _SCAN_MAX_RADIUS = 2.0**26
 _FACTOR_THRESHOLD = 16384
 _PHASE_BLOCK = 1 << 22  # complex temporaries capped near 64 MiB
+# Lattice points per chi evaluation: each slab is filled block by block, so
+# the evaluator's temporaries stay small and warm in cache.
+_EVAL_BLOCK = 1 << 14
 # Slabs of a 2-d or 3-d lattice: at most this many nodes, and at least
 # _MIN_SLABS slabs where the rows allow, so a 512^2 lattice still spreads
-# over the workers and bounds an Empirical evaluator's temporaries.
+# over the workers.
 _SLAB_NODES = 1 << 18
 _MIN_SLABS = 8
 
@@ -258,11 +265,32 @@ def _slabs(shape: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def _weight_tensor(cf: CharFn, plan: QuadPlan, sigma: float, lo: int, hi: int) -> np.ndarray:
     """chi on rows [lo, hi) of the node lattice times quadrature weights and,
-    when sigma > 0, the Gaussian damping, as per-axis factors."""
+    when sigma > 0, the Gaussian damping, as per-axis factors.
+
+    chi fills a preallocated slab in blocks of about ``_EVAL_BLOCK`` points.
+    A 1-d block is a slice of the nodes.  Otherwise a block is whole rows
+    along the last axis, written into one reused point buffer whose last
+    coordinate is set once.
+    """
     nodes = (plan.nodes[0][lo:hi],) + plan.nodes[1:]
-    mesh = np.meshgrid(*nodes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    w = np.asarray(cf.batch_eval(pts), dtype=complex).reshape([len(y) for y in nodes])
+    shape = tuple(len(y) for y in nodes)
+    w = np.empty(shape, dtype=complex)
+    flat = w.reshape(-1)
+    if plan.d == 1:
+        y = nodes[0][:, None]
+        for a in range(0, len(y), _EVAL_BLOCK):
+            flat[a : a + _EVAL_BLOCK] = cf.batch_eval(y[a : a + _EVAL_BLOCK])
+    else:
+        last, rows = shape[-1], math.prod(shape[:-1])
+        step = max(1, _EVAL_BLOCK // last)
+        buf = np.empty((min(step, rows), last, plan.d))
+        buf[..., -1] = nodes[-1]
+        for r in range(0, rows, step):
+            lead = np.unravel_index(np.arange(r, min(r + step, rows)), shape[:-1])
+            n = len(lead[0])
+            for j, idx in enumerate(lead):
+                buf[:n, :, j] = nodes[j][idx, None]
+            flat[r * last : (r + n) * last] = cf.batch_eval(buf[:n].reshape(-1, plan.d))
     for j in range(plan.d):
         factor = plan.weights[j]
         if sigma > 0.0:
@@ -310,21 +338,34 @@ def _contract_axis(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     q_outer = -(-m // k_inner)
     h = (y[-1] - y[0]) / (m - 1)
     starts = y[::k_inner]
-    pad = q_outer * k_inner - m
-    if pad:
-        t = np.concatenate([t, np.zeros((pad,) + t.shape[1:], dtype=t.dtype)], axis=0)
-    t2 = t.reshape((q_outer, k_inner) + t.shape[1:])
     if chirp:
-        return _chirp_contract(t2, starts, h, z)
+        return _chirp_contract(t, k_inner, starts, h, z)
+    # whole rows as a view, and the last partial row (if any) padded alone
+    pieces = (_rows(t, k_inner, 0, m // k_inner), _rows(t, k_inner, m // k_inner, q_outer))
     out_blocks = []
     step = max(1, _PHASE_BLOCK // (k_inner + q_outer))
     for lo in range(0, len(z), step):
         zb = z[lo : lo + step]
         inner_ph = np.exp(-1j * np.outer(zb, h * np.arange(k_inner)))
         outer_ph = np.exp(-1j * np.outer(zb, starts))
-        partial = np.tensordot(t2, inner_ph, axes=([1], [1]))  # (q, rest..., nz)
+        partial = np.concatenate(  # (q, rest..., nz)
+            [np.tensordot(p, inner_ph, axes=([1], [1])) for p in pieces]
+        )
         out_blocks.append(np.einsum("q...a,aq->...a", partial, outer_ph))
     return np.concatenate(out_blocks, axis=-1) if len(out_blocks) > 1 else out_blocks[0]
+
+
+def _rows(t: np.ndarray, k: int, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of axis 0 of ``t`` cut into rows of k nodes, shape
+    (hi - lo, k, rest...): a view when they are whole, else a copy of these
+    rows alone with the last one zero-padded."""
+    seg = t[lo * k : hi * k]
+    shape = (hi - lo, k) + t.shape[1:]
+    if len(seg) == (hi - lo) * k:
+        return seg.reshape(shape)
+    out = np.zeros(shape, dtype=t.dtype)
+    out.reshape((-1,) + t.shape[1:])[: len(seg)] = seg
+    return out
 
 
 def _chirp(theta: float, length: int) -> np.ndarray:
@@ -357,10 +398,10 @@ def _fft_size(n: int) -> int:
 
 
 def _chirp_contract(
-    t2: np.ndarray, starts: np.ndarray, h: float, z: np.ndarray
+    t: np.ndarray, k: int, starts: np.ndarray, h: float, z: np.ndarray
 ) -> np.ndarray:
-    """Chirp-z form of ``_contract_axis`` for a vector cut into rows of k
-    nodes: sum_q exp(-i z_a starts_q) sum_s t2[q, s] exp(-i z_a h s).
+    """Chirp-z form of ``_contract_axis`` for a vector ``t`` cut into rows
+    of k nodes: sum_q exp(-i z_a starts_q) sum_s t[q k + s] exp(-i z_a h s).
 
     With z_a = z_0 + a dz and theta = h dz, the identity
     a s = (a^2 + s^2 - (a - s)^2) / 2 turns the inner sum into
@@ -370,9 +411,10 @@ def _chirp_contract(
     for every row at once (Bluestein).  s stays below k <= 4096, so the
     chirp phases stay accurate on any axis length.  Rows go through in
     groups whose FFT temporaries hold at most ``_PHASE_BLOCK`` elements,
-    and the groups are added in row order.
+    and the groups are added in row order; only the last partial row is
+    padded.
     """
-    q, k = t2.shape
+    q = len(starts)
     n = len(z)
     chirp = _chirp(h * (z[-1] - z[0]) / (n - 1), max(k, n))
     size = _fft_size(k + n - 1)
@@ -384,7 +426,7 @@ def _chirp_contract(
     rows = max(1, _PHASE_BLOCK // size)
     out = np.zeros(n, dtype=complex)
     for lo in range(0, q, rows):
-        spec = np.fft.fft(t2[lo : lo + rows] * pre, size)
+        spec = np.fft.fft(_rows(t, k, lo, min(lo + rows, q)) * pre, size)
         spec *= kernel
         inner = np.fft.ifft(spec)[:, :n]
         # exp(-i starts z), written as cos and -sin into one array: the same

@@ -9,6 +9,11 @@ and identical (spec, n, seed) inputs reproduce bit-identical batches.
 Gaussian draws come from the generator's exact normal sampler (ziggurat),
 never an approximate inverse CDF, so the references are exact in
 distribution.
+
+``empirical_cf`` sums over the draws with the same chunked kernel as the
+``Empirical`` CF (``specs.atom_sum``): besides one unit weight per draw,
+its temporaries are bounded by the chunk size, never a (probes x draws)
+matrix.
 """
 
 from __future__ import annotations
@@ -59,9 +64,10 @@ def sample(spec: sp.DistributionSpec, n: int, seed: int) -> SampleBatch:
 
 
 def empirical_cf(batch: SampleBatch, t) -> complex | np.ndarray:
-    """Estimator (1/n) sum_j exp(i<t, X_j>); exactly 1 at t = 0."""
-    points = batch.points
-    return CharFn(batch.d, lambda pts: np.exp(1j * (pts @ points.T)).mean(axis=1), "no")(t)
+    """Estimator (1/n) sum_j exp(i<t, X_j>); exactly 1 at t = 0.  The draws
+    go through ``specs.atom_sum`` with unit weights, in chunks."""
+    points, ones = batch.points, np.ones(batch.n)
+    return CharFn(batch.d, lambda pts: sp.atom_sum(points, ones, pts), "no")(t)
 
 
 def mc_tail_prob(spec: sp.DistributionSpec, radius: float, n: int, seed: int) -> float:

@@ -39,6 +39,10 @@ COV_EIG_TOL = 1e-12
 # small; avoids 0/0 at t=0 and cancellation nearby.
 UNIFORM_TAYLOR_SWITCH = 1e-8
 
+# Elements of one (atoms x points) chunk of ``atom_sum``: its two float
+# temporaries stay near 4 MiB each, whatever the atom count.
+ATOM_BLOCK = 1 << 19
+
 # JSON ``type`` name -> constructor class, filled as the classes are defined
 SPEC_TYPES: dict[str, type[DistributionSpec]] = {}
 
@@ -48,6 +52,36 @@ def _vector(x, name: str) -> np.ndarray:
     if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
         raise ValidationError(f"{name} must be a finite 1-d vector, got {x!r}")
     return v
+
+
+def atom_sum(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """sum_j w_j exp(i<t, x_j>) / sum_j w_j for each row t of ``pts``, with
+    the atoms x_j the rows of ``atoms``.
+
+    The atoms go through in chunks whose (atoms x points) phase arrays hold
+    about ``ATOM_BLOCK`` elements, with cos and sin summed over the atom
+    axis into real accumulators, so memory does not grow with the atom
+    count.  The normalizer is the real sum at an appended t = 0, taken in
+    the numerator's own reduction order: chi(0) is exactly 1 for any chunk
+    count and any weights.
+    """
+    pts = np.concatenate([pts, np.zeros((1, atoms.shape[1]))])
+    re = np.zeros(len(pts))
+    im = np.zeros(len(pts))
+    step = max(1, ATOM_BLOCK // len(pts))
+    for lo in range(0, len(atoms), step):
+        w = weights[lo : lo + step, None]
+        arg = atoms[lo : lo + step] @ pts.T
+        part = np.cos(arg)
+        part *= w
+        re += part.sum(axis=0)
+        np.sin(arg, out=part)
+        part *= w
+        im += part.sum(axis=0)
+    out = np.empty(len(pts) - 1, dtype=complex)
+    np.divide(re[:-1], re[-1], out=out.real)
+    np.divide(im[:-1], re[-1], out=out.imag)
+    return out
 
 
 def philox(seq: np.random.SeedSequence) -> np.random.Generator:
@@ -279,17 +313,9 @@ class Empirical(DistributionSpec, type="empirical"):
         return self.points.shape[1]
 
     def cf(self) -> CharFn:
-        """sum_j w_j exp(i<t,x_j>); atoms, so never integrable."""
+        """sum_j w_j exp(i<t,x_j>) (``atom_sum``); atoms, so never integrable."""
         points, weights = self.points, self.weights
-        wsum = float(np.sum(weights))
-
-        def ev(pts: np.ndarray) -> np.ndarray:
-            # numerator and wsum share np.sum's reduction order, so at t = 0
-            # the ratio is exactly 1 even for weights that do not sum to 1.0
-            # in floating point
-            return np.sum(np.exp(1j * (pts @ points.T)) * weights, axis=1) / wsum
-
-        return CharFn(self.dim, ev, "no", self.json_type)
+        return CharFn(self.dim, lambda pts: atom_sum(points, weights, pts), "no", self.json_type)
 
     def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
         idx = philox(seq).choice(self.points.shape[0], size=n, p=self.weights)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,3 +37,13 @@ def subprocess_env() -> dict[str, str]:
     src = str(Path(cm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak ``tracemalloc`` allocation in MiB while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2.0**20
+    finally:
+        tracemalloc.stop()

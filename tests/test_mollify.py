@@ -2,7 +2,6 @@ import itertools
 import math
 import subprocess
 import sys
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -25,7 +24,7 @@ from cfmoll import (
 )
 from cfmoll.charfn import CharFn
 from cfmoll.mollify import _apply_negativity_policy
-from tests.conftest import gaussian_density, subprocess_env
+from tests.conftest import gaussian_density, subprocess_env, traced_peak_mb
 
 INV_SQRT_2PI = 0.39894228040143268  # standard normal density at 0
 INV_SQRT_4PI = 0.28209479177387814  # N(0,2) density at 0
@@ -433,10 +432,11 @@ class TestContractAxis:
             nonlocal capped
             capped = mo._contract_axis(t, y, z)
 
-        peak = _traced_peak_mb(run)
+        peak = traced_peak_mb(run)
         assert np.max(np.abs(capped - whole)) <= 1e-13 * np.max(np.abs(whole))
-        # a zero-padded copy of t plus a few 1 MiB temporaries (86 MB uncapped)
-        assert peak < t.nbytes / 2.0**20 + 8.0
+        # a few 1 MiB temporaries and one padded row, about 4 MB; a padded
+        # copy of the 21 MB input took 25 MB (86 MB uncapped)
+        assert peak < 8.0
 
     @pytest.mark.parametrize("m", [16, 652])
     @pytest.mark.parametrize("n_z", [2, 3, 513, 2049])
@@ -523,15 +523,6 @@ def _empirical_2d(atoms):
     return make_cf(cm.Empirical(points=pts, weights=w / w.sum()))
 
 
-def _traced_peak_mb(fn) -> float:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2.0**20
-    finally:
-        tracemalloc.stop()
-
-
 class TestSlabs:
     def test_3d_grid_bytes_identical_across_workers(self):
         cf, params, grid = _small_3d_case()
@@ -579,19 +570,38 @@ class TestSlabs:
         b = mollified_density_grid(rebuilt, 1.0, grid, params, workers=2)
         assert a.values.tobytes() == b.values.tobytes()
 
+    def test_2d_empirical_many_atoms_memory_is_bounded(self):
+        # 2000 atoms: a 12-row slab of the 96^2 lattice times the atoms
+        # peaked near 70 MB; the atom chunks hold it near 12 MB
+        cf = _empirical_2d(2000)
+        params = MollificationParams(sigma=0.5, truncation_radius=11.6, nodes_per_axis=96)
+        grid = cm.Grid(axes=((-5.0, 5.0, 64),) * 2)
+        peak = traced_peak_mb(lambda: mollified_density_grid(cf, 0.5, grid, params, workers=1))
+        assert peak < 32.0
+
     def test_2d_empirical_memory_is_bounded(self):
         # the whole 512^2 lattice times 50 atoms peaked near 400 MB
         cf = _empirical_2d(50)
         grid = cm.Grid(axes=((-5.0, 5.0, 64),) * 2)
-        peak = _traced_peak_mb(lambda: mollified_density_grid(cf, 0.5, grid, workers=1))
+        peak = traced_peak_mb(lambda: mollified_density_grid(cf, 0.5, grid, workers=1))
         assert peak < 64.0
 
     def test_3d_threaded_memory_is_bounded(self):
         # 164^3 lattice on two workers: about 45 MB in slabs, 370 MB whole
         cf = make_cf(cm.Gaussian(mean=[0.0] * 3, cov=np.eye(3).tolist()))
         grid = cm.Grid(axes=((-6.0, 6.0, 48),) * 3)
-        peak = _traced_peak_mb(lambda: mollified_density_grid(cf, 0.7, grid, workers=2))
+        peak = traced_peak_mb(lambda: mollified_density_grid(cf, 0.7, grid, workers=2))
         assert peak < 80.0
+
+    def test_238_cubed_memory_is_bounded(self):
+        # the 60 slabs of a 238^3 lattice on two workers: a meshgrid, its
+        # stacked points and chi's temporaries per slab peaked near 42 MB;
+        # filled in blocks, two slabs and their contractions take about 16
+        cf = make_cf(cm.Gaussian(mean=[0.0] * 3, cov=np.eye(3).tolist()))
+        grid = cm.Grid(axes=((-6.0, 6.0, 48),) * 3)
+        assert mo._plan_mollified(3, 0.5, MollificationParams.for_dimension(3)).shape == (238,) * 3
+        peak = traced_peak_mb(lambda: mollified_density_grid(cf, 0.5, grid, workers=2))
+        assert peak < 24.0
 
     def test_l1_bound_is_the_grid_certificate(self, monkeypatch):
         # cf_l1_bound sums the same slabs as the transform, in the same order
@@ -609,6 +619,75 @@ class TestSlabs:
         plan = mo._plan_inversion(cf, MollificationParams.for_dimension(2))
         assert len(mo._slabs(plan.shape)) > 1
         assert bounds == [cf_l1_bound(cf)]
+
+
+def _one_shot_weights(cf, plan, sigma, lo, hi):
+    """The slab's W from one meshgrid and one chi call: the reference for
+    the blocked ``_weight_tensor``."""
+    nodes = (plan.nodes[0][lo:hi],) + plan.nodes[1:]
+    mesh = np.meshgrid(*nodes, indexing="ij")
+    w = cf.batch_eval(np.stack([m.reshape(-1) for m in mesh], axis=-1)).reshape(mesh[0].shape)
+    for j in range(plan.d):
+        f = plan.weights[j] * np.exp(-0.5 * sigma * sigma * plan.nodes[j] ** 2)
+        w = w * (f[lo:hi] if j == 0 else f).reshape([-1 if a == j else 1 for a in range(plan.d)])
+    return w
+
+
+def _plan(*ms):
+    """A hand-built plan; an axis of one node sits at 0.3 with weight 1."""
+    rules = [mo._axis_rule(4.0, m) if m > 1 else (np.array([0.3]), np.array([1.0])) for m in ms]
+    return mo.QuadPlan(
+        radii=(4.0,) * len(ms),
+        nodes=tuple(y for y, _ in rules),
+        weights=tuple(w for _, w in rules),
+    )
+
+
+class TestBlockedEvaluation:
+    CFS = {
+        1: make_cf(cm.Convolution(parts=(cm.Laplace1D(scale=0.7), cm.UniformBox(lo=[-1.0], hi=[0.5])))),
+        2: _empirical_2d(10),
+        3: make_cf(cm.Gaussian(mean=[0.0, 0.3, -0.2], cov=[[1.0, 0.5, 0.2], [0.5, 1.0, -0.3], [0.2, -0.3, 0.8]])),
+    }
+
+    @pytest.mark.parametrize(
+        "shape, lo, hi",
+        [
+            ((1000,), 0, 1000), ((1,), 0, 1),
+            ((37, 23), 0, 37), ((37, 23), 5, 30), ((5, 1), 0, 5), ((1, 40), 0, 1),
+            ((6, 7, 9), 2, 6), ((3, 1, 5), 0, 3), ((4, 6, 1), 1, 4), ((1, 1, 1), 0, 1),
+        ],
+    )
+    @pytest.mark.parametrize("block", [7, 50, 1 << 14])
+    def test_blocks_match_one_shot(self, shape, lo, hi, block, monkeypatch):
+        # blocks that split rows, end in a partial block, or hold the slab
+        plan = _plan(*shape)
+        cf = self.CFS[len(shape)]
+        ref = _one_shot_weights(cf, plan, 0.5, lo, hi)
+        monkeypatch.setattr(mo, "_EVAL_BLOCK", block)
+        w = mo._weight_tensor(cf, plan, 0.5, lo, hi)
+        assert w.shape == ref.shape
+        assert np.max(np.abs(w - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_size_leaves_values_alone(self, d, monkeypatch):
+        # grid and pointwise (one-point z axes) results in small blocks and
+        # in one block per slab
+        cf = self.CFS[d]
+        params = MollificationParams(sigma=0.8, truncation_radius=6.0, nodes_per_axis=48)
+        grid = cm.Grid(axes=((-8.0, 8.5, 17),) * d)
+        point = np.linspace(-0.4, 0.6, d)
+
+        def run():
+            f = mollified_density_grid(cf, 0.8, grid, params, workers=2)
+            return f.values, mollified_density_at(cf, 0.8, point, params)
+
+        monkeypatch.setattr(mo, "_EVAL_BLOCK", 7)
+        small = run()
+        monkeypatch.setattr(mo, "_EVAL_BLOCK", 48**d)
+        whole = run()
+        assert np.max(np.abs(small[0] - whole[0])) <= 1e-15 * np.max(whole[0])
+        assert small[1] == pytest.approx(whole[1], rel=1e-14)
 
 
 class TestWorkers:

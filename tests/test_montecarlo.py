@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cfmoll as cm
+import cfmoll.specs as sp
 from cfmoll import (
     ValidationError,
     empirical_cf,
@@ -16,6 +17,7 @@ from cfmoll import (
     mollified_histogram,
     sample,
 )
+from tests.conftest import traced_peak_mb
 
 PINS = json.loads((Path(__file__).parent / "fixtures" / "mc_pins.json").read_text())
 
@@ -114,6 +116,28 @@ class TestEmpiricalCf:
         batch = sample(cm.PointMass(location=[0.0, 0.0]), 10, 0)
         with pytest.raises(ValidationError):
             empirical_cf(batch, np.zeros((3, 3)))
+
+    def test_one_at_zero_over_many_chunks(self, monkeypatch):
+        # chunks reorder the sum over the draws, which moves it by up to
+        # about n eps; at 200 draws that stays under 1e-15
+        batch = sample(cm.Gaussian(mean=[0.0, 1.0], cov=[[1.0, 0.3], [0.3, 0.5]]), 200, 5)
+        probes = np.vstack([np.zeros(2), np.random.default_rng(3).normal(size=(9, 2))])
+        whole = empirical_cf(batch, probes)
+        for cap in (1, 37, 500):
+            monkeypatch.setattr(sp, "ATOM_BLOCK", cap)
+            assert empirical_cf(batch, np.zeros(2)) == 1.0 + 0.0j
+            chunked = empirical_cf(batch, probes)
+            assert chunked[0] == 1.0 + 0.0j
+            assert np.max(np.abs(chunked - whole)) <= 1e-15
+
+    def test_memory_does_not_grow_with_draws(self):
+        # 1e6 draws x 129 probes: the (probes x draws) phase matrix would
+        # take about 2 GB; in chunks the peak is the unit weights and two
+        # chunk temporaries
+        batch = sample(cm.Gaussian(mean=[0.0], cov=[[1.0]]), 1_000_000, 8)
+        probes = np.linspace(-5.0, 5.0, 129)
+        peak = traced_peak_mb(lambda: empirical_cf(batch, probes))
+        assert peak < 32.0
 
 
 class TestMcTailProb:

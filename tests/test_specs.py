@@ -1,9 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cfmoll as cm
+import cfmoll.specs as sp
 from cfmoll import DistributionSpec, ValidationError, spec_from_dict, spec_to_dict
 from cfmoll.specs import SPEC_TYPES
 
@@ -159,3 +163,58 @@ def test_registry_contract(spec_zoo):
 def test_hostile_dicts_raise_validation_error(bad):
     with pytest.raises(ValidationError):
         spec_from_dict(bad)
+
+
+class TestAtomSum:
+    """The chunked kernel behind ``Empirical.cf`` and ``empirical_cf``."""
+
+    @staticmethod
+    def _law(n=1000, d=2):
+        # non-dyadic weights whose float sum is not 1.0
+        rng = np.random.default_rng(7)
+        w = rng.uniform(0.1, 1.0, n)
+        return rng.uniform(-3.0, 3.0, (n, d)), w / w.sum()
+
+    def test_one_at_zero_over_many_chunks(self, monkeypatch):
+        pts, w = self._law()
+        spec = cm.Empirical(points=pts, weights=w)
+        # a running sum of the stored weights misses 1.0, so dividing by an
+        # assumed 1 would not give chi(0) == 1
+        assert np.cumsum(spec.weights)[-1] != 1.0
+        cf = spec.cf()
+        probes = np.vstack([np.zeros(2), np.random.default_rng(1).normal(size=(12, 2))])
+        for cap in (1, 40, 100, sp.ATOM_BLOCK):  # 1 to 1000 atoms per chunk
+            monkeypatch.setattr(sp, "ATOM_BLOCK", cap)
+            assert cf(np.zeros(2)) == 1.0 + 0.0j
+            assert cf(probes)[0] == 1.0 + 0.0j
+
+    def test_chunked_matches_one_chunk(self, monkeypatch):
+        # chunking reorders the sum over the atoms, which moves it by up to
+        # about n eps; at 200 atoms that stays under 1e-15
+        pts, w = self._law(n=200)
+        cf = cm.Empirical(points=pts, weights=w).cf()
+        probes = np.random.default_rng(2).normal(size=(33, 2))
+        monkeypatch.setattr(sp, "ATOM_BLOCK", len(pts) * (len(probes) + 1))
+        whole = cf(probes)
+        for cap in (1, 40, 1000):
+            monkeypatch.setattr(sp, "ATOM_BLOCK", cap)
+            assert np.max(np.abs(cf(probes) - whole)) <= 1e-15
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        d=st.integers(1, 3),
+        n_probes=st.integers(1, 20),
+        cap=st.integers(1, 4000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_against_direct_mean(self, n, d, n_probes, cap, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-3.0, 3.0, (n, d))
+        t = np.vstack([rng.uniform(-3.0, 3.0, (n_probes, d)), np.zeros(d)])
+        with mock.patch.object(sp, "ATOM_BLOCK", cap):
+            got = sp.atom_sum(x, np.ones(n), t)
+        direct = np.exp(1j * (t @ x.T)).mean(axis=1)
+        assert np.max(np.abs(got - direct)) <= 1e-14
+        assert got[-1] == 1.0 + 0.0j
+        assert np.max(np.abs(got)) <= 1.0 + 1e-12
