@@ -34,21 +34,41 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-_CONFIG_KEYS = (
-    "spec",
-    "target",
-    "grid",
-    "sigma",
-    "k_schedule",
-    "epsilon",
-    "out",
-    "seed",
-    "threads",
-    "tail_tol",
-    "negativity_tol",
-    "nodes",
-    "allow_unknown_integrability",
-)
+
+def _is_real(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _is_int(val) -> bool:
+    return _is_real(val) and float(val).is_integer()
+
+
+def _is_text(val) -> bool:
+    return isinstance(val, str)
+
+
+def _text_or_list(item_check):
+    """A check for a string, or for a list whose items pass ``item_check``."""
+    return lambda val: _is_text(val) or (isinstance(val, list) and all(map(item_check, val)))
+
+
+# Config-file keys, each with the check its value must pass and what the
+# check asks for.  An integer may be written 64 or 64.0, never 64.9.
+_CONFIG_KEYS = {
+    "spec": (_text_or_list(_is_text), "a path or a list of paths"),
+    "target": (_is_text, "a path"),
+    "grid": (_is_text, 'a string such as "-8:8:512"'),
+    "sigma": (_is_real, "a number"),
+    "k_schedule": (_text_or_list(_is_int), "a string or a list of integers"),
+    "epsilon": (_is_real, "a number"),
+    "out": (_is_text, "a path"),
+    "seed": (_is_int, "an integer"),
+    "threads": (_is_int, "an integer"),
+    "tail_tol": (_is_real, "a number"),
+    "negativity_tol": (_is_real, "a number"),
+    "nodes": (_is_int, "an integer"),
+    "allow_unknown_integrability": (lambda val: isinstance(val, bool), "true or false"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,6 +144,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
         unknown = set(data) - set(_CONFIG_KEYS)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in data.items():
+            check, wanted = _CONFIG_KEYS[key]
+            if val is not None and not check(val):
+                raise ValidationError(f"config key '{key}' must be {wanted}, got {val!r}")
         merged.update(data)
     for key in _CONFIG_KEYS:
         val = getattr(args, key, None)
@@ -158,10 +182,15 @@ def _load_single_spec(cfg: dict, command: str):
     return load_spec(raw)
 
 
+def _default(cfg: dict, key: str, default):
+    """cfg[key], or ``default`` when the key is unset; 0 is a value, not unset."""
+    val = cfg.get(key)
+    return default if val is None else val
+
+
 def _threads(cfg: dict) -> int:
     """Worker count; 1 when unset.  Values below 1 are rejected downstream."""
-    threads = cfg.get("threads")
-    return 1 if threads is None else int(threads)
+    return int(_default(cfg, "threads", 1))
 
 
 def _cmd_invert(cfg: dict) -> int:
@@ -212,7 +241,7 @@ def _cmd_converge(cfg: dict) -> int:
             raise ValidationError(f"bad --k-schedule {raw_ks!r}: {exc}") from exc
     else:
         ks = [int(x) for x in raw_ks]
-    epsilon = float(cfg.get("epsilon") or 0.1)
+    epsilon = float(_default(cfg, "epsilon", 0.1))
     report = convergence_certificate(
         seq,
         target,
@@ -235,13 +264,13 @@ def _cmd_clt_demo(cfg: dict) -> int:
     ns = [4, 16, 64]
     seq = [make_cf(StandardizedIIDSum(base=rademacher, n=n)) for n in ns]
     target = make_cf(Gaussian(mean=[0.0], cov=[[1.0]]))
-    grid = Grid.parse(cfg.get("grid") or "-8:8:512")
+    grid = Grid.parse(_default(cfg, "grid", "-8:8:512"))
     report = convergence_certificate(
         seq,
         target,
         [2],
         grid,
-        float(cfg.get("epsilon") or 0.1),
+        float(_default(cfg, "epsilon", 0.1)),
         params=_params_from(cfg, grid.d),
         seq_labels=ns,
         workers=_threads(cfg),
@@ -255,7 +284,7 @@ def _cmd_clt_demo(cfg: dict) -> int:
 
 
 def _cmd_selfcheck(cfg: dict) -> int:
-    results = run_selfcheck(seed=int(cfg.get("seed") or 20240))
+    results = run_selfcheck(seed=int(_default(cfg, "seed", 20240)))
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -47,9 +47,7 @@ def tv_distance(a: DensityField, b: DensityField) -> float:
 
 def default_probes(d: int) -> np.ndarray:
     """Tensor probe lattice: 129 points per axis, uniform on [-5, 5]^d."""
-    axis = np.linspace(-PROBE_HALF_WIDTH, PROBE_HALF_WIDTH, PROBES_PER_AXIS)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    return Grid(axes=((-PROBE_HALF_WIDTH, PROBE_HALF_WIDTH, PROBES_PER_AXIS),) * d).points()
 
 
 def cf_sup_error(cf_n: CharFn, cf_target: CharFn, probes=None) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,14 +177,7 @@ class MollificationParams:
         return cls(**overrides)
 
     def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "truncation_radius": self.truncation_radius,
-            "nodes_per_axis": self.nodes_per_axis,
-            "tail_tol": self.tail_tol,
-            "negativity_tol": self.negativity_tol,
-            "allow_high_dim": self.allow_high_dim,
-        }
+        return asdict(self)
 
     def with_sigma(self, sigma: float) -> "MollificationParams":
         return replace(self, sigma=sigma)

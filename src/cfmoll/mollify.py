@@ -23,27 +23,25 @@ vanish and the only real error sources are box truncation and aliasing.
 
 The weighted lattice is contracted one axis at a time onto the z axes
 (pointwise evaluations are one-point axes).  Each contraction
-sum_k W_k exp(-i z_a y_k) takes one of three forms, chosen from the array
-shapes alone:
+sum_k W_k exp(-i z_a y_k) takes one of two forms, chosen from the array
+shape alone:
 
-- chirp-z: when the array is a vector (a 1-d lattice) and the z axis has
-  more than one point (every 1-d grid), the axis is cut into rows of
+- row split: a vector (a 1-d lattice) is cut into rows of
   K = min(m, 4096) nodes, k = q K + s.  The inner sums over s for all rows
-  are one batched Bluestein chirp-z transform, an FFT convolution of
-  length K + n - 1 instead of an (n x m) matrix of complex exponentials,
-  and the rows are then added with their phases exp(-i z_a y_{qK}).
-  Keeping s below 4096 keeps the chirp phases accurate on the 1.3M-node
-  decay-scan lattices of slowly decaying CFs such as Laplace;
-- factored: otherwise, axes longer than ``_FACTOR_THRESHOLD`` nodes use
-  the same split with an explicit phase row for s, so the inner sum is
-  one BLAS-sized matrix product;
-- direct: everything else, i.e. the shorter axes of a 2-d or 3-d lattice
-  and one-point axes, multiplies by blocks of that phase matrix.  On the
+  are one matrix-vector product on a one-point z axis, and otherwise one
+  batched Bluestein chirp-z transform, an FFT convolution of length
+  K + n - 1 instead of an (n x m) matrix of complex exponentials.  The
+  rows are then added with their phases exp(-i z_a y_{qK}).  Keeping s
+  below 4096 keeps the inner phases accurate on the 1.3M-node decay-scan
+  lattices of slowly decaying CFs such as Laplace;
+- phase matrix: every other array, i.e. each axis of a 2-d or 3-d
+  lattice, multiplies by blocks of the matrix exp(-i z_a y_k).  On the
   batched 3-d axes the matrix product dominates and the chirp-z form was
-  measured 4-5x slower; between a vector and those, it is unmeasured.
+  measured 4-5x slower.
 
-The form depends on the lattice dimension, the axis length and whether
-the z axis has one point, never on the worker count.
+The form depends on the lattice dimension alone, never on the worker
+count.  Every density value, pointwise or on a grid, then passes the
+same checks: the negativity policy and the |chi| L1 certificate.
 
 The lattice is walked in slabs of axis-0 rows whose bounds depend on the
 lattice shape alone, so a 2-d or 3-d lattice is never held whole.  Each
@@ -78,14 +76,13 @@ ALIAS_PERIOD = 64.0
 # Hard cap on total lattice nodes; beyond this the tensor quadrature is
 # hopeless and the caller must reconfigure.
 NODE_BUDGET = 1 << 24
-# invert_density_at output may exceed the |chi| L1 certificate by at most this.
+# A density value may exceed the |chi| L1 certificate by at most this.
 BOUND_SLACK = 1e-6
 # Default dimension cap; tensor cost grows as m^d.
 MAX_DIM = 3
 
 _SCAN_PROBES = 33
 _SCAN_MAX_RADIUS = 2.0**26
-_FACTOR_THRESHOLD = 16384
 _PHASE_BLOCK = 1 << 22  # complex temporaries capped near 64 MiB
 # Lattice points per chi evaluation: each slab is filled block by block, so
 # the evaluator's temporaries stay small and warm in cache.
@@ -309,49 +306,19 @@ def _weighted_slab(
     return w, float(np.sum(np.abs(w)))
 
 
-def _takes_chirp(t: np.ndarray, n_z: int) -> bool:
-    """Whether ``_contract_axis`` uses the chirp-z form: ``t`` is a vector
-    (a 1-d lattice) contracted onto more than one point."""
-    return t.ndim == 1 and n_z > 1
-
-
 def _contract_axis(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Contract axis 0 of ``t`` (length m) against phases exp(-i z_a y_k);
     the new z axis is appended last.  ``y`` and ``z`` are uniform axes.
-    The form (chirp-z over blocks of the axis, direct phase matrix, or
-    factored phase matrix) follows from the shapes; see the module
-    docstring."""
-    m = len(y)
-    chirp = _takes_chirp(t, len(z))
-    if not chirp and m <= _FACTOR_THRESHOLD:
-        out_blocks = []
-        step = max(1, _PHASE_BLOCK // m)
-        for lo in range(0, len(z), step):
-            phases = np.exp(-1j * np.outer(z[lo : lo + step], y))
-            out_blocks.append(np.tensordot(t, phases, axes=([0], [1])))
-        return np.concatenate(out_blocks, axis=-1) if len(out_blocks) > 1 else out_blocks[0]
-
-    # k = q K + s: the phase of node k is z_a y_{qK} + z_a h s.  h comes from
-    # the endpoints: on an axis reaching 65536, y[1] - y[0] is off by up to
-    # 1.5e-11, which s < 4096 and |z| ~ 6 turn into phase errors near 1e-7.
-    k_inner = min(m, 4096)
-    q_outer = -(-m // k_inner)
-    h = (y[-1] - y[0]) / (m - 1)
-    starts = y[::k_inner]
-    if chirp:
-        return _chirp_contract(t, k_inner, starts, h, z)
-    # whole rows as a view, and the last partial row (if any) padded alone
-    pieces = (_rows(t, k_inner, 0, m // k_inner), _rows(t, k_inner, m // k_inner, q_outer))
+    A vector (a 1-d lattice) takes the row split of ``_vector_contract``;
+    every other array multiplies by blocks of the phase matrix (see the
+    module docstring)."""
+    if t.ndim == 1:
+        return _vector_contract(t, y, z)
     out_blocks = []
-    step = max(1, _PHASE_BLOCK // (k_inner + q_outer))
+    step = max(1, _PHASE_BLOCK // len(y))
     for lo in range(0, len(z), step):
-        zb = z[lo : lo + step]
-        inner_ph = np.exp(-1j * np.outer(zb, h * np.arange(k_inner)))
-        outer_ph = np.exp(-1j * np.outer(zb, starts))
-        partial = np.concatenate(  # (q, rest..., nz)
-            [np.tensordot(p, inner_ph, axes=([1], [1])) for p in pieces]
-        )
-        out_blocks.append(np.einsum("q...a,aq->...a", partial, outer_ph))
+        phases = np.exp(-1j * np.outer(z[lo : lo + step], y))
+        out_blocks.append(np.tensordot(t, phases, axes=([0], [1])))
     return np.concatenate(out_blocks, axis=-1) if len(out_blocks) > 1 else out_blocks[0]
 
 
@@ -397,47 +364,64 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _chirp_contract(
-    t: np.ndarray, k: int, starts: np.ndarray, h: float, z: np.ndarray
-) -> np.ndarray:
-    """Chirp-z form of ``_contract_axis`` for a vector ``t`` cut into rows
-    of k nodes: sum_q exp(-i z_a starts_q) sum_s t[q k + s] exp(-i z_a h s).
+def _vector_contract(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``_contract_axis`` for a vector ``t``.  The axis is cut into rows of
+    K = min(m, 4096) nodes, k = q K + s, so the phase of node k is
+    z_a y_{qK} + z_a h s and
+        sum_k t_k exp(-i z_a y_k) = sum_q exp(-i z_a y_{qK}) sum_s t[q K + s] exp(-i z_a h s).
+    s stays below 4096, so the inner phases stay accurate on any axis
+    length.  h comes from the endpoints: on an axis reaching 65536,
+    y[1] - y[0] is off by up to 1.5e-11, which s < 4096 and |z| ~ 6 turn
+    into phase errors near 1e-7.
 
-    With z_a = z_0 + a dz and theta = h dz, the identity
-    a s = (a^2 + s^2 - (a - s)^2) / 2 turns the inner sum into
+    On one point the inner sums are one matrix-vector product with the
+    phase row exp(-i z_0 h s); whole rows are a view, and the last partial
+    row (if any) is padded alone.  On n > 1 points, with z_a = z_0 + a dz
+    and theta = h dz, the identity a s = (a^2 + s^2 - (a - s)^2) / 2 turns
+    the inner sum into
         exp(-i theta a^2 / 2)
           * sum_s [t_s exp(-i z_0 s h - i theta s^2 / 2)] exp(i theta (a - s)^2 / 2),
-    a linear convolution with one chirp, done by FFT on k + n - 1 points
-    for every row at once (Bluestein).  s stays below k <= 4096, so the
-    chirp phases stay accurate on any axis length.  Rows go through in
-    groups whose FFT temporaries hold at most ``_PHASE_BLOCK`` elements,
-    and the groups are added in row order; only the last partial row is
-    padded.
+    a linear convolution with one chirp, done by FFT on K + n - 1 points
+    for every row at once (Bluestein).  Rows go through in groups whose FFT
+    temporaries hold at most ``_PHASE_BLOCK`` elements, and the groups are
+    added in row order; only the last partial row is padded.
     """
-    q = len(starts)
-    n = len(z)
+    m, n = len(y), len(z)
+    k = min(m, 4096)
+    q = -(-m // k)
+    h = (y[-1] - y[0]) / (m - 1)
+    starts = y[::k]
+    inner_ph = np.exp(-1j * z[0] * h * np.arange(k))
+    if n == 1:
+        pieces = (_rows(t, k, 0, m // k), _rows(t, k, m // k, q))
+        inner = np.concatenate([p @ inner_ph for p in pieces])
+        return _outer_sum(inner[:, None], starts, z)
     chirp = _chirp(h * (z[-1] - z[0]) / (n - 1), max(k, n))
     size = _fft_size(k + n - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:n] = chirp[:n]
     kernel[size - k + 1 :] = chirp[k - 1 : 0 : -1]
     kernel = np.fft.fft(kernel)
-    pre = np.exp(-1j * z[0] * h * np.arange(k)) * chirp[:k].conj()
+    pre = inner_ph * chirp[:k].conj()
     rows = max(1, _PHASE_BLOCK // size)
     out = np.zeros(n, dtype=complex)
     for lo in range(0, q, rows):
         spec = np.fft.fft(_rows(t, k, lo, min(lo + rows, q)) * pre, size)
         spec *= kernel
-        inner = np.fft.ifft(spec)[:, :n]
-        # exp(-i starts z), written as cos and -sin into one array: the same
-        # values as the complex exp, and faster
-        arg = np.outer(starts[lo : lo + rows], z)
-        outer = np.empty(arg.shape, dtype=complex)
-        np.cos(arg, out=outer.real)
-        np.sin(arg, out=outer.imag)
-        np.negative(outer.imag, out=outer.imag)
-        out += np.einsum("qa,qa->a", inner, outer)
+        out += _outer_sum(np.fft.ifft(spec)[:, :n], starts[lo : lo + rows], z)
     return out * chirp[:n].conj()
+
+
+def _outer_sum(inner: np.ndarray, starts: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_q inner[q, a] exp(-i starts_q z_a).  The phases are written as
+    cos and -sin into one array: the same values as the complex exp, and
+    faster."""
+    arg = np.outer(starts, z)
+    outer = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=outer.real)
+    np.sin(arg, out=outer.imag)
+    np.negative(outer.imag, out=outer.imag)
+    return np.einsum("qa,qa->a", inner, outer)
 
 
 def _check_imag(im_max: float, tail_tol: float, absmass: float) -> None:
@@ -449,14 +433,27 @@ def _check_imag(im_max: float, tail_tol: float, absmass: float) -> None:
         )
 
 
-def _apply_negativity_policy(values: np.ndarray, tol: float) -> np.ndarray:
-    """Clamp quadrature ripple in [-tol, 0) to zero; larger negativity means
-    misconfiguration, not mathematics, and is a hard error."""
+def _certify(values: np.ndarray, bound: float, tol: float) -> np.ndarray:
+    """The checks every density value passes, pointwise or on a grid.
+
+    A value that is not finite means a broken evaluator.  Quadrature ripple
+    in [-tol, 0) is clamped to zero; larger negativity means
+    misconfiguration, not mathematics, and is a hard error.  No value may
+    exceed ``bound``, the |chi| L1 quadrature mass on the same nodes, by
+    more than ``BOUND_SLACK``.
+    """
+    if not np.all(np.isfinite(values)):
+        raise NumericFailure("density values are not finite; check the CharFn")
     vmin = float(values.min())
     if vmin < -tol:
         raise NumericFailure(
             f"density value {vmin:g} below -{tol:g}; increase the node count "
             "or truncation radius, or check the CharFn"
+        )
+    vmax = float(values.max())
+    if vmax > bound + BOUND_SLACK:
+        raise NumericFailure(
+            f"density value {vmax:g} exceeds the L1 certificate {bound:g} + {BOUND_SLACK:g}"
         )
     return np.maximum(values, 0.0)
 
@@ -540,7 +537,12 @@ def mollified_density_at(
     z,
     params: MollificationParams | None = None,
 ) -> float:
-    """Density of the law smoothed by N_d(0, sigma^2 I), evaluated at z."""
+    """Density of the law smoothed by N_d(0, sigma^2 I), evaluated at z.
+
+    The value passes the grid's checks: ripple in [-negativity_tol, 0) is
+    clamped to zero, and larger negativity or a value above the |chi| L1
+    certificate raises NumericFailure.
+    """
     sigma = float(sigma)
     if not (sigma > 0 and np.isfinite(sigma)):
         raise ValidationError(f"sigma must be positive, got {sigma!r}")
@@ -550,8 +552,8 @@ def mollified_density_at(
     point = _as_point(z, cf.d)
     plan = _plan_mollified(cf.d, sigma, params)
     # one-point axes: the lattice path evaluates a single point
-    vals, _ = _scaled_transform(cf, plan, sigma, params.tail_tol, list(point[:, None]))
-    return float(vals.item())
+    vals, bound = _scaled_transform(cf, plan, sigma, params.tail_tol, list(point[:, None]))
+    return float(_certify(vals, bound, params.negativity_tol).item())
 
 
 def mollified_density_grid(
@@ -564,12 +566,12 @@ def mollified_density_grid(
     """Smoothed density sampled on a grid.
 
     Shares the quadrature plan with ``mollified_density_at``, so lattice
-    values match the pointwise ones to rounding.  Values are clamped or
-    rejected by the negativity policy and the Riemann sum must come out
-    within 1e-3 of 1, else the grid window or quadrature is inadequate
-    and a NumericFailure is raised.  ``workers`` (at least 1) caps the
-    threads, which may call ``cf.batch_eval`` concurrently; the values
-    do not depend on it.
+    values match the pointwise ones to rounding.  Values pass the checks
+    of the pointwise ones (negativity policy and L1 certificate), and the
+    Riemann sum must come out within 1e-3 of 1, else the grid window or
+    quadrature is inadequate and a NumericFailure is raised.  ``workers``
+    (at least 1) caps the threads, which may call ``cf.batch_eval``
+    concurrently; the values do not depend on it.
     """
     sigma = float(sigma)
     if not (sigma > 0 and np.isfinite(sigma)):
@@ -582,10 +584,10 @@ def mollified_density_grid(
     _check_dim(cf.d, params)
     plan = _plan_mollified(cf.d, sigma, params)
     z_axes = [grid.axis_points(j) for j in range(grid.d)]
-    vals, _ = _scaled_transform(
+    vals, bound = _scaled_transform(
         cf, plan, sigma, params.tail_tol, z_axes=z_axes, workers=workers
     )
-    vals = _apply_negativity_policy(vals.reshape(-1), params.negativity_tol)
+    vals = _certify(vals.reshape(-1), bound, params.negativity_tol)
     total = float(np.sum(vals) * grid.cell_volume)
     if abs(total - 1.0) > NORMALIZATION_WINDOW:
         raise NumericFailure(
@@ -628,16 +630,7 @@ def invert_density_at(
     plan = _plan_inversion(cf, params)
     # one-point axes: the lattice path evaluates a single point
     vals, bound = _scaled_transform(cf, plan, 0.0, params.tail_tol, list(point[:, None]))
-    val = float(vals.item())
-    if val < -params.negativity_tol:
-        raise NumericFailure(
-            f"inverted density {val:g} below -{params.negativity_tol:g} at z={point}"
-        )
-    if val > bound + BOUND_SLACK:
-        raise NumericFailure(
-            f"inverted density {val:g} exceeds the L1 certificate {bound:g} + {BOUND_SLACK:g}"
-        )
-    return val
+    return float(_certify(vals, bound, params.negativity_tol).item())
 
 
 def invert_density_grid(
@@ -668,12 +661,7 @@ def invert_density_grid(
     vals, bound = _scaled_transform(
         cf, plan, 0.0, params.tail_tol, z_axes=z_axes, workers=workers
     )
-    vals = _apply_negativity_policy(vals.reshape(-1), params.negativity_tol)
-    vmax = float(vals.max())
-    if vmax > bound + BOUND_SLACK:
-        raise NumericFailure(
-            f"inverted density {vmax:g} exceeds the L1 certificate {bound:g} + {BOUND_SLACK:g}"
-        )
+    vals = _certify(vals.reshape(-1), bound, params.negativity_tol)
     total = float(np.sum(vals) * grid.cell_volume)
     return DensityField(
         grid=grid, values=vals, normalized=abs(total - 1.0) <= NORMALIZATION_WINDOW

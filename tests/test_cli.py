@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cfmoll as cm
+from cfmoll import cli
 from cfmoll.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from tests.conftest import subprocess_env
 
@@ -218,3 +219,80 @@ def test_bad_spec_values_exit_2(tmp_path, spec, message, capsys):
     rc = main(["mollify", "--spec", str(path), "--sigma", "0.5", "--grid", "-4:4:64"])
     assert rc == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+def test_selfcheck_seed_zero_is_a_seed(monkeypatch, capsys):
+    # 0 is a seed, not "unset": it must not fall back to the default 20240
+    seeds = []
+    monkeypatch.setattr(cli, "run_selfcheck", lambda seed: seeds.append(seed) or [])
+    assert main(["selfcheck", "--seed", "0"]) == EXIT_OK
+    assert main(["selfcheck"]) == EXIT_OK
+    assert seeds == [0, 20240]
+
+
+@pytest.mark.parametrize("command", ["converge", "clt-demo"])
+def test_epsilon_zero_is_rejected(tmp_path, spec_files, command, capsys):
+    # 0 must reach the certificate's check, not be replaced by the default
+    # 0.1; clt-demo takes epsilon from a config file only
+    out = tmp_path / "rep.json"
+    args = [command, "--grid", "-8:8:128", "--out", str(out)]
+    if command == "converge":
+        args += ["--spec", spec_files["gauss"], "--target", spec_files["gauss"],
+                 "--k-schedule", "1,2", "--epsilon", "0"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0}))
+        args += ["--config", str(cfg)]
+    assert main(args) == EXIT_VALIDATION
+    assert "epsilon must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("threads", "x"),
+        ("threads", 1.5),
+        ("threads", True),
+        ("grid", 5),
+        ("spec", 5),
+        ("spec", ["a.json", 5]),
+        ("nodes", 64.9),
+        ("seed", 0.5),
+        ("sigma", "0.5"),
+        ("k_schedule", [1, 2.5]),
+        ("allow_unknown_integrability", "yes"),
+    ],
+)
+def test_mistyped_config_values_exit_2(tmp_path, spec_files, key, value, capsys):
+    # the other keys are valid, so a command would run up to the bad value
+    cfg = tmp_path / "cfg.json"
+    if key == "seed":
+        command, data = "selfcheck", {}
+    else:
+        command = "mollify"
+        data = {"spec": spec_files["gauss"], "grid": "-8:8:64", "sigma": 1.0,
+                "out": str(tmp_path / "m.csv")}
+    cfg.write_text(json.dumps({**data, key: value}))
+    assert main([command, "--config", str(cfg)]) == EXIT_VALIDATION
+    assert f"config key '{key}'" in capsys.readouterr().err
+
+
+def test_integral_config_numbers_are_accepted(tmp_path, spec_files):
+    # an integer written as 256.0 is still an integer
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "m.csv"
+    cfg.write_text(json.dumps({
+        "spec": spec_files["gauss"], "grid": "-8:8:128", "sigma": 1, "nodes": 256.0,
+        "threads": 2.0, "out": str(out),
+    }))
+    assert main(["mollify", "--config", str(cfg)]) == EXIT_OK
+    assert json.loads(out.with_suffix(".meta.json").read_text())["params"]["nodes_per_axis"] == 256
+
+
+def test_clt_demo_empty_grid_exits_2(tmp_path, capsys):
+    # an empty --grid is a bad grid, not a request for the default one
+    out = tmp_path / "clt.json"
+    assert main(["clt-demo", "--grid", "", "--out", str(out)]) == EXIT_VALIDATION
+    assert "grid" in capsys.readouterr().err
+    assert not out.exists()

@@ -23,7 +23,6 @@ from cfmoll import (
     truncation_radius,
 )
 from cfmoll.charfn import CharFn
-from cfmoll.mollify import _apply_negativity_policy
 from tests.conftest import gaussian_density, subprocess_env, traced_peak_mb
 
 INV_SQRT_2PI = 0.39894228040143268  # standard normal density at 0
@@ -288,6 +287,70 @@ class TestInversion:
             invert_density_at(liar, [0.0])
 
 
+class TestPointwiseChecks:
+    """Pointwise values pass the negativity policy and the L1 certificate
+    of the grids, for both the smoothed and the inverted density."""
+
+    @pytest.mark.parametrize("kind", ["mollified", "inverted"])
+    def test_negative_value_raises_as_on_grid(self, kind):
+        # 64 nodes on [-8, 8] are far too coarse for sigma = 0.05: the
+        # transform of UniformBox [-1, 1] reads -0.0479 at z = -1.39
+        cf = make_cf(cm.UniformBox(lo=[-1.0], hi=[1.0]))
+        params = MollificationParams(truncation_radius=8.0, nodes_per_axis=64)
+        grid = cm.Grid(axes=((-2.0, 2.0, 201),))
+        if kind == "mollified":
+            at = lambda: mollified_density_at(cf, 0.05, [-1.39], params)
+            field = lambda: mollified_density_grid(cf, 0.05, grid, params)
+        else:
+            smoothed = gaussian_mollify_cf(cf, 0.05)
+            at = lambda: invert_density_at(smoothed, [-1.39], params)
+            field = lambda: invert_density_grid(smoothed, grid, params)
+        for run in (at, field):
+            with pytest.raises(NumericFailure, match="density value -0.04.* below -1e-06"):
+                run()
+
+    def test_non_finite_value_raises_as_on_grid(self):
+        # an evaluator that returns NaN beyond |t| = 3: a pointwise value
+        # came back as NaN while the grid failed to build its field
+        def ev(pts):
+            return np.where(np.abs(pts[:, 0]) > 3.0, np.nan, 1.0 / (1.0 + pts[:, 0] ** 2))
+
+        broken = CharFn(d=1, batch_eval=ev, integrable="yes")
+        params = MollificationParams(truncation_radius=8.0, nodes_per_axis=64)
+        grid = cm.Grid(axes=((-4.0, 4.0, 9),))
+        for run in (
+            lambda: mollified_density_at(broken, 0.5, [0.0], params),
+            lambda: mollified_density_grid(broken, 0.5, grid, params),
+            lambda: invert_density_at(broken, [0.0], params),
+            lambda: invert_density_grid(broken, grid, params),
+        ):
+            with pytest.raises(NumericFailure, match="not finite"):
+                run()
+
+    @pytest.mark.parametrize("kind", ["mollified", "inverted"])
+    def test_ripple_is_clamped_as_on_grid(self, kind):
+        # cutting the sigma = 0.5 damping at R = 10 leaves a truncation
+        # ripple of -1.5e-8 at z = -4, inside the default tolerance
+        cf = make_cf(cm.UniformBox(lo=[-1.0], hi=[1.0]))
+        params = MollificationParams(truncation_radius=10.0, nodes_per_axis=128)
+        grid = cm.Grid(axes=((-12.0, 12.0, 241),))
+        node = 80
+        z = grid.axis_points(0)[node]
+        if kind == "mollified":
+            sigma = 0.5
+            at = mollified_density_at(cf, sigma, [z], params)
+            field = mollified_density_grid(cf, sigma, grid, params)
+        else:
+            cf, sigma = gaussian_mollify_cf(cf, 0.5), 0.0
+            at = invert_density_at(cf, [z], params)
+            field = invert_density_grid(cf, grid, params)
+        plan = mo._plan_mollified(1, 0.5, params)  # = the inversion plan at an explicit R
+        raw, _ = mo._scaled_transform(cf, plan, sigma, params.tail_tol, [np.array([z])])
+        assert -params.negativity_tol <= raw.item() < -1e-9
+        assert at == 0.0
+        assert field.values[node] == 0.0
+
+
 class TestCfL1Bound:
     def test_laplace_value(self):
         # (2 pi)^{-1} * integral 1/(1+t^2) = (2 pi)^{-1} * pi = 0.5
@@ -346,10 +409,12 @@ class TestParamsAndPolicies:
 
     def test_negativity_policy(self):
         vals = np.array([0.5, -1e-8, 1e-3])
-        out = _apply_negativity_policy(vals, 1e-6)
+        out = mo._certify(vals, 1.0, 1e-6)
         assert np.array_equal(out, [0.5, 0.0, 1e-3])
-        with pytest.raises(NumericFailure):
-            _apply_negativity_policy(np.array([0.5, -1e-3]), 1e-6)
+        with pytest.raises(NumericFailure, match="below"):
+            mo._certify(np.array([0.5, -1e-3]), 1.0, 1e-6)
+        with pytest.raises(NumericFailure, match="L1 certificate"):
+            mo._certify(np.array([0.5, 0.4]), 0.45, 1e-6)
 
     def test_node_budget_guard(self):
         spec = cm.Product(factors=(cm.Laplace1D(scale=1.0), cm.Laplace1D(scale=1.0)))
@@ -369,11 +434,12 @@ class TestParamsAndPolicies:
 
 
 class TestContractAxis:
-    def test_factored_long_axis_matches_direct(self):
-        # above _FACTOR_THRESHOLD the contraction splits k = q*K + s (20000
-        # is not a multiple of K); the regrouped sum (a batched chirp-z for
-        # a vector onto several points, phase rows otherwise) must agree
-        # with the plain phase matrix on uniform z axes, also off-centre
+    def test_long_axis_matches_direct(self):
+        # a vector splits k = q*K + s (20000 is not a multiple of K); the
+        # regrouped sum (a matrix-vector product onto one point, a batched
+        # chirp-z onto several) and the blocked phase matrix of a batched
+        # axis must agree with the plain phase matrix on uniform z axes,
+        # also off-centre
         from cfmoll.mollify import _contract_axis
 
         rng = np.random.default_rng(0)
@@ -396,7 +462,7 @@ class TestContractAxis:
         cf = make_cf(cm.Laplace1D(scale=1.0))
         plan = mo._plan_inversion(cf, MollificationParams())
         y = plan.nodes[0]
-        assert len(y) > mo._FACTOR_THRESHOLD
+        assert len(y) > 4096  # more than one 4096-node row
         t, abs_sum = mo._weighted_slab(cf, plan, 0.0, 0, len(y))
         return y, t, abs_sum
 
@@ -439,18 +505,18 @@ class TestContractAxis:
         assert peak < 8.0
 
     @pytest.mark.parametrize("m", [16, 652])
-    @pytest.mark.parametrize("n_z", [2, 3, 513, 2049])
+    @pytest.mark.parametrize("n_z", [1, 2, 3, 513, 2049])
     @pytest.mark.parametrize("window", [(-8.0, 8.0), (-9.5, 10.5), (3.0, 40.0)])
     def test_chirp_matches_phase_matrix(self, m, n_z, window):
-        # a vector onto a longer z axis takes the chirp-z form; it must agree
-        # with the explicit phase matrix, also on off-centre windows
-        from cfmoll.mollify import _contract_axis, _takes_chirp
+        # a vector takes the row split, its inner sums a matrix-vector
+        # product onto one point and the chirp-z form onto more; both must
+        # agree with the explicit phase matrix, also on off-centre windows
+        from cfmoll.mollify import _contract_axis
 
         rng = np.random.default_rng(m + n_z)
         y = np.linspace(-17.3, 17.3, m)
         z = np.linspace(*window, n_z)
         t = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        assert _takes_chirp(t, n_z)
         direct = np.tensordot(t, np.exp(-1j * np.outer(z, y)), axes=([0], [1]))
         chirp = _contract_axis(t, y, z)
         assert chirp.shape == direct.shape
@@ -461,14 +527,13 @@ class TestContractAxis:
         # batched axes of 2-d/3-d lattices run the blocked phase matrix,
         # also when the z axis outnumbers the batch (a 2-d grid whose first
         # axis a worker split into 21-point chunks)
-        from cfmoll.mollify import _contract_axis, _takes_chirp
+        from cfmoll.mollify import _contract_axis
 
         rng = np.random.default_rng(1)
         m = 652
         y = np.linspace(-17.3, 17.3, m)
         z = np.linspace(-9.5, 10.5, n_z)
         t = rng.standard_normal((m, batch)) + 1j * rng.standard_normal((m, batch))
-        assert not _takes_chirp(t, n_z)
         direct = np.tensordot(t, np.exp(-1j * np.outer(z, y)), axes=([0], [1]))
         out = _contract_axis(t, y, z)
         assert out.shape == (batch, n_z)
@@ -532,11 +597,11 @@ class TestSlabs:
             assert f.values.tobytes() == fields[0].values.tobytes()
 
     def test_1d_long_axis_identical_across_workers(self):
-        # the Laplace decay scan gives a lattice over _FACTOR_THRESHOLD nodes;
-        # a 1-d lattice is one job, whatever the worker count
+        # the Laplace decay scan gives a lattice of more than one 4096-node
+        # row; a 1-d lattice is one job, whatever the worker count
         cf = make_cf(cm.Laplace1D(scale=1.0))
         grid = cm.Grid(axes=((-6.0, 6.0, 101),))
-        assert mo._plan_inversion(cf, MollificationParams()).shape[0] > mo._FACTOR_THRESHOLD
+        assert mo._plan_inversion(cf, MollificationParams()).shape[0] > 4096
         serial = invert_density_grid(cf, grid, workers=1)
         threaded = invert_density_grid(cf, grid, workers=2)
         assert serial.values.tobytes() == threaded.values.tobytes()
