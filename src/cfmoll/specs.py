@@ -43,6 +43,12 @@ UNIFORM_TAYLOR_SWITCH = 1e-8
 # temporaries stay near 4 MiB each, whatever the atom count.
 ATOM_BLOCK = 1 << 19
 
+# Up to this many atoms, ``Empirical.draw`` finds each draw's atom by
+# counting the CDF cuts below it in a uint8 counter, one comparison pass
+# per cut; with more, a binary search is faster (crossover near 100 atoms
+# at 1e6 draws).
+CUT_ATOMS = 64
+
 # JSON ``type`` name -> constructor class, filled as the classes are defined
 SPEC_TYPES: dict[str, type[DistributionSpec]] = {}
 
@@ -52,6 +58,16 @@ def _vector(x, name: str) -> np.ndarray:
     if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
         raise ValidationError(f"{name} must be a finite 1-d vector, got {x!r}")
     return v
+
+
+def whole_number(x, name: str, least: int) -> int:
+    """``x`` as an int >= ``least``: integers, numpy integers and integral
+    floats (4, 4.0) pass; 2.7, NaN and infinities do not."""
+    if not (isinstance(x, numbers.Real) and float(x).is_integer()):
+        raise ValidationError(f"{name} must be an integer, got {x!r}")
+    if x < least:
+        raise ValidationError(f"{name} must be >= {least}, got {x!r}")
+    return int(x)
 
 
 def atom_sum(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -318,7 +334,19 @@ class Empirical(DistributionSpec, type="empirical"):
         return CharFn(self.dim, lambda pts: atom_sum(points, weights, pts), "no", self.json_type)
 
     def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
-        idx = philox(seq).choice(self.points.shape[0], size=n, p=self.weights)
+        """``Generator.choice(k, n, p=weights)``'s own inverse CDF on the
+        same stream, so the draws are bit-identical to it: the atom of a
+        uniform u is the number of CDF values <= u."""
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
+        u = philox(seq).random(n)
+        if len(cdf) <= CUT_ATOMS:
+            idx = np.zeros(n, dtype=np.uint8)
+            for cut in cdf[:-1]:
+                idx += u >= cut
+        else:
+            idx = cdf.searchsorted(u, side="right")
+        del u  # not alive during the gather
         return self.points[idx]
 
 
@@ -410,12 +438,7 @@ class StandardizedIIDSum(DistributionSpec, type="standardized_iid_sum"):
     def __post_init__(self):
         if self.base.dim != 1:
             raise ValidationError("standardized iid sum requires a 1-d base")
-        n = self.n
-        if not (isinstance(n, numbers.Real) and float(n).is_integer()):
-            raise ValidationError(f"n must be an integer, got {n!r}")
-        if n < 1:
-            raise ValidationError(f"n must be >= 1, got {n!r}")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", whole_number(self.n, "n", 1))
 
     @property
     def dim(self) -> int:

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cfmoll as cm
+import cfmoll.montecarlo as mc
 import cfmoll.specs as sp
 from cfmoll import (
     ValidationError,
@@ -73,6 +75,41 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample(std_gaussian, 0, 1)
 
+    @pytest.mark.parametrize(
+        "n, seed", [(2.7, 1), (10, 2.5), (10, -1), (-3, 1), (float("nan"), 1), (10, float("inf"))]
+    )
+    def test_non_integral_or_negative_n_and_seed_fail(self, std_gaussian, n, seed):
+        with pytest.raises(ValidationError):
+            sample(std_gaussian, n, seed)
+
+    def test_integral_floats_and_numpy_integers_pass(self, std_gaussian):
+        want = sample(std_gaussian, 10, 3)
+        for n, seed in [(10.0, 3.0), (np.int64(10), np.uint32(3)), (np.float64(10.0), np.int8(3))]:
+            got = sample(std_gaussian, n, seed)
+            assert np.array_equal(got.points, want.points) and got.seed == 3
+
+
+class TestSameStreamDraws:
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 50, sp.CUT_ATOMS, sp.CUT_ATOMS + 1, 200])
+    def test_draws_equal_generator_choice(self, k):
+        # choice(k, n, p) is the reference stream: the same uniforms through
+        # the same inverse CDF, on both sides of the cut-count crossover
+        rng = np.random.default_rng(k)
+        points = rng.normal(size=(k, 2))
+        for w in (rng.random(k), np.r_[0.0, rng.random(k - 1)], np.r_[rng.random(k - 1), 0.0]):
+            w[rng.random(k) < 0.2] = 0.0  # scattered zero weights as well
+            if w.sum() == 0:
+                w[0] = 1.0
+            spec = cm.Empirical(points=points, weights=w / w.sum())
+            for n in (1, 1000, 20_001):
+                seq = np.random.SeedSequence(k * 1000 + n)
+                idx = sp.philox(seq).choice(k, size=n, p=spec.weights)
+                assert np.array_equal(spec.draw(n, seq), points[idx])
+
+    def test_zero_weight_atoms_never_drawn(self):
+        spec = cm.Empirical(points=[[0.0], [1.0], [2.0], [3.0]], weights=[0.0, 0.5, 0.5, 0.0])
+        assert set(np.unique(spec.draw(50_000, np.random.SeedSequence(1)))) == {1.0, 2.0}
+
 
 class TestEmpiricalCf:
     def test_exactly_one_at_zero(self, std_gaussian):
@@ -130,6 +167,36 @@ class TestEmpiricalCf:
             assert chunked[0] == 1.0 + 0.0j
             assert np.max(np.abs(chunked - whole)) <= 1e-15
 
+    def test_collapsed_sum_matches_the_exact_sum_over_draws(self, rademacher):
+        # repeated draws are merged into (value, count) pairs; the sum over
+        # every draw, rounded once (fsum), is the reference
+        for spec, n in [
+            (cm.StandardizedIIDSum(base=rademacher, n=16), 5000),
+            (cm.Empirical(points=[[-1.0, 0.5], [0.0, 0.0], [2.0, -1.0]], weights=[0.2, 0.5, 0.3]), 3000),
+            (cm.Gaussian(mean=[0.0], cov=[[1.0]]), 3000),
+        ]:
+            batch = sample(spec, n, 21)
+            probes = np.random.default_rng(4).uniform(-4.0, 4.0, size=(17, spec.dim))
+            arg = batch.points @ probes.T
+            exact = np.array([
+                complex(math.fsum(np.cos(a)), math.fsum(np.sin(a))) / n for a in arg.T
+            ])
+            assert np.max(np.abs(np.ravel(empirical_cf(batch, probes)) - exact)) <= 1e-14
+            assert empirical_cf(batch, np.zeros(spec.dim)) == 1.0 + 0.0j
+
+    def test_collapse_merges_repeats(self, rademacher):
+        batch = sample(cm.StandardizedIIDSum(base=rademacher, n=64), 100_000, 2)
+        values, counts = mc._tally(batch.points)
+        assert len(values) <= 65 and counts.sum() == batch.n
+        assert np.array_equal(np.unique(batch.points[:, 0]), values[:, 0])
+        corners = sample(cm.Product(factors=(rademacher, rademacher)), 1000, 3)
+        values, counts = mc._tally(corners.points)
+        assert sorted(map(tuple, values)) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+        assert counts.sum() == 1000
+        distinct = sample(cm.Gaussian(mean=[0.0, 0.0], cov=np.eye(2)), 500, 3)
+        values, counts = mc._tally(distinct.points)
+        assert values is distinct.points and np.array_equal(counts, np.ones(500))
+
     def test_memory_does_not_grow_with_draws(self):
         # 1e6 draws x 129 probes: the (probes x draws) phase matrix would
         # take about 2 GB; in chunks the peak is the unit weights and two
@@ -146,6 +213,13 @@ class TestMcTailProb:
 
     def test_point_mass_inside(self):
         assert mc_tail_prob(cm.PointMass(location=[0.0]), 1.0, 100, 0) == 0.0
+
+    @pytest.mark.parametrize(
+        "radius, n, seed", [(float("nan"), 1000, 1), (1.0, 2.7, 1), (1.0, 100, 2.5), (1.0, 100, -1)]
+    )
+    def test_bad_inputs_fail(self, std_gaussian, radius, n, seed):
+        with pytest.raises(ValidationError):
+            mc_tail_prob(std_gaussian, radius, n, seed)
 
     def test_gaussian_quantile_pinned(self, std_gaussian):
         pin = PINS["gaussian_tail_196"]
@@ -210,6 +284,80 @@ class TestMollifiedHistogram:
         grid = cm.Grid(axes=((-8.0, 8.0, 64),))
         with pytest.raises(ValidationError):
             mollified_histogram(std_gaussian, 0.0, grid, 100, 0)
+        for n, seed in [(10.9, 0), (100, 0.5), (100, -1), (-100, 0)]:
+            with pytest.raises(ValidationError):
+                mollified_histogram(std_gaussian, 1.0, grid, n, seed)
+
+    def test_peak_memory_stays_under_the_histogramdd_version(self, rademacher):
+        # 1e6 draws of a 16-term Rademacher sum on 512 bins: with
+        # Generator.choice and histogramdd the peak was 23.9 MiB; the chunked
+        # binning and an atom draw that frees its uniforms before the gather
+        # peak at 17.2 (the running sum, the uint8 atom indices and the
+        # gathered atoms).  Keeping the uniforms alive takes it to 23.8.
+        spec = cm.StandardizedIIDSum(base=rademacher, n=16)
+        grid = cm.Grid(axes=((-8.0, 8.0, 512),))
+        peak = traced_peak_mb(lambda: mollified_histogram(spec, 0.5, grid, 1_000_000, 3))
+        assert peak < 20.0
+
+
+def _edges(grid):
+    out = []
+    for j, h in enumerate(grid.spacings):
+        axis = grid.axis_points(j)
+        out.append(np.concatenate([axis - 0.5 * h, [axis[-1] + 0.5 * h]]))
+    return out
+
+
+def _adversarial(e, rng, n_random):
+    """Every edge, its neighbours on both sides, points outside the window,
+    NaN and infinities, and uniform points around the window."""
+    span = e[-1] - e[0]
+    return np.concatenate([
+        e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+        [e[0] - span, e[-1] + span, -np.inf, np.inf, np.nan, e[-1], e[-1]],
+        rng.uniform(e[0] - 0.1 * span, e[-1] + 0.1 * span, n_random),
+    ])
+
+
+class TestExactBinning:
+    AXES = [(-8.0, 8.0, 512), (-1.3, 2.9, 7), (0.1, 0.7, 2)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [7, 1 << 16])
+    def test_counts_equal_histogramdd(self, monkeypatch, d, chunk):
+        monkeypatch.setattr(mc, "HIST_CHUNK", chunk)
+        rng = np.random.default_rng(d)
+        grid = cm.Grid(axes=tuple(self.AXES[:d]))
+        edges = _edges(grid)
+        cols = [_adversarial(e, rng, 70_000) for e in edges]
+        n = max(len(c) for c in cols) + 3  # not a multiple of either chunk
+        pts = np.stack([rng.choice(c, n) for c in cols], axis=1)
+        if d == 1:
+            pts[: len(cols[0]), 0] = cols[0]
+        want = np.histogramdd(pts, bins=edges)[0].reshape(-1)
+        got = mc._bin_counts(pts, grid)
+        assert got.dtype.kind == "i" and np.array_equal(got, want)
+
+    def test_fine_axis_far_from_zero_falls_back_to_search(self):
+        # the spacing is near the rounding step of the edges, so the
+        # arithmetic guess is off by more than one bin; a search bins it
+        grid = cm.Grid(axes=((1e10, 1e10 + 1e-4, 64),))
+        e = _edges(grid)[0]
+        pts = _adversarial(e, np.random.default_rng(5), 10_000)[:, None]
+        want = np.histogramdd(pts, bins=[e])[0]
+        assert np.array_equal(mc._bin_counts(pts, grid), want)
+
+    def test_histogram_values_are_binned_draws(self):
+        # end to end: the same draws through histogramdd give the same bytes
+        spec = cm.Gaussian(mean=[0.0, 0.5], cov=[[1.0, 0.3], [0.3, 0.5]])
+        grid = cm.Grid(axes=((-4.0, 4.0, 33), (-3.0, 3.5, 20)))
+        n, seed, sigma = 100_003, 17, 0.4
+        spec_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
+        pts = spec.draw(n, spec_seq)
+        pts = pts + sigma * sp.philox(noise_seq).standard_normal(pts.shape)
+        counts = np.histogramdd(pts, bins=_edges(grid))[0].reshape(-1)
+        hist = mollified_histogram(spec, sigma, grid, n, seed)
+        assert hist.values.tobytes() == (counts / (n * grid.cell_volume)).tobytes()
 
 
 class TestBatchExport:
