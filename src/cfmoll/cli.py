@@ -52,80 +52,44 @@ def _text_or_list(item_check):
     return lambda val: _is_text(val) or (isinstance(val, list) and all(map(item_check, val)))
 
 
-# Config-file keys, each with the check its value must pass and what the
-# check asks for.  An integer may be written 64 or 64.0, never 64.9.
-_CONFIG_KEYS = {
-    "spec": (_text_or_list(_is_text), "a path or a list of paths"),
-    "target": (_is_text, "a path"),
-    "grid": (_is_text, 'a string such as "-8:8:512"'),
-    "sigma": (_is_real, "a number"),
-    "k_schedule": (_text_or_list(_is_int), "a string or a list of integers"),
-    "epsilon": (_is_real, "a number"),
-    "out": (_is_text, "a path"),
-    "seed": (_is_int, "an integer"),
-    "threads": (_is_int, "an integer"),
-    "tail_tol": (_is_real, "a number"),
-    "negativity_tol": (_is_real, "a number"),
-    "nodes": (_is_int, "an integer"),
-    "allow_unknown_integrability": (lambda val: isinstance(val, bool), "true or false"),
+# Every option: the check a config-file value must pass, what the check
+# asks for, the help line and the argparse settings of its flag (see
+# ``_flag``).  An integer may be written 64 or 64.0, never 64.9.
+_OPTIONS = {
+    "spec": (_text_or_list(_is_text), "a path or a list of paths",
+             "distribution spec JSON file (converge: repeatable)", {"action": "append"}),
+    "target": (_is_text, "a path", "target spec JSON file", {}),
+    "grid": (_is_text, 'a string such as "-8:8:512"',
+             'grid as "min:max:count[,min:max:count...]"', {}),
+    "sigma": (_is_real, "a number", "smoothing scale (> 0)", {"type": float}),
+    "k_schedule": (_text_or_list(_is_int), "a string or a list of integers",
+                   'increasing ints, e.g. "1,2,4"', {}),
+    "epsilon": (_is_real, "a number", "tolerance in the smoothing remainder", {"type": float}),
+    "out": (_is_text, "a path", "output path", {}),
+    "seed": (_is_int, "an integer", "probe seed (default 20240)", {"type": int}),
+    "threads": (_is_int, "an integer", "worker threads for grid evaluation (>= 1): 2-d and "
+                "3-d lattices are split into slabs; 1-d grids always run on one thread",
+                {"type": int}),
+    "tail_tol": (_is_real, "a number", "truncation tail tolerance", {"type": float}),
+    "negativity_tol": (_is_real, "a number", "allowed negative quadrature ripple",
+                       {"type": float}),
+    "nodes": (_is_int, "an integer", "quadrature nodes per axis (even, >= 16)", {"type": int}),
+    "allow_unknown_integrability": (
+        lambda val: isinstance(val, bool), "true or false",
+        "invert even when integrability is not known", {"action": "store_true", "default": None},
+    ),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cfmoll",
-        description="Characteristic-function density recovery and convergence diagnostics",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
-    def add_common(p, spec_multi=False):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument(
-            "--spec",
-            action="append" if spec_multi else "store",
-            help="distribution spec JSON file" + (" (repeatable)" if spec_multi else ""),
-        )
-        p.add_argument("--grid", help='grid as "min:max:count[,min:max:count...]"')
-        p.add_argument("--out", help="output path")
-        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        p.add_argument(
-            "--threads", type=int,
-            help="worker threads for grid evaluation (>= 1): 2-d and 3-d lattices "
-            "are split into slabs; 1-d grids always run on one thread",
-        )
-        p.add_argument("--tail-tol", type=float, dest="tail_tol", help="truncation tail tolerance")
-        p.add_argument(
-            "--negativity-tol", type=float, dest="negativity_tol",
-            help="allowed negative quadrature ripple",
-        )
-        p.add_argument("--nodes", type=int, help="quadrature nodes per axis (even, >= 16)")
 
-    p = sub.add_parser("invert", help="density from an integrable CF on a grid")
-    add_common(p)
-    p.add_argument(
-        "--allow-unknown-integrability",
-        action="store_true",
-        default=None,
-        help="invert even when integrability is not known",
-    )
-
-    p = sub.add_parser("mollify", help="Gaussian-smoothed density on a grid")
-    add_common(p)
-    p.add_argument("--sigma", type=float, help="smoothing scale (> 0)")
-
-    p = sub.add_parser("converge", help="convergence certificate for a CF sequence")
-    add_common(p, spec_multi=True)
-    p.add_argument("--target", help="target spec JSON file")
-    p.add_argument("--k-schedule", dest="k_schedule", help='increasing ints, e.g. "1,2,4"')
-    p.add_argument("--epsilon", type=float, help="tolerance in the smoothing remainder")
-
-    p = sub.add_parser("clt-demo", help="built-in Bernoulli CLT certificate")
-    add_common(p)
-
-    p = sub.add_parser("selfcheck", help="run the closed-form invariant suite")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int, help="probe seed")
-    return parser
+# Flags that take a value: --config and every option that is not a switch.
+_VALUE_FLAGS = {"--config"} | {
+    _flag(key) for key, (*_, settings) in _OPTIONS.items()
+    if settings.get("action") != "store_true"
+}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -141,15 +105,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValidationError("config file must hold a JSON object")
-        unknown = set(data) - set(_CONFIG_KEYS)
+        unknown = set(data) - set(_OPTIONS)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         for key, val in data.items():
-            check, wanted = _CONFIG_KEYS[key]
+            check, wanted, *_ = _OPTIONS[key]
             if val is not None and not check(val):
                 raise ValidationError(f"config key '{key}' must be {wanted}, got {val!r}")
         merged.update(data)
-    for key in _CONFIG_KEYS:
+    for key in _OPTIONS:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -169,7 +133,7 @@ def _params_from(cfg: dict, d: int, sigma: float = 0.0) -> MollificationParams:
 
 def _require(cfg: dict, key: str, command: str):
     if cfg.get(key) is None:
-        raise ValidationError(f"'{command}' needs --{key.replace('_', '-')}")
+        raise ValidationError(f"'{command}' needs {_flag(key)}")
     return cfg[key]
 
 
@@ -214,12 +178,8 @@ def _cmd_mollify(cfg: dict) -> int:
     cf = make_cf(_load_single_spec(cfg, "mollify"))
     grid = Grid.parse(_require(cfg, "grid", "mollify"))
     sigma = float(_require(cfg, "sigma", "mollify"))
-    if sigma <= 0:
-        raise ValidationError(f"--sigma must be positive, got {sigma}")
     params = _params_from(cfg, grid.d, sigma=sigma)
-    field = mollified_density_grid(
-        cf, sigma, grid, params, workers=_threads(cfg)
-    )
+    field = mollified_density_grid(cf, sigma, grid, params, workers=_threads(cfg))
     out = Path(cfg.get("out") or "mollified_density.csv")
     write_density_csv(field, out, params)
     print(f"wrote {out} ({grid.size} lattice points, mass {field.riemann_sum:.6f})")
@@ -294,20 +254,40 @@ def _cmd_selfcheck(cfg: dict) -> int:
     return EXIT_OK if failed == 0 else EXIT_NUMERIC
 
 
+_GRID_KEYS = ("grid", "out", "threads", "tail_tol", "negativity_tol", "nodes")
+
+# Each command: its handler, its help line, and the options it reads.
 _COMMANDS = {
-    "invert": _cmd_invert,
-    "mollify": _cmd_mollify,
-    "converge": _cmd_converge,
-    "clt-demo": _cmd_clt_demo,
-    "selfcheck": _cmd_selfcheck,
+    "invert": (
+        _cmd_invert, "density from an integrable CF on a grid",
+        ("spec",) + _GRID_KEYS + ("allow_unknown_integrability",),
+    ),
+    "mollify": (
+        _cmd_mollify, "Gaussian-smoothed density on a grid", ("spec", "sigma") + _GRID_KEYS,
+    ),
+    "converge": (
+        _cmd_converge, "convergence certificate for a CF sequence",
+        ("spec", "target", "k_schedule", "epsilon") + _GRID_KEYS,
+    ),
+    # epsilon comes from a config file only
+    "clt-demo": (_cmd_clt_demo, "built-in Bernoulli CLT certificate", _GRID_KEYS),
+    "selfcheck": (_cmd_selfcheck, "run the closed-form invariant suite", ("seed",)),
 }
 
 
-_VALUE_FLAGS = {
-    "--config", "--spec", "--target", "--grid", "--sigma", "--k-schedule",
-    "--epsilon", "--out", "--seed", "--threads", "--tail-tol",
-    "--negativity-tol", "--nodes",
-}
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cfmoll",
+        description="Characteristic-function density recovery and convergence diagnostics",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for key in keys:
+            _, _, help_line, settings = _OPTIONS[key]
+            p.add_argument(_flag(key), dest=key, help=help_line, **settings)
+    return parser
 
 
 def _join_dashed_values(argv: list[str]) -> list[str]:
@@ -333,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_join_dashed_values(list(argv)))
     try:
         cfg = _merge_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -9,6 +9,9 @@ against a target:
 - the smoothing remainder P(||Z||_inf > k * epsilon) for a standard normal
   Z, which bounds how far smoothing at scale 1/k moves any law.
 
+The scales are always 1/k: the remainder column is a bound for smoothing
+at exactly that scale, so no other schedule is accepted.
+
 The certificate reports raw numbers and monotonicity flags only; a finite
 computation cannot decide a limit, so interpreting them is the caller's
 job.  The max norm is used for all boxes and tails: Gaussian tails then
@@ -104,7 +107,7 @@ class ConvergenceReport:
 
     ``l1_mollified[i][j]`` is the L1 distance between the smoothed
     densities of sequence member i and the target at scale
-    ``sigma_schedule[j]``; ``smoothing_remainder[j]`` is
+    ``sigma_schedule[j]`` = 1/k_j; ``smoothing_remainder[j]`` is
     P(||Z||_inf > k_j * epsilon).  ``monotone_flags[j]`` records whether
     the L1 column is nonincreasing along the sequence.
     """
@@ -171,15 +174,15 @@ def convergence_certificate(
     grid: Grid,
     epsilon: float,
     params: MollificationParams | None = None,
-    probes=None,
     seq_labels: list[int] | None = None,
-    sigma_schedule: list[float] | None = None,
     workers: int = 1,
 ) -> ConvergenceReport:
     """Assemble the three diagnostics for a CF sequence against a target.
 
-    sigma_schedule defaults to 1/k over k_schedule.  The target's smoothed
-    density is computed once per scale and shared across the sequence.
+    The smoothing scales are sigma_k = 1/k over k_schedule, the scales whose
+    remainder P(||Z||_inf > k epsilon) the report records.  The target's
+    smoothed density is computed once per scale and shared across the
+    sequence.
     """
     if not seq:
         raise ValidationError("sequence of CFs must be nonempty")
@@ -193,12 +196,7 @@ def convergence_certificate(
     epsilon = float(epsilon)
     if not (epsilon > 0):
         raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
-    if sigma_schedule is None:
-        sigmas = [1.0 / k for k in ks]
-    else:
-        sigmas = [float(s) for s in sigma_schedule]
-        if len(sigmas) != len(ks) or any(s <= 0 for s in sigmas):
-            raise ValidationError("sigma_schedule must hold one positive scale per k")
+    sigmas = [1.0 / k for k in ks]
     if seq_labels is None:
         labels = list(range(1, len(seq) + 1))
     else:
@@ -208,15 +206,12 @@ def convergence_certificate(
 
     base = params if params is not None else MollificationParams.for_dimension(grid.d)
 
-    sup_errors = [cf_sup_error(cf, target, probes) for cf in seq]
-    target_fields = [
-        mollified_density_grid(target, s, grid, base.with_sigma(s), workers=workers)
-        for s in sigmas
-    ]
+    sup_errors = [cf_sup_error(cf, target) for cf in seq]
+    target_fields = [mollified_density_grid(target, s, grid, base, workers=workers) for s in sigmas]
     l1 = np.zeros((len(seq), len(ks)))
     for i, cf in enumerate(seq):
         for j, s in enumerate(sigmas):
-            fld = mollified_density_grid(cf, s, grid, base.with_sigma(s), workers=workers)
+            fld = mollified_density_grid(cf, s, grid, base, workers=workers)
             l1[i, j] = l1_distance(fld, target_fields[j])
     remainders = [gaussian_tail_prob(k, epsilon, grid.d) for k in ks]
     monotone = [bool(np.all(np.diff(l1[:, j]) <= 0.0)) for j in range(len(ks))]

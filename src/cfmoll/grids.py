@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -178,9 +178,6 @@ class MollificationParams:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def with_sigma(self, sigma: float) -> "MollificationParams":
-        return replace(self, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------

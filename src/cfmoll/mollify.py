@@ -1,19 +1,20 @@
 """Density computation from characteristic functions.
 
-Two integral formulas are evaluated by truncated trapezoid quadrature on
-a tensor-product frequency lattice:
+One integral, keyed by the smoothing scale sigma >= 0, is evaluated by
+truncated trapezoid quadrature on a tensor-product frequency lattice:
 
-- smoothed density (smoothing scale sigma > 0):
       g_sigma(z) = (2 pi)^-d * integral chi(y) exp(-i<z,y> - sigma^2 <y,y>/2) dy
-- direct inversion (requires an integrable CF):
-      g(z)       = (2 pi)^-d * integral chi(y) exp(-i<z,y>) dy
 
-Truncation boxes come either from the Gaussian damping factor
-(``truncation_radius``) or, for direct inversion, from scanning the decay
-of |chi| itself.  In automatic mode the per-axis node count is also scaled
-so the node spacing h keeps the spectral alias period 2 pi / h at least
-``ALIAS_PERIOD``; the recovered density then wraps around only at a
-distance where unit-scale laws carry negligible mass.  Pointwise and grid
+sigma > 0 gives the density of the law smoothed by N_d(0, sigma^2 I);
+sigma = 0 is direct inversion, the density itself, which requires an
+integrable CF.  Both run on one path (``_density``): plan, transform,
+checks.  The only difference is where the truncation box comes from: the
+Gaussian damping factor (``truncation_radius``) when sigma > 0, and a scan
+of the decay of |chi| itself when sigma = 0.  In automatic mode the
+per-axis node count is also scaled so the node spacing h keeps the
+spectral alias period 2 pi / h at least ``ALIAS_PERIOD``; the recovered
+density then wraps around only at a distance where unit-scale laws carry
+negligible mass.  Pointwise and grid
 evaluations share one quadrature plan, which is what makes them agree to
 far better than the documented 1e-10 contract.
 
@@ -162,14 +163,6 @@ def _axis_rule(radius: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return y, w
 
 
-def _check_dim(d: int, params: MollificationParams) -> None:
-    if d > MAX_DIM and not params.allow_high_dim:
-        raise ValidationError(
-            f"dimension {d} exceeds the default cap {MAX_DIM}; "
-            "set allow_high_dim=True to override (cost grows as m^d)"
-        )
-
-
 def _budget_check(plan_shape: tuple[int, ...]) -> None:
     total = float(np.prod([float(m) for m in plan_shape]))
     if total > NODE_BUDGET:
@@ -194,13 +187,6 @@ def _build_plan(radii: list[float], params: MollificationParams, auto: bool) -> 
         nodes=tuple(y for y, _ in rules),
         weights=tuple(w for _, w in rules),
     )
-
-
-def _plan_mollified(d: int, sigma: float, params: MollificationParams) -> QuadPlan:
-    if params.truncation_radius is not None:
-        return _build_plan([params.truncation_radius] * d, params, auto=False)
-    r = truncation_radius(sigma, params.tail_tol, d)
-    return _build_plan([r] * d, params, auto=True)
 
 
 def _scan_directions(d: int) -> list[np.ndarray]:
@@ -239,10 +225,17 @@ def _decay_radii(cf: CharFn, tail_tol: float) -> list[float]:
     return [2.0 * float(x) for x in need]
 
 
-def _plan_inversion(cf: CharFn, params: MollificationParams) -> QuadPlan:
+def _plan(cf: CharFn, sigma: float, params: MollificationParams) -> QuadPlan:
+    """The lattice for scale sigma.  An explicit radius is used as given;
+    otherwise sigma > 0 takes the erfc radius of the Gaussian damping and
+    sigma = 0 (inversion) the decay scan of |chi|."""
     if params.truncation_radius is not None:
         return _build_plan([params.truncation_radius] * cf.d, params, auto=False)
-    return _build_plan(_decay_radii(cf, params.tail_tol), params, auto=True)
+    if sigma > 0.0:
+        radii = [truncation_radius(sigma, params.tail_tol, cf.d)] * cf.d
+    else:
+        radii = _decay_radii(cf, params.tail_tol)
+    return _build_plan(radii, params, auto=True)
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +476,6 @@ def _run_jobs(jobs: list, workers: int) -> Iterator:
         yield from pool.map(lambda job: job(), jobs)
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers!r}")
-
-
 def _scaled_transform(
     cf: CharFn,
     plan: QuadPlan,
@@ -520,11 +508,38 @@ def _scaled_transform(
     return np.ascontiguousarray(raw.real), absmass
 
 
-def _as_point(z, d: int) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(z, dtype=float))
-    if p.shape != (d,):
-        raise ValidationError(f"point must have shape ({d},), got {p.shape}")
-    return p
+def _setup(
+    cf: CharFn, sigma: float, params: MollificationParams | None
+) -> tuple[MollificationParams, QuadPlan]:
+    """Default params for the dimension, the dimension cap, and the plan."""
+    if params is None:
+        params = MollificationParams.for_dimension(cf.d, sigma=sigma)
+    if cf.d > MAX_DIM and not params.allow_high_dim:
+        raise ValidationError(
+            f"dimension {cf.d} exceeds the default cap {MAX_DIM}; "
+            "set allow_high_dim=True to override (cost grows as m^d)"
+        )
+    return params, _plan(cf, sigma, params)
+
+
+def _density(
+    cf: CharFn,
+    sigma: float,
+    z_axes: list[np.ndarray],
+    params: MollificationParams | None,
+    workers: int,
+) -> np.ndarray:
+    """Certified density values at scale sigma on the tensor lattice of
+    ``z_axes``, flattened row-major; sigma = 0 is direct inversion."""
+    if len(z_axes) != cf.d or any(np.ndim(z) != 1 for z in z_axes):
+        raise ValidationError(
+            f"point or grid dimension does not match the CF dimension {cf.d}"
+        )
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers!r}")
+    params, plan = _setup(cf, sigma, params)
+    vals, bound = _scaled_transform(cf, plan, sigma, params.tail_tol, z_axes, workers)
+    return _certify(vals.reshape(-1), bound, params.negativity_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +561,9 @@ def mollified_density_at(
     sigma = float(sigma)
     if not (sigma > 0 and np.isfinite(sigma)):
         raise ValidationError(f"sigma must be positive, got {sigma!r}")
-    if params is None:
-        params = MollificationParams.for_dimension(cf.d, sigma=sigma)
-    _check_dim(cf.d, params)
-    point = _as_point(z, cf.d)
-    plan = _plan_mollified(cf.d, sigma, params)
     # one-point axes: the lattice path evaluates a single point
-    vals, bound = _scaled_transform(cf, plan, sigma, params.tail_tol, list(point[:, None]))
-    return float(_certify(vals, bound, params.negativity_tol).item())
+    point = np.atleast_1d(np.asarray(z, dtype=float))
+    return float(_density(cf, sigma, list(point[:, None]), params, 1).item())
 
 
 def mollified_density_grid(
@@ -576,18 +586,7 @@ def mollified_density_grid(
     sigma = float(sigma)
     if not (sigma > 0 and np.isfinite(sigma)):
         raise ValidationError(f"sigma must be positive, got {sigma!r}")
-    if grid.d != cf.d:
-        raise ValidationError(f"grid dimension {grid.d} != CF dimension {cf.d}")
-    if params is None:
-        params = MollificationParams.for_dimension(cf.d, sigma=sigma)
-    _check_workers(workers)
-    _check_dim(cf.d, params)
-    plan = _plan_mollified(cf.d, sigma, params)
-    z_axes = [grid.axis_points(j) for j in range(grid.d)]
-    vals, bound = _scaled_transform(
-        cf, plan, sigma, params.tail_tol, z_axes=z_axes, workers=workers
-    )
-    vals = _certify(vals.reshape(-1), bound, params.negativity_tol)
+    vals = _density(cf, sigma, [grid.axis_points(j) for j in range(grid.d)], params, workers)
     total = float(np.sum(vals) * grid.cell_volume)
     if abs(total - 1.0) > NORMALIZATION_WINDOW:
         raise NumericFailure(
@@ -623,14 +622,9 @@ def invert_density_at(
     negativity tolerance raise NumericFailure.
     """
     _require_integrable(cf, allow_unknown_integrability)
-    if params is None:
-        params = MollificationParams.for_dimension(cf.d)
-    _check_dim(cf.d, params)
-    point = _as_point(z, cf.d)
-    plan = _plan_inversion(cf, params)
     # one-point axes: the lattice path evaluates a single point
-    vals, bound = _scaled_transform(cf, plan, 0.0, params.tail_tol, list(point[:, None]))
-    return float(_certify(vals, bound, params.negativity_tol).item())
+    point = np.atleast_1d(np.asarray(z, dtype=float))
+    return float(_density(cf, 0.0, list(point[:, None]), params, 1).item())
 
 
 def invert_density_grid(
@@ -650,18 +644,7 @@ def invert_density_grid(
     do not depend on it.
     """
     _require_integrable(cf, allow_unknown_integrability)
-    if grid.d != cf.d:
-        raise ValidationError(f"grid dimension {grid.d} != CF dimension {cf.d}")
-    if params is None:
-        params = MollificationParams.for_dimension(cf.d)
-    _check_workers(workers)
-    _check_dim(cf.d, params)
-    plan = _plan_inversion(cf, params)
-    z_axes = [grid.axis_points(j) for j in range(grid.d)]
-    vals, bound = _scaled_transform(
-        cf, plan, 0.0, params.tail_tol, z_axes=z_axes, workers=workers
-    )
-    vals = _certify(vals.reshape(-1), bound, params.negativity_tol)
+    vals = _density(cf, 0.0, [grid.axis_points(j) for j in range(grid.d)], params, workers)
     total = float(np.sum(vals) * grid.cell_volume)
     return DensityField(
         grid=grid, values=vals, normalized=abs(total - 1.0) <= NORMALIZATION_WINDOW
@@ -679,9 +662,6 @@ def cf_l1_bound(
     as a sup certificate for ``invert_density_at`` outputs.
     """
     _require_integrable(cf, allow_unknown_integrability)
-    if params is None:
-        params = MollificationParams.for_dimension(cf.d)
-    _check_dim(cf.d, params)
-    plan = _plan_inversion(cf, params)
+    _, plan = _setup(cf, 0.0, params)
     masses = [_weighted_slab(cf, plan, 0.0, lo, hi)[1] for lo, hi in _slabs(plan.shape)]
     return (2.0 * math.pi) ** (-cf.d) * sum(masses)

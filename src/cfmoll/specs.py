@@ -190,9 +190,13 @@ class Gaussian(DistributionSpec, type="gaussian"):
 
     def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
         # exact normal sampler; eigh handles PSD covariances that Cholesky rejects
+        # the mean is added in place, so at most two (n, dim) arrays are alive
         z = philox(seq).standard_normal((n, self.dim))
         eigvals, eigvecs = np.linalg.eigh(self.cov)
-        return self.mean + z @ (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))).T
+        out = z @ (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))).T
+        del z
+        out += self.mean
+        return out
 
 
 @dataclass(frozen=True)

@@ -296,3 +296,51 @@ def test_clt_demo_empty_grid_exits_2(tmp_path, capsys):
     assert main(["clt-demo", "--grid", "", "--out", str(out)]) == EXIT_VALIDATION
     assert "grid" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["invert", "--seed", "1"], ["mollify", "--seed", "1"], ["converge", "--seed", "1"],
+     ["clt-demo", "--seed", "1"], ["clt-demo", "--spec", "x.json"]],
+)
+def test_flags_no_command_reads_are_rejected(argv, capsys):
+    # argparse rejects an unknown flag with exit status 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _value_flags():
+    """(command, flag, action) for every option of every subcommand that
+    takes a value."""
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    return [
+        (name, action.option_strings[0], action)
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        if action.option_strings and action.nargs != 0
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, flag, action", _value_flags(), ids=[f"{c} {f}" for c, f, _ in _value_flags()]
+)
+def test_value_flags_accept_a_leading_dash(command, flag, action):
+    # "-1" parses as every flag's type; without the rewrite argparse would
+    # take it for an option name
+    assert flag in cli._VALUE_FLAGS
+    args = cli._build_parser().parse_args(cli._join_dashed_values([command, flag, "-1"]))
+    expected = (action.type or str)("-1")
+    assert getattr(args, action.dest) in (expected, [expected])  # --spec appends
+
+
+def test_value_flags_are_exactly_the_options_that_take_values():
+    assert {flag for _, flag, _ in _value_flags()} == cli._VALUE_FLAGS
+
+
+def test_single_spec_commands_reject_a_second_spec(spec_files, capsys):
+    rc = main(["invert", "--spec", spec_files["laplace"], "--spec", spec_files["gauss"],
+               "--grid", "-4:4:101"])
+    assert rc == EXIT_VALIDATION
+    assert "exactly one --spec" in capsys.readouterr().err

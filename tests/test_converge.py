@@ -246,15 +246,3 @@ class TestCertificate:
             convergence_certificate(
                 [make_cf(cm.PointMass(location=[0.0, 0.0]))], target, [1], grid, 0.1
             )
-
-    def test_custom_sigma_schedule(self, std_gaussian):
-        target = make_cf(std_gaussian)
-        grid = cm.Grid(axes=((-8.0, 8.0, 128),))
-        rep = convergence_certificate(
-            [target], target, [1, 2], grid, 0.1, sigma_schedule=[0.8, 0.3]
-        )
-        assert rep.sigma_schedule == (0.8, 0.3)
-        with pytest.raises(ValidationError):
-            convergence_certificate(
-                [target], target, [1, 2], grid, 0.1, sigma_schedule=[0.8]
-            )

@@ -68,12 +68,6 @@ def test_density_csv_round_trip(tmp_path):
     assert sidecar.name == "field.meta.json"
 
 
-def test_params_with_sigma():
-    p = MollificationParams(tail_tol=1e-10)
-    q = p.with_sigma(0.25)
-    assert q.sigma == 0.25 and q.tail_tol == 1e-10
-
-
 # values whose .17g text is easy to get wrong: zero, a subnormal, 0.1, 1/3
 AWKWARD = [0.0, 5e-324, 0.1, 1.0 / 3.0, 2.0 / 3.0, 1e-300, 0.7]
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import subprocess
@@ -344,7 +345,7 @@ class TestPointwiseChecks:
             cf, sigma = gaussian_mollify_cf(cf, 0.5), 0.0
             at = invert_density_at(cf, [z], params)
             field = invert_density_grid(cf, grid, params)
-        plan = mo._plan_mollified(1, 0.5, params)  # = the inversion plan at an explicit R
+        plan = mo._plan(cf, 0.5, params)  # = the inversion plan at an explicit R
         raw, _ = mo._scaled_transform(cf, plan, sigma, params.tail_tol, [np.array([z])])
         assert -params.negativity_tol <= raw.item() < -1e-9
         assert at == 0.0
@@ -433,6 +434,65 @@ class TestParamsAndPolicies:
         assert v == pytest.approx(INV_SQRT_4PI, abs=1e-6)
 
 
+def _gauss_cf(d):
+    return make_cf(cm.Gaussian(mean=[0.0] * d, cov=np.eye(d).tolist()))
+
+
+_G1, _G2, _G4 = _gauss_cf(1), _gauss_cf(2), _gauss_cf(4)
+_GRID1 = cm.Grid(axes=((-4.0, 4.0, 33),))
+_GRID2 = cm.Grid(axes=((-4.0, 4.0, 9),) * 2)
+_GRID4 = cm.Grid(axes=((-1.0, 1.0, 2),) * 4)
+
+# (case, call, message) for the checks all five public functions share
+_PRECONDITIONS = [
+    *[
+        (f"{name}-point{np.shape(z)}-d{cf.d}", functools.partial(fn, cf, z), "dimension")
+        for name, fn in [
+            ("mollified_at", lambda cf, z: mollified_density_at(cf, 0.5, z)),
+            ("inverted_at", invert_density_at),
+        ]
+        for cf, z in [(_G1, [0.0, 0.0]), (_G1, [[0.0]]), (_G2, [0.0]), (_G2, 0.0),
+                      (_G2, [[0.0, 0.0]]), (_G2, [0.0, 0.0, 0.0])]
+    ],
+    ("mollified_grid-dim", lambda: mollified_density_grid(_G1, 0.5, _GRID2), "dimension"),
+    ("mollified_grid-dim2", lambda: mollified_density_grid(_G2, 0.5, _GRID1), "dimension"),
+    ("inverted_grid-dim", lambda: invert_density_grid(_G1, _GRID2), "dimension"),
+    ("inverted_grid-dim2", lambda: invert_density_grid(_G2, _GRID1), "dimension"),
+    *[
+        (f"mollified_grid-workers{w}",
+         functools.partial(mollified_density_grid, _G1, 0.5, _GRID1, workers=w), "workers")
+        for w in (0, -1)
+    ],
+    *[
+        (f"inverted_grid-workers{w}",
+         functools.partial(invert_density_grid, _G1, _GRID1, workers=w), "workers")
+        for w in (0, -1)
+    ],
+    ("mollified_at-cap", lambda: mollified_density_at(_G4, 0.5, [0.0] * 4), "cap"),
+    ("mollified_grid-cap", lambda: mollified_density_grid(_G4, 0.5, _GRID4), "cap"),
+    ("inverted_at-cap", lambda: invert_density_at(_G4, [0.0] * 4), "cap"),
+    ("inverted_grid-cap", lambda: invert_density_grid(_G4, _GRID4), "cap"),
+    ("l1_bound-cap", lambda: cf_l1_bound(_G4), "cap"),
+    *[
+        (f"mollified_at-sigma{s}", functools.partial(mollified_density_at, _G1, s, [0.0]), "sigma")
+        for s in (0.0, -1.0, math.nan, math.inf)
+    ],
+    *[
+        (f"mollified_grid-sigma{s}",
+         functools.partial(mollified_density_grid, _G1, s, _GRID1), "sigma")
+        for s in (0.0, -1.0, math.nan, math.inf)
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [c[1:] for c in _PRECONDITIONS], ids=[c[0] for c in _PRECONDITIONS]
+)
+def test_shared_density_preconditions(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 class TestContractAxis:
     def test_long_axis_matches_direct(self):
         # a vector splits k = q*K + s (20000 is not a multiple of K); the
@@ -460,7 +520,7 @@ class TestContractAxis:
         """The 1.3M-node decay-scan lattice of Laplace(1), which reaches
         |y| = 65536, with its weights W and sum of |W|."""
         cf = make_cf(cm.Laplace1D(scale=1.0))
-        plan = mo._plan_inversion(cf, MollificationParams())
+        plan = mo._plan(cf, 0.0, MollificationParams())
         y = plan.nodes[0]
         assert len(y) > 4096  # more than one 4096-node row
         t, abs_sum = mo._weighted_slab(cf, plan, 0.0, 0, len(y))
@@ -591,7 +651,7 @@ def _empirical_2d(atoms):
 class TestSlabs:
     def test_3d_grid_bytes_identical_across_workers(self):
         cf, params, grid = _small_3d_case()
-        assert len(mo._slabs(mo._plan_mollified(3, 1.0, params).shape)) > 1
+        assert len(mo._slabs(mo._plan(cf, 1.0, params).shape)) > 1
         fields = [mollified_density_grid(cf, 1.0, grid, params, workers=w) for w in (1, 2, 3)]
         for f in fields[1:]:
             assert f.values.tobytes() == fields[0].values.tobytes()
@@ -601,7 +661,7 @@ class TestSlabs:
         # row; a 1-d lattice is one job, whatever the worker count
         cf = make_cf(cm.Laplace1D(scale=1.0))
         grid = cm.Grid(axes=((-6.0, 6.0, 101),))
-        assert mo._plan_inversion(cf, MollificationParams()).shape[0] > 4096
+        assert mo._plan(cf, 0.0, MollificationParams()).shape[0] > 4096
         serial = invert_density_grid(cf, grid, workers=1)
         threaded = invert_density_grid(cf, grid, workers=2)
         assert serial.values.tobytes() == threaded.values.tobytes()
@@ -616,7 +676,7 @@ class TestSlabs:
             cf, params, grid = _small_3d_case()
             sigma = 1.0
             z_axes = [grid.axis_points(j) for j in range(3)]
-        plan = mo._plan_mollified(cf.d, sigma, params)
+        plan = mo._plan(cf, sigma, params)
         assert len(mo._slabs(plan.shape)) > 1
         vals, mass = mo._scaled_transform(cf, plan, sigma, params.tail_tol, z_axes)
         monkeypatch.setattr(mo, "_SLAB_NODES", plan.total_nodes)
@@ -664,7 +724,7 @@ class TestSlabs:
         # filled in blocks, two slabs and their contractions take about 16
         cf = make_cf(cm.Gaussian(mean=[0.0] * 3, cov=np.eye(3).tolist()))
         grid = cm.Grid(axes=((-6.0, 6.0, 48),) * 3)
-        assert mo._plan_mollified(3, 0.5, MollificationParams.for_dimension(3)).shape == (238,) * 3
+        assert mo._plan(cf, 0.5, MollificationParams.for_dimension(3)).shape == (238,) * 3
         peak = traced_peak_mb(lambda: mollified_density_grid(cf, 0.5, grid, workers=2))
         assert peak < 24.0
 
@@ -681,7 +741,7 @@ class TestSlabs:
 
         monkeypatch.setattr(mo, "_scaled_transform", recording)
         invert_density_grid(cf, cm.Grid(axes=((-5.0, 5.0, 32), (-5.0, 5.0, 32))), workers=2)
-        plan = mo._plan_inversion(cf, MollificationParams.for_dimension(2))
+        plan = mo._plan(cf, 0.0, MollificationParams.for_dimension(2))
         assert len(mo._slabs(plan.shape)) > 1
         assert bounds == [cf_l1_bound(cf)]
 
@@ -764,7 +824,7 @@ class TestWorkers:
 
     def test_pool_never_exceeds_the_slab_count(self, pool_sizes):
         cf, params, grid = _small_3d_case()
-        n_slabs = len(mo._slabs(mo._plan_mollified(3, 1.0, params).shape))
+        n_slabs = len(mo._slabs(mo._plan(cf, 1.0, params).shape))
         for workers in (3, n_slabs + 4):
             mollified_density_grid(cf, 1.0, grid, params, workers=workers)
         assert pool_sizes == [3, n_slabs]
