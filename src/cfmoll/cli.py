@@ -93,7 +93,8 @@ _VALUE_FLAGS = {"--config"} | {
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """File values fill in only where flags were not given."""
+    """File values fill in only where flags were not given.  A file may set
+    only the options its command reads, as the command's flags do."""
     merged: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -112,6 +113,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
             check, wanted, *_ = _OPTIONS[key]
             if val is not None and not check(val):
                 raise ValidationError(f"config key '{key}' must be {wanted}, got {val!r}")
+        unread = set(data) - set(_COMMANDS[args.command][2] + _CONFIG_ONLY.get(args.command, ()))
+        if unread:
+            raise ValidationError(f"config keys not read by '{args.command}': {sorted(unread)}")
         merged.update(data)
     for key in _OPTIONS:
         val = getattr(args, key, None)
@@ -269,10 +273,11 @@ _COMMANDS = {
         _cmd_converge, "convergence certificate for a CF sequence",
         ("spec", "target", "k_schedule", "epsilon") + _GRID_KEYS,
     ),
-    # epsilon comes from a config file only
     "clt-demo": (_cmd_clt_demo, "built-in Bernoulli CLT certificate", _GRID_KEYS),
     "selfcheck": (_cmd_selfcheck, "run the closed-form invariant suite", ("seed",)),
 }
+# Options a command reads from a config file only; they have no flag there.
+_CONFIG_ONLY = {"clt-demo": ("epsilon",)}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -21,11 +21,11 @@ factor per axis and the bounds are exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from .charfn import CharFn
 from .errors import ValidationError
@@ -72,7 +72,9 @@ def cf_sup_error(cf_n: CharFn, cf_target: CharFn, probes=None) -> float:
 def gaussian_tail_prob(k: int, epsilon: float, d: int) -> float:
     """P(||Z||_inf > k * epsilon) for Z standard normal on R^d:
     1 - erf(k epsilon / sqrt(2))^d.  Strictly decreasing in k and epsilon,
-    increasing in d at fixed k*epsilon."""
+    increasing in d at fixed k*epsilon.  Computed as -expm1(d log erf), with
+    log erf taken from erfc where erf is near 1, so small tails keep their
+    relative accuracy instead of cancelling to 0."""
     k = int(k)
     epsilon = float(epsilon)
     d = int(d)
@@ -82,8 +84,9 @@ def gaussian_tail_prob(k: int, epsilon: float, d: int) -> float:
         raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
-    inside = float(erf(k * epsilon / np.sqrt(2.0)))
-    return 1.0 - inside**d
+    x = k * epsilon / math.sqrt(2.0)
+    log_inside = math.log(math.erf(x)) if x < 0.5 else math.log1p(-math.erfc(x))
+    return -math.expm1(d * log_inside)
 
 
 def mass_in_box(field: DensityField, radius: float) -> float:

@@ -61,12 +61,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Iterator
 
 import numpy as np
-from scipy.special import erfcinv
 
 from .charfn import CharFn
 from .errors import NumericFailure, ValidationError
@@ -93,16 +94,21 @@ _EVAL_BLOCK = 1 << 14
 # over the workers.
 _SLAB_NODES = 1 << 18
 _MIN_SLABS = 8
+_NORMAL = NormalDist()
 
 
 def truncation_radius(sigma: float, tail_tol: float, d: int) -> float:
     """Box half-width R with (2 pi)^-d * integral over {||y||_inf > R} of
     exp(-sigma^2 ||y||^2 / 2) dy <= tail_tol.
 
-    Uses the per-axis Gaussian tail erfc(sigma R / sqrt(2)) and a union
-    bound over the d axes, solved in closed form with erfcinv.  Returns
+    Uses the per-axis Gaussian tail erfc(sigma R / sqrt(2)) = 2 Phi(-sigma R)
+    and a union bound over the d axes, solved in closed form with the
+    stdlib's inverse normal CDF (``statistics.NormalDist.inv_cdf``,
+    Wichura's AS241), so erfcinv(y) = -Phi^-1(y / 2) / sqrt(2).  Returns
     the sentinel 1.0 when the bound is vacuous (tail_tol at least the
     whole integral).  Nonincreasing in sigma, nondecreasing in 1/tail_tol.
+    A tail_tol whose per-axis tail underflows double precision raises
+    ValidationError.
     """
     sigma = float(sigma)
     tail_tol = float(tail_tol)
@@ -113,12 +119,20 @@ def truncation_radius(sigma: float, tail_tol: float, d: int) -> float:
         raise ValidationError(f"tail_tol must be positive, got {tail_tol!r}")
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
-    whole = (2.0 * math.pi * sigma * sigma) ** (-0.5 * d)
+    try:
+        whole = (2.0 * math.pi * sigma * sigma) ** (-0.5 * d)
+    except (OverflowError, ZeroDivisionError):  # sigma^2 underflows
+        whole = math.inf
     if tail_tol >= whole:
         return 1.0
-    arg = tail_tol / (d * whole)
-    r = math.sqrt(2.0) / sigma * float(erfcinv(min(arg, 1.0)))
-    return max(r, 1.0)
+    # Phi(-sigma R) on each axis
+    half = tail_tol / (d * whole) / 2.0
+    if not half >= sys.float_info.min:
+        raise ValidationError(
+            f"tail_tol {tail_tol!r} is too small for sigma {sigma!r} in {d}-d: "
+            "the per-axis Gaussian tail it asks for underflows double precision"
+        )
+    return max(-_NORMAL.inv_cdf(half) / sigma, 1.0)
 
 
 # ---------------------------------------------------------------------------

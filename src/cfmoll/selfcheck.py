@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from . import specs as sp
 from .charfn import gaussian_mollify_cf, make_cf
@@ -134,7 +133,7 @@ def check_mass_in_box(_: int) -> CheckResult:
     full = mass_in_box(field, 8.0)
     exact_total = field.riemann_sum
     inner = mass_in_box(field, 1.96)
-    expected = float(erf(1.96 / np.sqrt(2.0)))
+    expected = math.erf(1.96 / math.sqrt(2.0))
     ok = full == exact_total and abs(inner - expected) < 0.01
     return CheckResult("mass_in_box", ok, f"P(|z|<=1.96) = {inner:.4f}")
 

@@ -344,3 +344,29 @@ def test_single_spec_commands_reject_a_second_spec(spec_files, capsys):
                "--grid", "-4:4:101"])
     assert rc == EXIT_VALIDATION
     assert "exactly one --spec" in capsys.readouterr().err
+
+
+def test_subnormal_tail_tol_exits_2(tmp_path, spec_files, capsys):
+    # the per-axis Gaussian tail underflows: a validation error, not a traceback
+    out = tmp_path / "m.csv"
+    rc = main(["mollify", "--spec", spec_files["gauss"], "--sigma", "0.5",
+               "--grid", "-8:8:64", "--tail-tol", "5e-324", "--out", str(out)])
+    assert rc == EXIT_VALIDATION and not out.exists()
+    assert "tail_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("invert", "seed", 3), ("invert", "sigma", 0.5), ("mollify", "epsilon", 0.1),
+     ("selfcheck", "grid", "-8:8:64"), ("clt-demo", "spec", "a.json")],
+)
+def test_config_keys_outside_the_command_exit_2(tmp_path, spec_files, command, key, value, capsys):
+    # a config file may set only what the command's flags may set, so a key
+    # is never silently ignored
+    cfg = tmp_path / "cfg.json"
+    data = {"selfcheck": {}, "clt-demo": {"grid": "-8:8:64"}}.get(
+        command, {"spec": spec_files["gauss"], "grid": "-8:8:64"})
+    cfg.write_text(json.dumps({**data, key: value}))
+    assert main([command, "--config", str(cfg)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"not read by '{command}'" in err and key in err

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -123,6 +124,14 @@ class TestGaussianTailProb:
         assert gaussian_tail_prob(1, 1.95996, 1) == pytest.approx(TAIL_D1_AT_196, abs=1e-12)
         assert gaussian_tail_prob(1, 1.95996, 2) == pytest.approx(TAIL_D2_AT_196, abs=1e-12)
         assert gaussian_tail_prob(1, 4.0, 1) == pytest.approx(TAIL_AT_4, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("k_eps", [0.2, 4.0, 9.0])
+    def test_relative_accuracy_against_mpmath(self, k_eps, d):
+        # at k eps = 9 the tail is about 2.3e-19 (d = 1): 1 - erf^d cancels to 0
+        with mp.workdps(50):
+            exact = float(1 - mp.erf(mp.mpf(k_eps) / mp.sqrt(2)) ** d)
+        assert gaussian_tail_prob(1, k_eps, d) == pytest.approx(exact, rel=1e-12, abs=0)
 
     def test_tiny_epsilon_limit(self):
         assert gaussian_tail_prob(1, 1e-12, 3) == pytest.approx(1.0, abs=1e-6)

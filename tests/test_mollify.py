@@ -7,6 +7,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import erfcinv
 
 import cfmoll as cm
 import cfmoll.mollify as mo
@@ -32,7 +33,8 @@ INV_SQRT_4PI = 0.28209479177387814  # N(0,2) density at 0
 
 def mp_truncation_radius_oracle(tail_tol):
     """Root-solve of 2 Phi(-R) / sqrt(2 pi) = tail_tol with mpmath's erfc,
-    independent of the scipy-based implementation (d=1, sigma=1)."""
+    independent of the stdlib inverse normal CDF used by the implementation
+    (d=1, sigma=1)."""
     phi = lambda x: 0.5 * mp.erfc(-x / mp.sqrt(2))
     f = lambda r: 2 * phi(-r) / mp.sqrt(2 * mp.pi) - mp.mpf(tail_tol)
     return float(mp.findroot(f, 4.0))
@@ -65,6 +67,30 @@ class TestTruncationRadius:
             one_axis = float(mp.erfc(sigma * r / mp.sqrt(2)))
             tail = d * one_axis * (2 * math.pi * sigma**2) ** (-d / 2)
             assert tail <= tol * (1 + 1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0, 4.0])
+    def test_matches_erfcinv_closed_form(self, sigma, d):
+        # R = sqrt(2) / sigma * erfcinv(min(tail_tol / (d * whole), 1)), at least
+        # 1, and the sentinel 1.0 once tail_tol reaches the whole integral; just
+        # below it the argument nears 1 and the radius clamps to 1
+        whole = (2 * math.pi * sigma**2) ** (-d / 2)
+        tols = np.logspace(-300, math.log10(whole), 200).tolist()
+        tols += [math.nextafter(whole, 0.0), whole, 2.0 * whole]
+        for tol in tols:
+            arg = min(tol / (d * whole), 1.0)
+            closed = 1.0 if tol >= whole else max(math.sqrt(2) / sigma * float(erfcinv(arg)), 1.0)
+            assert truncation_radius(sigma, tol, d) == pytest.approx(closed, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("sigma, tol", [(0.5, 5e-324), (0.5, 1e-310), (1e-320, 1e-6)])
+    def test_underflowing_tail_is_a_validation_error(self, sigma, tol):
+        with pytest.raises(ValidationError, match="tail_tol"):
+            truncation_radius(sigma, tol, 1)
+
+    def test_underflowing_tail_fails_the_density_call(self):
+        cf = make_cf(cm.PointMass(location=[0.0]))
+        with pytest.raises(ValidationError, match="tail_tol"):
+            mollified_density_at(cf, 0.5, [0.0], MollificationParams(tail_tol=5e-324))
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -600,15 +626,29 @@ class TestContractAxis:
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
-def test_import_does_not_load_scipy_signal():
-    # scipy.signal costs about a second and 50 MB at import; the chirp-z
-    # contraction is built on numpy.fft so that `import cfmoll` avoids it
-    code = "import sys, cfmoll; print('scipy.signal' in sys.modules)"
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+import cfmoll
+loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']
+import cfmoll.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cfmoll.cli.main(['selfcheck'])
+gauss = cfmoll.make_cf(cfmoll.Gaussian(mean=[0.0], cov=[[1.0]]))
+cfmoll.convergence_certificate([gauss], gauss, [1, 2], cfmoll.Grid.parse('-6:6:97'), 0.1)
+loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']
+print(rc, sorted(set(loaded)))
+"""
+
+
+def test_runtime_path_loads_no_scipy():
+    # scipy is a test dependency only: `import cfmoll`, a CLI selfcheck and
+    # a certificate load no scipy module, so no CLI call pays its import
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT], capture_output=True, text=True,
+        env=subprocess_env(),
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "0 []"
 
 
 class _RecordingPool:
