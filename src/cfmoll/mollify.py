@@ -18,9 +18,14 @@ negligible mass.  Pointwise and grid
 evaluations share one quadrature plan, which is what makes them agree to
 far better than the documented 1e-10 contract.
 
-Trapezoid on a symmetric lattice is the right rule here: the integrand
-decays to zero at the box ends, so the Euler-Maclaurin boundary terms
-vanish and the only real error sources are box truncation and aliasing.
+Trapezoid on a symmetric lattice is the right rule here where the
+integrand, chi(y) times the damping, is negligible at the box ends +-R:
+the Euler-Maclaurin endpoint terms, led by (h^2 / 12)[f']_{-R}^{R}, are
+then negligible too, and the error sources are box truncation and
+aliasing.  Where chi(+-R) is not negligible, as on the decay-scan
+lattices of slowly decaying CFs such as Laplace, the endpoint term is an
+error of its own that the plan does not bound (ROADMAP item 3, the
+inversion budget, sizes it).
 
 The weighted lattice is contracted one axis at a time onto the z axes
 (pointwise evaluations are one-point axes).  Each contraction

@@ -20,7 +20,10 @@ are bounded by the chunk.
 a discrete law pays for its distinct values, not its draws.  It then sums
 with the same chunked kernel as the ``Empirical`` CF (``specs.atom_sum``):
 exactly 1 at t = 0, and temporaries bounded by the chunk size, never a
-(probes x draws) matrix.
+(probes x draws) matrix.  On a uniformly spaced 1-d probe axis such as a
+``linspace``, that kernel takes cos and sin of every 16th probe only and
+reaches the others by complex multiplies, summing only half of a
+mirror-symmetric axis.
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ def _tally(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def empirical_cf(batch: SampleBatch, t) -> complex | np.ndarray:
     """Estimator (1/n) sum_j exp(i<t, X_j>); exactly 1 at t = 0.  Repeated
     draws are merged into (value, count) pairs, which go through
-    ``specs.atom_sum`` with the counts as weights, in chunks."""
+    ``specs.atom_sum`` with the counts as weights, in chunks, by its phase
+    recurrence when ``t`` is a uniform 1-d probe axis."""
     values, weights = _tally(batch.points)
     return CharFn(batch.d, lambda pts: sp.atom_sum(values, weights, pts), "no")(t)
 

@@ -17,6 +17,7 @@ from .charfn import gaussian_mollify_cf, make_cf
 from .converge import gaussian_tail_prob, l1_distance, mass_in_box, tv_distance
 from .grids import DensityField, Grid, MollificationParams
 from .mollify import invert_density_at, mollified_density_at, mollified_density_grid
+from .montecarlo import empirical_cf, sample
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,25 @@ def check_cf_invariants(seed: int) -> CheckResult:
         if at_zero != 1.0 + 0.0j:
             return CheckResult("cf_invariants", False, f"chi(0) = {at_zero!r} for {spec}")
     return CheckResult("cf_invariants", worst <= 1e-12, f"worst residual {worst:.3g}")
+
+
+def check_empirical_cf(seed: int) -> CheckResult:
+    """A seeded sample's empirical CF on a uniform probe axis against the
+    mean of cos and sin of every phase, and against the closed-form CF
+    within 5 / sqrt(n)."""
+    spec = sp.Gaussian(mean=[0.3], cov=[[1.2]])
+    n = 20_000
+    batch = sample(spec, n, seed)
+    t = np.linspace(-4.0, 4.0, 65)
+    ecf = empirical_cf(batch, t)
+    arg = np.outer(t, batch.points[:, 0])
+    direct = np.cos(arg).mean(axis=1) + 1j * np.sin(arg).mean(axis=1)
+    kernel = float(np.max(np.abs(ecf - direct)))
+    sampling = float(np.max(np.abs(ecf - make_cf(spec)(t))))
+    ok = kernel <= 1e-12 and sampling <= 5.0 / math.sqrt(n)
+    return CheckResult(
+        "empirical_cf", ok, f"max |ecf - direct| {kernel:.3g}, max |ecf - cf| {sampling:.3g}"
+    )
 
 
 def check_mollify_semigroup(seed: int) -> CheckResult:
@@ -149,6 +169,7 @@ def check_normalization(_: int) -> CheckResult:
 
 ALL_CHECKS = [
     check_cf_invariants,
+    check_empirical_cf,
     check_mollify_semigroup,
     check_gaussian_closed_form,
     check_inversion_gaussian,

@@ -39,9 +39,13 @@ COV_EIG_TOL = 1e-12
 # small; avoids 0/0 at t=0 and cancellation nearby.
 UNIFORM_TAYLOR_SWITCH = 1e-8
 
-# Elements of one (atoms x points) chunk of ``atom_sum``: its two float
-# temporaries stay near 4 MiB each, whatever the atom count.
+# Elements of one (atoms x points) chunk of ``atom_sum``: its temporaries
+# stay near 4 MiB each, whatever the atom count.
 ATOM_BLOCK = 1 << 19
+
+# On a uniform 1-d probe axis, ``atom_sum`` takes fresh cos/sin every this
+# many probes and complex multiplies in between.
+_RESEED = 16
 
 # Up to this many atoms, ``Empirical.draw`` finds each draw's atom by
 # counting the CDF cuts below it in a uint8 counter, one comparison pass
@@ -70,20 +74,71 @@ def whole_number(x, name: str, least: int) -> int:
     return int(x)
 
 
-def atom_sum(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """sum_j w_j exp(i<t, x_j>) / sum_j w_j for each row t of ``pts``, with
-    the atoms x_j the rows of ``atoms``.
+def _recurrence_axis(pts: np.ndarray) -> tuple[int, float] | None:
+    """``(first, dt)`` when ``atom_sum`` may run its phase recurrence on
+    the probes, else None.
 
-    The atoms go through in chunks whose (atoms x points) phase arrays hold
-    about ``ATOM_BLOCK`` elements, with cos and sin summed over the atom
-    axis into real accumulators, so memory does not grow with the atom
-    count.  The normalizer is the real sum at an appended t = 0, taken in
-    the numerator's own reduction order: chi(0) is exactly 1 for any chunk
-    count and any weights.
+    The probes must be one column of m >= 2 values t_k, each within
+    4 eps max(|t_0|, |t_(m-1)|) of t_0 + k dt, dt = (t_(m-1) - t_0) / (m - 1).
+    Then t_k and t_b + (k - b) dt, the probe the recurrence reaches from
+    any fresh row b, differ by about twice that at most.  ``first`` is m // 2
+    when the axis is its own mirror image (``t == -t[::-1]``), whose other
+    half is then the conjugate, else 0.  NaN or infinite probes fail.
     """
-    pts = np.concatenate([pts, np.zeros((1, atoms.shape[1]))])
-    re = np.zeros(len(pts))
-    im = np.zeros(len(pts))
+    m = len(pts)
+    if pts.shape[1] != 1 or m < 2:
+        return None
+    t = pts[:, 0]
+    dt = (t[-1] - t[0]) / (m - 1)
+    dev = np.arange(m, dtype=float)
+    dev *= dt
+    dev += t[0]
+    dev -= t
+    tol = 4.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+    if not (np.abs(dev, out=dev) <= tol).all():
+        return None
+    first = m // 2 if (t == -t[::-1]).all() else 0
+    return first, float(dt)
+
+
+def _recurrence_sums(x: np.ndarray, weights: np.ndarray, t: np.ndarray, dt: float) -> np.ndarray:
+    """sum_j w_j exp(i t_k x_j) on a uniform axis t by the row split
+    k = q K + s, K = min(``_RESEED``, len(t)): fresh cos/sin of t_(qK) x_j
+    (the outer rows) times w_j exp(i s dt x_j) (the inner rows), which
+    doubling builds from w_j with complex multiplies only.  One complex
+    matrix product per atom chunk adds every outer row against every
+    inner row."""
+    m = len(t)
+    k = min(_RESEED, m)
+    # the outer rows' phases, then dt x in the last row
+    scales = np.append(t[::k], dt)[:, None]
+    q = len(scales) - 1
+    out = np.zeros((q, k), dtype=complex)
+    step = max(1, ATOM_BLOCK // (2 * (q + k)))
+    for lo in range(0, len(x), step):
+        xs = x[lo : lo + step]
+        arg = scales * xs
+        rows = np.empty(arg.shape, dtype=complex)
+        np.cos(arg, out=rows.real)
+        np.sin(arg, out=rows.imag)
+        outer, power = rows[:q], rows[q]
+        inner = np.empty((k, len(xs)), dtype=complex)
+        inner[0] = weights[lo : lo + step]
+        span = 1  # rows [0, span) hold w exp(i s dt x); power is exp(i span dt x)
+        while span < k:
+            n = min(span, k - span)
+            np.multiply(inner[:n], power, out=inner[span : span + n])
+            power *= power
+            span *= 2
+        out += outer @ inner.T
+    return out.reshape(-1)[:m]
+
+
+def _trig_sums(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """sum_j w_j exp(i<t, x_j>) for each row t of ``pts`` from cos and sin
+    of every phase, summed over the atom axis into real accumulators."""
+    num = np.zeros(len(pts), dtype=complex)
+    re, im = num.real, num.imag
     step = max(1, ATOM_BLOCK // len(pts))
     for lo in range(0, len(atoms), step):
         w = weights[lo : lo + step, None]
@@ -94,10 +149,40 @@ def atom_sum(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndar
         np.sin(arg, out=part)
         part *= w
         im += part.sum(axis=0)
-    out = np.empty(len(pts) - 1, dtype=complex)
-    np.divide(re[:-1], re[-1], out=out.real)
-    np.divide(im[:-1], re[-1], out=out.imag)
-    return out
+    return num
+
+
+def atom_sum(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """sum_j w_j exp(i<t, x_j>) / sum_j w_j for each row t of ``pts``, with
+    the atoms x_j the rows of ``atoms``.
+
+    A uniformly spaced 1-d probe axis t_k = t_0 + k dt (``_recurrence_axis``)
+    takes fresh cos/sin only every ``_RESEED`` probes and gets the probes in
+    between by complex multiplies with exp(i dt x_j); on a mirror-symmetric
+    axis only the second half is summed and the first is its conjugate.
+    Every other probe set, 2-d probes among them, takes cos and sin of every
+    phase.  The recurrence moves each phase by at most a small multiple of
+    eps |x_j| max|t|, the size of the rounding of x_j t itself.
+
+    Either way the atoms go through in chunks whose phase arrays hold about
+    ``ATOM_BLOCK`` elements, so memory does not grow with the atom count.
+    The sums are divided by the weight total, and every row at t = 0 is set
+    to that ratio's exact value, 1: chi(0) is exactly 1 for any chunking,
+    whether or not t = 0 is a fresh cos/sin row.
+    """
+    axis = _recurrence_axis(pts)
+    if axis is None:
+        num = _trig_sums(atoms, weights, pts)
+    else:
+        first, dt = axis
+        num = np.empty(len(pts), dtype=complex)
+        num[first:] = _recurrence_sums(atoms[:, 0], weights, pts[first:, 0], dt)
+        np.conj(num[::-1][:first], out=num[:first])
+    total = weights.sum()
+    np.divide(num.real, total, out=num.real)
+    np.divide(num.imag, total, out=num.imag)
+    num[~pts.any(axis=1)] = 1.0
+    return num
 
 
 def philox(seq: np.random.SeedSequence) -> np.random.Generator:
@@ -333,7 +418,9 @@ class Empirical(DistributionSpec, type="empirical"):
         return self.points.shape[1]
 
     def cf(self) -> CharFn:
-        """sum_j w_j exp(i<t,x_j>) (``atom_sum``); atoms, so never integrable."""
+        """sum_j w_j exp(i<t,x_j>) (``atom_sum``, by its phase recurrence on
+        uniform 1-d blocks such as a 1-d lattice's); atoms, so never
+        integrable."""
         points, weights = self.points, self.weights
         return CharFn(self.dim, lambda pts: atom_sum(points, weights, pts), "no", self.json_type)
 

@@ -197,12 +197,38 @@ class TestEmpiricalCf:
         values, counts = mc._tally(distinct.points)
         assert values is distinct.points and np.array_equal(counts, np.ones(500))
 
+    def test_uniform_probe_axis_matches_the_exact_sum_over_draws(self, rademacher):
+        # a uniform probe axis takes the phase recurrence, on 1e5 distinct
+        # draws and on the collapsed counts of a Rademacher-16 sum alike
+        probes = np.linspace(-5.0, 5.0, 33)
+        assert sp._recurrence_axis(probes[:, None]) is not None
+        for spec in [cm.UniformBox(lo=[-1.0], hi=[2.0]), cm.StandardizedIIDSum(rademacher, 16)]:
+            batch = sample(spec, 100_000, 23)
+            x = batch.points[:, 0]
+            exact = np.array([
+                complex(math.fsum(np.cos(a).tolist()), math.fsum(np.sin(a).tolist())) / batch.n
+                for a in np.outer(probes, x)
+            ])
+            got = empirical_cf(batch, probes)
+            assert np.max(np.abs(got - exact)) <= 1e-14
+            assert got[16] == 1.0 + 0.0j
+
     def test_memory_does_not_grow_with_draws(self):
         # 1e6 draws x 129 probes: the (probes x draws) phase matrix would
-        # take about 2 GB; in chunks the peak is the unit weights and two
-        # chunk temporaries
+        # take about 2 GB; in chunks the peak is the unit weights and the
+        # chunk temporaries of the phase recurrence
         batch = sample(cm.Gaussian(mean=[0.0], cov=[[1.0]]), 1_000_000, 8)
         probes = np.linspace(-5.0, 5.0, 129)
+        assert sp._recurrence_axis(probes[:, None]) is not None
+        peak = traced_peak_mb(lambda: empirical_cf(batch, probes))
+        assert peak < 32.0
+
+    def test_memory_does_not_grow_with_draws_off_a_uniform_axis(self):
+        # the same bound where cos and sin of every phase are taken; the
+        # chunks hold a fixed number of elements whatever the probe count
+        batch = sample(cm.Gaussian(mean=[0.0], cov=[[1.0]]), 1_000_000, 8)
+        probes = np.sort(np.random.default_rng(9).uniform(-5.0, 5.0, 33))
+        assert sp._recurrence_axis(probes[:, None]) is None
         peak = traced_peak_mb(lambda: empirical_cf(batch, probes))
         assert peak < 32.0
 

@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -207,14 +208,123 @@ class TestAtomSum:
         n_probes=st.integers(1, 20),
         cap=st.integers(1, 4000),
         seed=st.integers(0, 2**32 - 1),
+        # a uniform 1-d axis instead: start (in steps, an integer puts t = 0
+        # on the axis when it is in range), step, length, mirror-symmetric
+        axis=st.none() | st.tuples(
+            st.integers(-30, 10) | st.floats(-30.0, 10.0),
+            st.floats(0.005, 0.1) | st.floats(-0.1, -0.005),
+            st.integers(2, 30),
+            st.booleans(),
+        ),
     )
-    def test_property_against_direct_mean(self, n, d, n_probes, cap, seed):
+    def test_property_against_direct_mean(self, n, d, n_probes, cap, seed, axis):
         rng = np.random.default_rng(seed)
-        x = rng.uniform(-3.0, 3.0, (n, d))
-        t = np.vstack([rng.uniform(-3.0, 3.0, (n_probes, d)), np.zeros(d)])
+        if axis is None:
+            t = np.vstack([rng.uniform(-3.0, 3.0, (n_probes, d)), np.zeros(d)])
+        else:
+            start, step, length, mirror = axis
+            k = np.arange(length) - (length - 1) / 2 if mirror else np.arange(length) + start
+            t = (step * k)[:, None]
+            assert sp._recurrence_axis(t) is not None
+        x = rng.uniform(-3.0, 3.0, (n, t.shape[1]))
         with mock.patch.object(sp, "ATOM_BLOCK", cap):
             got = sp.atom_sum(x, np.ones(n), t)
         direct = np.exp(1j * (t @ x.T)).mean(axis=1)
         assert np.max(np.abs(got - direct)) <= 1e-14
-        assert got[-1] == 1.0 + 0.0j
+        assert np.all(got[~t.any(axis=1)] == 1.0 + 0.0j)
         assert np.max(np.abs(got)) <= 1.0 + 1e-12
+
+
+class TestPhaseRecurrence:
+    """``atom_sum`` on uniformly spaced 1-d probe axes."""
+
+    # m = 129, 17, 16 and 2; mirror-symmetric, without 0, descending
+    AXES = [
+        np.linspace(-5.0, 5.0, 129),
+        np.linspace(0.3, 4.1, 17),
+        np.linspace(2.5, -1.25, 16),
+        np.array([-1.5, 2.0]),
+    ]
+
+    @staticmethod
+    def _fsum_mean(x, w, t):
+        """sum_j w_j exp(i t x_j) / sum_j w_j with each sum rounded once."""
+        arg = np.outer(t, x)
+        total = math.fsum(w)
+        return np.array([
+            complex(math.fsum((w * np.cos(a)).tolist()), math.fsum((w * np.sin(a)).tolist()))
+            for a in arg
+        ]) / total
+
+    @pytest.mark.parametrize("t", AXES, ids=["mirror-129", "no-zero-17", "descending-16", "two"])
+    def test_matches_fsum_on_continuous_draws(self, t):
+        x = np.random.default_rng(11).normal(0.0, 1.5, 100_000)
+        assert sp._recurrence_axis(t[:, None]) is not None
+        got = sp.atom_sum(x[:, None], np.ones(len(x)), t[:, None])
+        assert np.max(np.abs(got - self._fsum_mean(x, np.ones(len(x)), t))) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "t, fresh",
+        [
+            (np.linspace(-5.0, 5.0, 129), True),  # mirror: the summed half starts at 0
+            (np.linspace(-4.0, 4.25, 34), True),  # 0 is row 16
+            (np.linspace(-0.25, 3.75, 17), False),  # 0 is row 1
+            (np.linspace(3.5, -0.25, 16), False),  # descending, 0 is row 14
+        ],
+    )
+    def test_one_at_zero_for_every_chunking(self, monkeypatch, t, fresh):
+        pts, w = TestAtomSum._law(n=1000, d=1)
+        first, _ = sp._recurrence_axis(t[:, None])
+        zero = int(np.flatnonzero(t == 0.0)[0])
+        assert ((zero - first) % sp._RESEED == 0) == fresh
+        for cap in (1, 7, 100, sp.ATOM_BLOCK):
+            monkeypatch.setattr(sp, "ATOM_BLOCK", cap)
+            got = sp.atom_sum(pts, w, t[:, None])
+            assert got[zero] == 1.0 + 0.0j
+            assert np.max(np.abs(got - self._fsum_mean(pts[:, 0], w, t))) <= 1e-14
+
+    @pytest.mark.parametrize("t", AXES[:2], ids=["mirror-129", "no-zero-17"])
+    def test_atom_far_out(self, t):
+        # the phase of the atom at 1e6 is off by a small multiple of
+        # eps |x| max|t|, as the rounding of x t itself is
+        x = np.array([-0.5, 0.0, 1e6])
+        w = np.array([0.3, 0.2, 0.5])
+        got = sp.atom_sum(x[:, None], w, t[:, None])
+        direct = np.exp(1j * np.outer(t, x)) @ w
+        assert np.max(np.abs(got - direct)) <= 8 * np.finfo(float).eps * 1e6 * np.max(np.abs(t))
+        assert np.max(np.abs(got)) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize(
+        "probes",
+        [
+            np.linspace(-5.0, 5.0, 129) + 1e-9 * (np.arange(129) == 40),  # one probe off by 1e-9
+            np.random.default_rng(5).permutation(np.linspace(-5.0, 5.0, 129)),
+            np.linspace(-5.0, 5.0, 129)[:, None] * [1.0, 0.5],  # 2-d
+        ],
+        ids=["perturbed", "shuffled", "2-d"],
+    )
+    def test_other_probes_take_cos_sin(self, probes):
+        pts = probes.reshape(len(probes), -1)
+        assert sp._recurrence_axis(pts) is None
+        x = np.random.default_rng(12).uniform(-3.0, 3.0, (500, pts.shape[1]))
+        got = sp.atom_sum(x, np.ones(len(x)), pts)
+        assert np.max(np.abs(got - np.exp(1j * (pts @ x.T)).mean(axis=1))) <= 1e-14
+        assert np.all(got[~pts.any(axis=1)] == 1.0 + 0.0j)
+
+    def test_1d_lattice_blocks_take_the_recurrence(self, monkeypatch):
+        # a 1-d Empirical law's smoothed density: its lattice blocks are
+        # uniform axes, and the recurrence moves the density by rounding only
+        spec = cm.Empirical(points=[[-1.3], [0.2], [0.9], [2.6]], weights=[0.1, 0.4, 0.3, 0.2])
+        grid = cm.Grid(axes=((-5.0, 6.0, 221),))
+        taken = []
+        recurrence = sp._recurrence_sums
+        monkeypatch.setattr(sp, "_recurrence_sums", lambda *a: taken.append(1) or recurrence(*a))
+        params = cm.MollificationParams(tail_tol=1e-12)
+        field = cm.mollified_density_grid(spec.cf(), 0.5, grid, params)
+        assert taken
+        monkeypatch.setattr(sp, "_recurrence_axis", lambda pts: None)
+        trig = cm.mollified_density_grid(spec.cf(), 0.5, grid, params)
+        assert np.max(np.abs(field.values - trig.values)) <= 1e-14
+        z = grid.axis_points(0)[:, None]
+        mixture = np.exp(-0.5 * ((z - spec.points[:, 0]) / 0.5) ** 2) @ spec.weights
+        assert np.max(np.abs(field.values - mixture / (0.5 * math.sqrt(2.0 * math.pi)))) <= 1e-10
