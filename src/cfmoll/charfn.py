@@ -92,15 +92,22 @@ def convolve(a: CharFn, b: CharFn) -> CharFn:
     return CharFn(a.d, ev, flag, "convolution")
 
 
+def positive_sigma(sigma) -> float:
+    """``sigma`` as a float, or ValidationError unless it is a positive,
+    finite smoothing scale."""
+    sigma = float(sigma)
+    if not (sigma > 0 and np.isfinite(sigma)):
+        raise ValidationError(f"sigma must be positive, got {sigma!r}")
+    return sigma
+
+
 def gaussian_mollify_cf(cf: CharFn, sigma: float) -> CharFn:
     """CF of the law smoothed by an independent N_d(0, sigma^2 I):
     t -> chi(t) exp(-sigma^2 <t,t> / 2).
 
     The Gaussian factor dominates, so the result is always integrable.
     """
-    sigma = float(sigma)
-    if not (sigma > 0 and np.isfinite(sigma)):
-        raise ValidationError(f"sigma must be positive, got {sigma!r}")
+    sigma = positive_sigma(sigma)
     half_var = 0.5 * sigma * sigma
 
     def ev(pts: np.ndarray) -> np.ndarray:

@@ -124,15 +124,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _params_from(cfg: dict, d: int, sigma: float = 0.0) -> MollificationParams:
-    overrides: dict = {"sigma": sigma}
+def _params_from(cfg: dict) -> MollificationParams:
+    overrides: dict = {}
     if cfg.get("tail_tol") is not None:
         overrides["tail_tol"] = float(cfg["tail_tol"])
     if cfg.get("negativity_tol") is not None:
         overrides["negativity_tol"] = float(cfg["negativity_tol"])
     if cfg.get("nodes") is not None:
         overrides["nodes_per_axis"] = int(cfg["nodes"])
-    return MollificationParams.for_dimension(d, **overrides)
+    return MollificationParams(**overrides)
 
 
 def _require(cfg: dict, key: str, command: str):
@@ -164,7 +164,7 @@ def _threads(cfg: dict) -> int:
 def _cmd_invert(cfg: dict) -> int:
     cf = make_cf(_load_single_spec(cfg, "invert"))
     grid = Grid.parse(_require(cfg, "grid", "invert"))
-    params = _params_from(cfg, grid.d)
+    params = _params_from(cfg)
     field = invert_density_grid(
         cf,
         grid,
@@ -182,7 +182,7 @@ def _cmd_mollify(cfg: dict) -> int:
     cf = make_cf(_load_single_spec(cfg, "mollify"))
     grid = Grid.parse(_require(cfg, "grid", "mollify"))
     sigma = float(_require(cfg, "sigma", "mollify"))
-    params = _params_from(cfg, grid.d, sigma=sigma)
+    params = _params_from(cfg)
     field = mollified_density_grid(cf, sigma, grid, params, workers=_threads(cfg))
     out = Path(cfg.get("out") or "mollified_density.csv")
     write_density_csv(field, out, params)
@@ -212,7 +212,7 @@ def _cmd_converge(cfg: dict) -> int:
         ks,
         grid,
         epsilon,
-        params=_params_from(cfg, grid.d),
+        params=_params_from(cfg),
         workers=_threads(cfg),
     )
     out = Path(cfg.get("out") or "convergence_report.json")
@@ -235,7 +235,7 @@ def _cmd_clt_demo(cfg: dict) -> int:
         [2],
         grid,
         float(_default(cfg, "epsilon", 0.1)),
-        params=_params_from(cfg, grid.d),
+        params=_params_from(cfg),
         seq_labels=ns,
         workers=_threads(cfg),
     )

@@ -2,14 +2,16 @@
 
 A Grid is a tensor product of uniform 1-d lattices including both
 endpoints.  A DensityField holds real density samples over a grid in
-row-major axis order together with a normalization claim.  Riemann sums
-use the plain cell-volume rule: sum(values) * prod(h_j).
+row-major axis order together with a normalization claim and the
+smoothing scale it was computed at.  Riemann sums use the plain
+cell-volume rule: sum(values) * prod(h_j).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -99,11 +101,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class DensityField:
-    """Real density samples over a grid, row-major, plus a normalization claim."""
+    """Real density samples over a grid, row-major, plus a normalization
+    claim.  ``sigma`` is the smoothing scale the values were computed at:
+    the scale for a smoothed density, 0.0 for an inverted one, None when
+    unknown (a field built by hand)."""
 
     grid: Grid
     values: np.ndarray
     normalized: bool
+    sigma: float | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).reshape(-1)
@@ -133,32 +139,29 @@ class DensityField:
 
 @dataclass(frozen=True)
 class MollificationParams:
-    """Numeric configuration for the density quadratures.
+    """Numeric configuration for the density quadratures; the smoothing
+    scale is the call's own argument.
 
-    sigma is the smoothing scale (0 means direct inversion only).  When
-    ``truncation_radius`` is None the integration box and the effective
-    node count are chosen automatically from the tail tolerance; an
-    explicit radius disables all auto-scaling and uses ``nodes_per_axis``
-    verbatim.
+    When ``truncation_radius`` is None the integration box and the
+    effective node count are chosen automatically from the tail tolerance;
+    an explicit radius disables all auto-scaling and uses the node count
+    verbatim.  ``nodes_per_axis`` None means the dimension's default (see
+    ``nodes``).
     """
 
-    sigma: float = 0.0
     truncation_radius: float | None = None
-    nodes_per_axis: int = 512
+    nodes_per_axis: int | None = None
     tail_tol: float = DEFAULT_TAIL_TOL
     negativity_tol: float = DEFAULT_NEGATIVITY_TOL
-    allow_high_dim: bool = False
 
     def __post_init__(self):
-        if not (self.sigma >= 0 and np.isfinite(self.sigma)):
-            raise ValidationError(f"sigma must be >= 0, got {self.sigma!r}")
-        if self.truncation_radius is not None and not (self.truncation_radius > 0):
+        if self.truncation_radius is not None and not (0 < self.truncation_radius < math.inf):
             raise ValidationError(
-                f"truncation radius must be positive, got {self.truncation_radius!r}"
+                f"truncation radius must be positive and finite, got {self.truncation_radius!r}"
             )
-        if self.nodes_per_axis < 16:
+        if self.nodes_per_axis is not None and self.nodes_per_axis < 16:
             raise ValidationError(f"nodes_per_axis must be >= 16, got {self.nodes_per_axis}")
-        if self.nodes_per_axis % 2 != 0:
+        if self.nodes_per_axis is not None and self.nodes_per_axis % 2 != 0:
             raise ValidationError(
                 f"nodes_per_axis must be even, got {self.nodes_per_axis}"
             )
@@ -169,15 +172,16 @@ class MollificationParams:
                 f"negativity_tol must be positive, got {self.negativity_tol!r}"
             )
 
-    @classmethod
-    def for_dimension(cls, d: int, **overrides) -> "MollificationParams":
-        """Defaults sized to the tensor cost: 512 nodes/axis up to d=2, 64 for d=3."""
-        nodes = 512 if d <= 2 else 64
-        overrides.setdefault("nodes_per_axis", nodes)
-        return cls(**overrides)
+    def nodes(self, d: int) -> int:
+        """Nodes per axis in dimension d: ``nodes_per_axis``, or by default
+        512 up to d = 2 and 64 from d = 3 (the tensor cost grows as m^d)."""
+        if self.nodes_per_axis is not None:
+            return self.nodes_per_axis
+        return 512 if d <= 2 else 64
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def to_dict(self, d: int) -> dict:
+        """The fields, with the node count used in dimension d."""
+        return {**asdict(self), "nodes_per_axis": self.nodes(d)}
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +194,8 @@ def write_density_csv(
     params: MollificationParams | None = None,
 ) -> Path:
     """Write "z1,...,zd,density" rows (17 significant digits, row-major)
-    and a sidecar <stem>.meta.json with grid, params, and the
-    normalization residual.  Returns the sidecar path."""
+    and a sidecar <stem>.meta.json with grid, params, the field's sigma
+    and the normalization residual.  Returns the sidecar path."""
     csv_path = Path(csv_path)
     grid = field.grid
     header = ",".join(f"z{j + 1}" for j in range(grid.d)) + ",density"
@@ -206,7 +210,8 @@ def write_density_csv(
         "grid": field.grid.to_dict(),
         "normalized": field.normalized,
         "normalization_residual": field.riemann_sum - 1.0,
-        "params": params.to_dict() if params is not None else None,
+        "params": params.to_dict(grid.d) if params is not None else None,
+        "sigma": field.sigma,
     }
     sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return sidecar
@@ -215,8 +220,9 @@ def write_density_csv(
 def read_density_csv(csv_path: str | Path) -> DensityField:
     """Re-ingest a density CSV written by ``write_density_csv``.
 
-    The grid is reconstructed from the sidecar; lattice coordinates in the
-    CSV are cross-checked against it.
+    The grid and sigma are reconstructed from the sidecar (a sidecar
+    without sigma reads as None); lattice coordinates in the CSV are
+    cross-checked against the grid.
     """
     csv_path = Path(csv_path)
     sidecar = csv_path.with_suffix(".meta.json")
@@ -232,4 +238,6 @@ def read_density_csv(csv_path: str | Path) -> DensityField:
         )
     if not np.allclose(raw[:, : grid.d], grid.points(), rtol=0, atol=1e-12):
         raise ValidationError("CSV lattice coordinates disagree with sidecar grid")
-    return DensityField(grid=grid, values=raw[:, -1], normalized=bool(meta["normalized"]))
+    return DensityField(
+        grid=grid, values=raw[:, -1], normalized=bool(meta["normalized"]), sigma=meta.get("sigma")
+    )

@@ -74,19 +74,17 @@ from typing import Iterator
 
 import numpy as np
 
-from .charfn import CharFn
+from .charfn import CharFn, positive_sigma
 from .errors import NumericFailure, ValidationError
 from .grids import DensityField, Grid, MollificationParams, NORMALIZATION_WINDOW
 
 # Alias period floor for automatic node selection (see module docstring).
 ALIAS_PERIOD = 64.0
-# Hard cap on total lattice nodes; beyond this the tensor quadrature is
-# hopeless and the caller must reconfigure.
+# Hard cap on total lattice nodes, the one size guard: beyond this the
+# tensor quadrature is hopeless and the caller must reconfigure.
 NODE_BUDGET = 1 << 24
 # A density value may exceed the |chi| L1 certificate by at most this.
 BOUND_SLACK = 1e-6
-# Default dimension cap; tensor cost grows as m^d.
-MAX_DIM = 3
 
 _SCAN_PROBES = 33
 _SCAN_MAX_RADIUS = 2.0**26
@@ -115,11 +113,9 @@ def truncation_radius(sigma: float, tail_tol: float, d: int) -> float:
     A tail_tol whose per-axis tail underflows double precision raises
     ValidationError.
     """
-    sigma = float(sigma)
+    sigma = positive_sigma(sigma)
     tail_tol = float(tail_tol)
     d = int(d)
-    if not (sigma > 0 and np.isfinite(sigma)):
-        raise ValidationError(f"sigma must be positive, got {sigma!r}")
     if not (tail_tol > 0):
         raise ValidationError(f"tail_tol must be positive, got {tail_tol!r}")
     if d < 1:
@@ -183,22 +179,17 @@ def _axis_rule(radius: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _budget_check(plan_shape: tuple[int, ...]) -> None:
-    total = float(np.prod([float(m) for m in plan_shape]))
+    total = math.prod(plan_shape)
     if total > NODE_BUDGET:
         raise NumericFailure(
             f"quadrature lattice {plan_shape} needs {total:.3g} nodes, over the "
-            f"budget of {NODE_BUDGET}; the CF decays too slowly for this "
-            "dimension (supply an explicit truncation_radius or loosen tail_tol)"
+            f"budget of {NODE_BUDGET} (the cost grows as m^d); lower the dimension "
+            "or nodes_per_axis, supply an explicit truncation_radius or loosen tail_tol"
         )
 
 
-def _build_plan(radii: list[float], params: MollificationParams, auto: bool) -> QuadPlan:
-    ms = []
-    for r in radii:
-        m = params.nodes_per_axis
-        if auto:
-            m = max(m, _alias_nodes(r))
-        ms.append(m)
+def _build_plan(radii: list[float], m: int, auto: bool) -> QuadPlan:
+    ms = [max(m, _alias_nodes(r)) if auto else m for r in radii]
     _budget_check(tuple(ms))
     rules = [_axis_rule(r, m) for r, m in zip(radii, ms)]
     return QuadPlan(
@@ -247,14 +238,18 @@ def _decay_radii(cf: CharFn, tail_tol: float) -> list[float]:
 def _plan(cf: CharFn, sigma: float, params: MollificationParams) -> QuadPlan:
     """The lattice for scale sigma.  An explicit radius is used as given;
     otherwise sigma > 0 takes the erfc radius of the Gaussian damping and
-    sigma = 0 (inversion) the decay scan of |chi|."""
+    sigma = 0 (inversion) the decay scan of |chi|.  No axis gets fewer
+    than ``params.nodes(d)`` nodes, so a lattice of that many per axis
+    that is over the node budget fails before chi is called."""
+    m = params.nodes(cf.d)
+    _budget_check((m,) * cf.d)
     if params.truncation_radius is not None:
-        return _build_plan([params.truncation_radius] * cf.d, params, auto=False)
+        return _build_plan([params.truncation_radius] * cf.d, m, auto=False)
     if sigma > 0.0:
         radii = [truncation_radius(sigma, params.tail_tol, cf.d)] * cf.d
     else:
         radii = _decay_radii(cf, params.tail_tol)
-    return _build_plan(radii, params, auto=True)
+    return _build_plan(radii, m, auto=True)
 
 
 # ---------------------------------------------------------------------------
@@ -527,20 +522,6 @@ def _scaled_transform(
     return np.ascontiguousarray(raw.real), absmass
 
 
-def _setup(
-    cf: CharFn, sigma: float, params: MollificationParams | None
-) -> tuple[MollificationParams, QuadPlan]:
-    """Default params for the dimension, the dimension cap, and the plan."""
-    if params is None:
-        params = MollificationParams.for_dimension(cf.d, sigma=sigma)
-    if cf.d > MAX_DIM and not params.allow_high_dim:
-        raise ValidationError(
-            f"dimension {cf.d} exceeds the default cap {MAX_DIM}; "
-            "set allow_high_dim=True to override (cost grows as m^d)"
-        )
-    return params, _plan(cf, sigma, params)
-
-
 def _density(
     cf: CharFn,
     sigma: float,
@@ -556,7 +537,8 @@ def _density(
         )
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
-    params, plan = _setup(cf, sigma, params)
+    params = params or MollificationParams()
+    plan = _plan(cf, sigma, params)
     vals, bound = _scaled_transform(cf, plan, sigma, params.tail_tol, z_axes, workers)
     return _certify(vals.reshape(-1), bound, params.negativity_tol)
 
@@ -577,9 +559,7 @@ def mollified_density_at(
     clamped to zero, and larger negativity or a value above the |chi| L1
     certificate raises NumericFailure.
     """
-    sigma = float(sigma)
-    if not (sigma > 0 and np.isfinite(sigma)):
-        raise ValidationError(f"sigma must be positive, got {sigma!r}")
+    sigma = positive_sigma(sigma)
     # one-point axes: the lattice path evaluates a single point
     point = np.atleast_1d(np.asarray(z, dtype=float))
     return float(_density(cf, sigma, list(point[:, None]), params, 1).item())
@@ -602,9 +582,7 @@ def mollified_density_grid(
     (at least 1) caps the threads, which may call ``cf.batch_eval``
     concurrently; the values do not depend on it.
     """
-    sigma = float(sigma)
-    if not (sigma > 0 and np.isfinite(sigma)):
-        raise ValidationError(f"sigma must be positive, got {sigma!r}")
+    sigma = positive_sigma(sigma)
     vals = _density(cf, sigma, [grid.axis_points(j) for j in range(grid.d)], params, workers)
     total = float(np.sum(vals) * grid.cell_volume)
     if abs(total - 1.0) > NORMALIZATION_WINDOW:
@@ -612,7 +590,7 @@ def mollified_density_grid(
             f"grid Riemann sum {total:.6g} outside 1 +- {NORMALIZATION_WINDOW:g}; "
             "enlarge the grid window, the truncation radius, or nodes_per_axis"
         )
-    return DensityField(grid=grid, values=vals, normalized=True)
+    return DensityField(grid=grid, values=vals, normalized=True, sigma=sigma)
 
 
 def _require_integrable(cf: CharFn, allow_unknown: bool) -> None:
@@ -666,7 +644,7 @@ def invert_density_grid(
     vals = _density(cf, 0.0, [grid.axis_points(j) for j in range(grid.d)], params, workers)
     total = float(np.sum(vals) * grid.cell_volume)
     return DensityField(
-        grid=grid, values=vals, normalized=abs(total - 1.0) <= NORMALIZATION_WINDOW
+        grid=grid, values=vals, normalized=abs(total - 1.0) <= NORMALIZATION_WINDOW, sigma=0.0
     )
 
 
@@ -681,6 +659,6 @@ def cf_l1_bound(
     as a sup certificate for ``invert_density_at`` outputs.
     """
     _require_integrable(cf, allow_unknown_integrability)
-    _, plan = _setup(cf, 0.0, params)
+    plan = _plan(cf, 0.0, params or MollificationParams())
     masses = [_weighted_slab(cf, plan, 0.0, lo, hi)[1] for lo, hi in _slabs(plan.shape)]
     return (2.0 * math.pi) ** (-cf.d) * sum(masses)

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .charfn import CharFn
+from .charfn import CharFn, positive_sigma
 from .errors import ValidationError
 from .grids import DensityField, Grid, NORMALIZATION_WINDOW
 from . import specs as sp
@@ -184,9 +184,7 @@ def mollified_histogram(
     This is the sampling counterpart of the smoothed-density quadrature;
     the caller must pick a grid covering the essential support.
     """
-    sigma = float(sigma)
-    if not (sigma > 0 and np.isfinite(sigma)):
-        raise ValidationError(f"sigma must be positive, got {sigma!r}")
+    sigma = positive_sigma(sigma)
     if grid.d != spec.dim:
         raise ValidationError(f"grid dimension {grid.d} != spec dimension {spec.dim}")
     n, seed = sp.whole_number(n, "sample size", 1), sp.whole_number(seed, "seed", 0)
@@ -199,7 +197,8 @@ def mollified_histogram(
     values = _bin_counts(pts, grid) / (n * grid.cell_volume)
     total = float(np.sum(values) * grid.cell_volume)
     return DensityField(
-        grid=grid, values=values, normalized=abs(total - 1.0) <= NORMALIZATION_WINDOW
+        grid=grid, values=values, normalized=abs(total - 1.0) <= NORMALIZATION_WINDOW,
+        sigma=sigma,
     )
 
 

@@ -39,6 +39,7 @@ def test_invert_laplace_density(tmp_path, spec_files):
     # partial window: must not claim normalization
     meta = json.loads(out.with_suffix(".meta.json").read_text())
     assert meta["normalized"] is False
+    assert meta["sigma"] == 0.0 and field.sigma == 0.0
 
 
 def test_byte_identical_outputs(tmp_path, spec_files):
@@ -74,6 +75,32 @@ def test_mollify_small_window_exits_3(spec_files, capsys):
                "--grid", "-1:1:64"])
     assert rc == EXIT_NUMERIC
     assert "Riemann" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_high_dimension_exits_3_on_the_node_budget(tmp_path, d, capsys):
+    # no dimension cap: d >= 4 at the default nodes fails the node budget
+    spec = tmp_path / "g.json"
+    cm.save_spec(cm.Gaussian(mean=[0.0] * d, cov=np.eye(d).tolist()), spec)
+    grid = ",".join(["-2:2:3"] * d)
+    for argv in (["mollify", "--sigma", "1.0"], ["invert"]):
+        rc = main(argv + ["--spec", str(spec), "--grid", grid, "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_NUMERIC
+        assert "budget" in capsys.readouterr().err
+
+
+def test_sidecar_records_sigma_and_default_nodes(tmp_path):
+    # the node count in the sidecar is the one the plan used: 64 in 3-d
+    spec = tmp_path / "g.json"
+    cm.save_spec(cm.Gaussian(mean=[0.0] * 3, cov=np.eye(3).tolist()), spec)
+    out = tmp_path / "g.csv"
+    rc = main(["mollify", "--spec", str(spec), "--sigma", "1.0", "--grid", "-7:7:8,-7:7:8,-7:7:8",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    meta = json.loads(out.with_suffix(".meta.json").read_text())
+    assert (meta["sigma"], meta["params"]["nodes_per_axis"]) == (1.0, 64)
+    assert sorted(meta["params"]) == ["negativity_tol", "nodes_per_axis", "tail_tol",
+                                      "truncation_radius"]
 
 
 def test_invert_point_mass_exits_2(spec_files, capsys):
@@ -151,7 +178,7 @@ def test_config_file_with_flag_precedence(tmp_path, spec_files):
     rc = main(["mollify", "--config", str(cfg), "--sigma", "1.0"])
     assert rc == EXIT_OK
     meta = json.loads((tmp_path / "from_config.meta.json").read_text())
-    assert meta["params"]["sigma"] == 1.0
+    assert meta["sigma"] == 1.0
 
 
 def test_config_rejects_unknown_keys(tmp_path, spec_files, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -60,12 +62,39 @@ def test_density_csv_round_trip(tmp_path):
     raw = rng.uniform(0.1, 1.0, g.size)
     field = cm.DensityField(g, raw / (raw.sum() * g.cell_volume), True)
     path = tmp_path / "field.csv"
-    sidecar = cm.write_density_csv(field, path, MollificationParams(sigma=0.5))
+    sidecar = cm.write_density_csv(field, path, MollificationParams())
     again = cm.read_density_csv(path)
     assert again.grid == g
     assert np.array_equal(again.values, field.values)  # 17 digits survive exactly
     assert again.normalized
     assert sidecar.name == "field.meta.json"
+
+
+def test_density_csv_sigma_round_trip(tmp_path):
+    # the sidecar records the scale the field was computed at, and the
+    # node count the plan used when params left it to the default
+    spec = cm.Gaussian(mean=[0.0], cov=[[1.0]])
+    cf = cm.make_cf(spec)
+    grid = Grid(axes=((-8.0, 8.0, 65),))
+    fields = {
+        "smoothed": (cm.mollified_density_grid(cf, 0.5, grid), 0.5),
+        "inverted": (cm.invert_density_grid(cf, grid), 0.0),
+        "histogram": (cm.mollified_histogram(spec, 0.7, grid, 1000, 3), 0.7),
+        "by_hand": (cm.DensityField(grid, np.ones(65) / 16.0, False), None),
+    }
+    for name, (field, sigma) in fields.items():
+        assert field.sigma == sigma
+        path = tmp_path / f"{name}.csv"
+        sidecar = cm.write_density_csv(field, path, MollificationParams(tail_tol=1e-10))
+        meta = json.loads(sidecar.read_text())
+        assert meta["sigma"] == sigma
+        assert meta["params"] == {"truncation_radius": None, "nodes_per_axis": 512,
+                                  "tail_tol": 1e-10, "negativity_tol": 1e-6}
+        assert cm.read_density_csv(path).sigma == sigma
+    # a sidecar written before sigma was recorded reads as unknown
+    meta.pop("sigma")
+    sidecar.write_text(json.dumps(meta))
+    assert cm.read_density_csv(path).sigma is None
 
 
 # values whose .17g text is easy to get wrong: zero, a subnormal, 0.1, 1/3

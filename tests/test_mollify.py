@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -420,19 +421,58 @@ class TestParamsAndPolicies:
             MollificationParams(truncation_radius=-1.0)
         with pytest.raises(ValidationError):
             MollificationParams(tail_tol=0.0)
-        with pytest.raises(ValidationError):
-            MollificationParams(sigma=-0.5)
+        for radius in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match="finite"):
+                MollificationParams(truncation_radius=radius)
 
-    def test_for_dimension_defaults(self):
-        assert MollificationParams.for_dimension(1).nodes_per_axis == 512
-        assert MollificationParams.for_dimension(2).nodes_per_axis == 512
-        assert MollificationParams.for_dimension(3).nodes_per_axis == 64
+    def test_default_nodes_per_dimension(self):
+        # one default: 512 up to d = 2, 64 from d = 3, for params=None and
+        # for params that leave nodes_per_axis unset alike
+        params = MollificationParams()
+        assert [params.nodes(d) for d in (1, 2, 3, 5)] == [512, 512, 64, 64]
+        assert MollificationParams(nodes_per_axis=128).nodes(3) == 128
+        assert len(dataclasses.fields(MollificationParams)) == 4
 
-    def test_dimension_cap(self):
-        spec = cm.Product(factors=tuple(cm.Laplace1D(scale=1.0) for _ in range(4)))
-        cf = make_cf(spec)
-        with pytest.raises(ValidationError, match="cap"):
-            mollified_density_at(cf, 1.0, [0.0, 0.0, 0.0, 0.0])
+    def test_3d_params_without_nodes_match_the_default(self):
+        # MollificationParams(tail_tol=1e-8) took 512 nodes per axis in 3-d
+        # and failed the node budget; it now takes the default, 64
+        cf = _gauss_cf(3)
+        grid = cm.Grid(axes=((-7.0, 7.0, 15),) * 3)
+        runs = [
+            (mollified_density_at(cf, 1.0, [0.0] * 3, params),
+             mollified_density_grid(cf, 1.0, grid, params).values.tobytes())
+            for params in (MollificationParams(tail_tol=1e-8), None)
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == pytest.approx((4.0 * math.pi) ** -1.5, abs=1e-10)
+
+    def test_four_dimensions_with_explicit_nodes(self):
+        # no dimension cap: 24^4 nodes are well inside the node budget
+        params = MollificationParams(truncation_radius=6.0, nodes_per_axis=24)
+        v = mollified_density_at(_gauss_cf(4), 1.0, [0.0] * 4, params)
+        assert v == pytest.approx((2.0 * math.pi * 2.0) ** -2, abs=1e-10)
+
+    @pytest.mark.parametrize("d, call", [
+        (5, lambda cf: mollified_density_at(cf, 1.0, [0.0] * 5)),
+        (5, lambda cf: mollified_density_grid(cf, 1.0, cm.Grid(axes=((-1.0, 1.0, 2),) * 5))),
+        (5, lambda cf: invert_density_at(cf, [0.0] * 5)),
+        (5, lambda cf: cf_l1_bound(cf)),
+        (20, lambda cf: invert_density_at(cf, [0.0] * 20)),
+        (20, lambda cf: invert_density_grid(cf, cm.Grid(axes=((-1.0, 1.0, 2),) * 20))),
+    ])
+    def test_node_budget_fails_before_chi(self, d, call):
+        # 64^d default nodes are over the budget: the failure comes before
+        # the decay scan (2^19 directions at d = 20) calls chi at all
+        calls = []
+        gauss = _gauss_cf(d)
+
+        def counting(pts):
+            calls.append(len(pts))
+            return gauss.batch_eval(pts)
+
+        with pytest.raises(NumericFailure, match="budget"):
+            call(CharFn(d, counting, "yes", "counting"))
+        assert calls == []
 
     def test_negativity_policy(self):
         vals = np.array([0.5, -1e-8, 1e-3])
@@ -464,10 +504,10 @@ def _gauss_cf(d):
     return make_cf(cm.Gaussian(mean=[0.0] * d, cov=np.eye(d).tolist()))
 
 
-_G1, _G2, _G4 = _gauss_cf(1), _gauss_cf(2), _gauss_cf(4)
+_G1, _G2, _G5 = _gauss_cf(1), _gauss_cf(2), _gauss_cf(5)
 _GRID1 = cm.Grid(axes=((-4.0, 4.0, 33),))
 _GRID2 = cm.Grid(axes=((-4.0, 4.0, 9),) * 2)
-_GRID4 = cm.Grid(axes=((-1.0, 1.0, 2),) * 4)
+_GRID5 = cm.Grid(axes=((-1.0, 1.0, 2),) * 5)
 
 # (case, call, message) for the checks all five public functions share
 _PRECONDITIONS = [
@@ -494,11 +534,12 @@ _PRECONDITIONS = [
          functools.partial(invert_density_grid, _G1, _GRID1, workers=w), "workers")
         for w in (0, -1)
     ],
-    ("mollified_at-cap", lambda: mollified_density_at(_G4, 0.5, [0.0] * 4), "cap"),
-    ("mollified_grid-cap", lambda: mollified_density_grid(_G4, 0.5, _GRID4), "cap"),
-    ("inverted_at-cap", lambda: invert_density_at(_G4, [0.0] * 4), "cap"),
-    ("inverted_grid-cap", lambda: invert_density_grid(_G4, _GRID4), "cap"),
-    ("l1_bound-cap", lambda: cf_l1_bound(_G4), "cap"),
+    # the one size cap is the node budget: 64^5 default nodes are over it
+    ("mollified_at-cap", lambda: mollified_density_at(_G5, 0.5, [0.0] * 5), "budget"),
+    ("mollified_grid-cap", lambda: mollified_density_grid(_G5, 0.5, _GRID5), "budget"),
+    ("inverted_at-cap", lambda: invert_density_at(_G5, [0.0] * 5), "budget"),
+    ("inverted_grid-cap", lambda: invert_density_grid(_G5, _GRID5), "budget"),
+    ("l1_bound-cap", lambda: cf_l1_bound(_G5), "budget"),
     *[
         (f"mollified_at-sigma{s}", functools.partial(mollified_density_at, _G1, s, [0.0]), "sigma")
         for s in (0.0, -1.0, math.nan, math.inf)
@@ -515,7 +556,7 @@ _PRECONDITIONS = [
     "call, message", [c[1:] for c in _PRECONDITIONS], ids=[c[0] for c in _PRECONDITIONS]
 )
 def test_shared_density_preconditions(call, message):
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(NumericFailure if message == "budget" else ValidationError, match=message):
         call()
 
 
@@ -676,7 +717,7 @@ def _small_3d_case():
         mean=[0.0, 0.3, -0.2],
         cov=[[1.0, 0.5, 0.2], [0.5, 1.0, -0.3], [0.2, -0.3, 0.8]],
     )
-    params = MollificationParams(sigma=1.0, truncation_radius=6.0, nodes_per_axis=48)
+    params = MollificationParams(truncation_radius=6.0, nodes_per_axis=48)
     grid = cm.Grid(axes=((-6.0, 6.0, 13), (-6.0, 6.5, 14), (-6.5, 6.0, 15)))
     return make_cf(spec), params, grid
 
@@ -710,7 +751,7 @@ class TestSlabs:
     def test_slabs_match_one_slab(self, case, monkeypatch):
         if case == "2d":
             cf, sigma = _empirical_2d(10), 0.5
-            params = MollificationParams.for_dimension(2, sigma=sigma)
+            params = MollificationParams()
             z_axes = [np.linspace(-5.0, 5.0, 64), np.linspace(-4.0, 5.0, 48)]
         else:
             cf, params, grid = _small_3d_case()
@@ -739,7 +780,7 @@ class TestSlabs:
         # 2000 atoms: a 12-row slab of the 96^2 lattice times the atoms
         # peaked near 70 MB; the atom chunks hold it near 12 MB
         cf = _empirical_2d(2000)
-        params = MollificationParams(sigma=0.5, truncation_radius=11.6, nodes_per_axis=96)
+        params = MollificationParams(truncation_radius=11.6, nodes_per_axis=96)
         grid = cm.Grid(axes=((-5.0, 5.0, 64),) * 2)
         peak = traced_peak_mb(lambda: mollified_density_grid(cf, 0.5, grid, params, workers=1))
         assert peak < 32.0
@@ -764,7 +805,7 @@ class TestSlabs:
         # filled in blocks, two slabs and their contractions take about 16
         cf = make_cf(cm.Gaussian(mean=[0.0] * 3, cov=np.eye(3).tolist()))
         grid = cm.Grid(axes=((-6.0, 6.0, 48),) * 3)
-        assert mo._plan(cf, 0.5, MollificationParams.for_dimension(3)).shape == (238,) * 3
+        assert mo._plan(cf, 0.5, MollificationParams()).shape == (238,) * 3
         peak = traced_peak_mb(lambda: mollified_density_grid(cf, 0.5, grid, workers=2))
         assert peak < 24.0
 
@@ -781,7 +822,7 @@ class TestSlabs:
 
         monkeypatch.setattr(mo, "_scaled_transform", recording)
         invert_density_grid(cf, cm.Grid(axes=((-5.0, 5.0, 32), (-5.0, 5.0, 32))), workers=2)
-        plan = mo._plan(cf, 0.0, MollificationParams.for_dimension(2))
+        plan = mo._plan(cf, 0.0, MollificationParams())
         assert len(mo._slabs(plan.shape)) > 1
         assert bounds == [cf_l1_bound(cf)]
 
@@ -839,7 +880,7 @@ class TestBlockedEvaluation:
         # grid and pointwise (one-point z axes) results in small blocks and
         # in one block per slab
         cf = self.CFS[d]
-        params = MollificationParams(sigma=0.8, truncation_radius=6.0, nodes_per_axis=48)
+        params = MollificationParams(truncation_radius=6.0, nodes_per_axis=48)
         grid = cm.Grid(axes=((-8.0, 8.5, 17),) * d)
         point = np.linspace(-0.4, 0.6, d)
 
