@@ -73,7 +73,8 @@ _OPTIONS = {
     "tail_tol": (_is_real, "a number", "truncation tail tolerance", {"type": float}),
     "negativity_tol": (_is_real, "a number", "allowed negative quadrature ripple",
                        {"type": float}),
-    "nodes": (_is_int, "an integer", "quadrature nodes per axis (even, >= 16)", {"type": int}),
+    "nodes": (_is_int, "an integer", "quadrature nodes per axis (even, >= 16; default 512 "
+              "up to 2-d, 64 from 3-d)", {"type": int}),
     "allow_unknown_integrability": (
         lambda val: isinstance(val, bool), "true or false",
         "invert even when integrability is not known", {"action": "store_true", "default": None},

@@ -208,13 +208,11 @@ def convergence_certificate(
             raise ValidationError("seq_labels must match the sequence length")
 
     sup_errors = [cf_sup_error(cf, target) for cf in seq]
-    target_fields = [
-        mollified_density_grid(target, s, grid, params, workers=workers) for s in sigmas
-    ]
+    target_fields = [mollified_density_grid(target, s, grid, params, workers) for s in sigmas]
     l1 = np.zeros((len(seq), len(ks)))
     for i, cf in enumerate(seq):
         for j, s in enumerate(sigmas):
-            fld = mollified_density_grid(cf, s, grid, params, workers=workers)
+            fld = mollified_density_grid(cf, s, grid, params, workers)
             l1[i, j] = l1_distance(fld, target_fields[j])
     remainders = [gaussian_tail_prob(k, epsilon, grid.d) for k in ks]
     monotone = [bool(np.all(np.diff(l1[:, j]) <= 0.0)) for j in range(len(ks))]

@@ -119,6 +119,9 @@ class DensityField:
             )
         if not np.all(np.isfinite(vals)):
             raise ValidationError("density values must be finite")
+        sigma = self.sigma
+        if sigma is not None and not (isinstance(sigma, (int, float)) and 0 <= sigma < math.inf):
+            raise ValidationError(f"sigma must be None or a finite number >= 0, got {sigma!r}")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -159,12 +162,9 @@ class MollificationParams:
             raise ValidationError(
                 f"truncation radius must be positive and finite, got {self.truncation_radius!r}"
             )
-        if self.nodes_per_axis is not None and self.nodes_per_axis < 16:
-            raise ValidationError(f"nodes_per_axis must be >= 16, got {self.nodes_per_axis}")
-        if self.nodes_per_axis is not None and self.nodes_per_axis % 2 != 0:
-            raise ValidationError(
-                f"nodes_per_axis must be even, got {self.nodes_per_axis}"
-            )
+        m = self.nodes_per_axis
+        if m is not None and (m < 16 or m % 2 != 0):
+            raise ValidationError(f"nodes_per_axis must be even and >= 16, got {m}")
         if not (self.tail_tol > 0):
             raise ValidationError(f"tail_tol must be positive, got {self.tail_tol!r}")
         if not (self.negativity_tol > 0):

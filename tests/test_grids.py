@@ -95,6 +95,10 @@ def test_density_csv_sigma_round_trip(tmp_path):
     meta.pop("sigma")
     sidecar.write_text(json.dumps(meta))
     assert cm.read_density_csv(path).sigma is None
+    for bad in ("0.5", -1.0, float("inf"), [0.5]):
+        sidecar.write_text(json.dumps({**meta, "sigma": bad}))
+        with pytest.raises(ValidationError, match="sigma"):
+            cm.read_density_csv(path)
 
 
 # values whose .17g text is easy to get wrong: zero, a subnormal, 0.1, 1/3

@@ -459,7 +459,8 @@ class TestParamsAndPolicies:
         (5, lambda cf: cf_l1_bound(cf)),
         (20, lambda cf: invert_density_at(cf, [0.0] * 20)),
         (20, lambda cf: invert_density_grid(cf, cm.Grid(axes=((-1.0, 1.0, 2),) * 20))),
-    ])
+    ], ids=["mollified_at-5", "mollified_grid-5", "inverted_at-5", "l1_bound-5",
+            "inverted_at-20", "inverted_grid-20"])
     def test_node_budget_fails_before_chi(self, d, call):
         # 64^d default nodes are over the budget: the failure comes before
         # the decay scan (2^19 directions at d = 20) calls chi at all

@@ -234,6 +234,20 @@ class TestAtomSum:
         assert np.all(got[~t.any(axis=1)] == 1.0 + 0.0j)
         assert np.max(np.abs(got)) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("probes", [
+        np.array([[0.01], [0.013], [0.5]]),
+        np.array([[0.01, 0.02], [0.013, -0.4], [0.5, 0.3]]),
+    ], ids=["1-d", "2-d"])
+    def test_trig_sums_match_fsum(self, probes):
+        # one matrix product per atom chunk, a dot product along the atoms;
+        # a running sum over the 1e5 atoms drifted to about 1e-14
+        x = np.random.default_rng(5).standard_normal((100_000, probes.shape[1]))
+        assert sp._recurrence_axis(probes) is None
+        got = sp._trig_sums(x, np.ones(len(x)), probes) / len(x)
+        ref = [complex(math.fsum(np.cos(a).tolist()), math.fsum(np.sin(a).tolist())) / len(x)
+               for a in probes @ x.T]
+        assert np.max(np.abs(got - ref)) <= 2e-15
+
 
 class TestPhaseRecurrence:
     """``atom_sum`` on uniformly spaced 1-d probe axes."""
