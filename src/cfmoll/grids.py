@@ -165,8 +165,8 @@ class MollificationParams:
         m = self.nodes_per_axis
         if m is not None and (m < 16 or m % 2 != 0):
             raise ValidationError(f"nodes_per_axis must be even and >= 16, got {m}")
-        if not (self.tail_tol > 0):
-            raise ValidationError(f"tail_tol must be positive, got {self.tail_tol!r}")
+        if not (0 < self.tail_tol < math.inf):
+            raise ValidationError(f"tail_tol must be positive and finite, got {self.tail_tol!r}")
         if not (self.negativity_tol > 0):
             raise ValidationError(
                 f"negativity_tol must be positive, got {self.negativity_tol!r}"

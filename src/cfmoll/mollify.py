@@ -100,6 +100,15 @@ _MIN_SLABS = 8
 _NORMAL = NormalDist()
 
 
+def _damping_mass(sigma: float, d: int) -> float:
+    """(2 pi)^-d * integral of exp(-sigma^2 ||y||^2 / 2) over R^d, which is
+    (2 pi sigma^2)^(-d/2); inf where sigma^2 underflows."""
+    try:
+        return (2.0 * math.pi * sigma * sigma) ** (-0.5 * d)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def truncation_radius(sigma: float, tail_tol: float, d: int) -> float:
     """Box half-width R with (2 pi)^-d * integral over {||y||_inf > R} of
     exp(-sigma^2 ||y||^2 / 2) dy <= tail_tol.
@@ -120,10 +129,7 @@ def truncation_radius(sigma: float, tail_tol: float, d: int) -> float:
         raise ValidationError(f"tail_tol must be positive, got {tail_tol!r}")
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
-    try:
-        whole = (2.0 * math.pi * sigma * sigma) ** (-0.5 * d)
-    except (OverflowError, ZeroDivisionError):  # sigma^2 underflows
-        whole = math.inf
+    whole = _damping_mass(sigma, d)
     if tail_tol >= whole:
         return 1.0
     # Phi(-sigma R) on each axis
@@ -240,11 +246,26 @@ def _plan(cf: CharFn, sigma: float, params: MollificationParams) -> QuadPlan:
     otherwise sigma > 0 takes the erfc radius of the Gaussian damping and
     sigma = 0 (inversion) the decay scan of |chi|.  No axis gets fewer
     than ``params.nodes(d)`` nodes, so a lattice of that many per axis
-    that is over the node budget fails before chi is called."""
+    that is over the node budget fails before chi is called.
+
+    A ``tail_tol`` that reaches the whole quantity it bounds raises
+    ValidationError, since it would leave no box to choose: the damping
+    integral (2 pi sigma^2)^(-d/2) when sigma > 0, and 1 >= |chi| for the
+    decay scan."""
     m = params.nodes(cf.d)
     _budget_check((m,) * cf.d)
     if params.truncation_radius is not None:
         return _build_plan([params.truncation_radius] * cf.d, m, auto=False)
+    whole, what = (
+        (_damping_mass(sigma, cf.d), "the damping integral (2 pi sigma^2)^(-d/2)")
+        if sigma > 0.0
+        else (1.0, "the bound |chi| <= 1")
+    )
+    if params.tail_tol >= whole:
+        raise ValidationError(
+            f"tail_tol {params.tail_tol!r} is not below {whole:.6g} ({what}), so it "
+            "bounds nothing and leaves no truncation box; lower it"
+        )
     if sigma > 0.0:
         radii = [truncation_radius(sigma, params.tail_tol, cf.d)] * cf.d
     else:
@@ -274,7 +295,10 @@ def _weight_tensor(cf: CharFn, plan: QuadPlan, sigma: float, lo: int, hi: int) -
     chi fills a preallocated slab in blocks of about ``_EVAL_BLOCK`` points.
     A 1-d block is a slice of the nodes.  Otherwise a block is whole rows
     along the last axis, written into one reused point buffer whose last
-    coordinate is set once.
+    coordinate is set once: row after row in C order, every row holding
+    the same last-axis nodes in order and one fixed leading coordinate
+    tuple.  ``specs.atom_sum`` recognises that layout by exact equality
+    and factors an ``Empirical`` law's phases over it.
     """
     nodes = (plan.nodes[0][lo:hi],) + plan.nodes[1:]
     shape = tuple(len(y) for y in nodes)

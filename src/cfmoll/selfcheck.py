@@ -27,9 +27,19 @@ class CheckResult:
     detail: str
 
 
+def _empirical_2d() -> sp.Empirical:
+    """Four atoms in the plane: its lattice blocks take ``atom_sum``'s
+    lattice-row branch."""
+    return sp.Empirical(
+        points=[[-1.0, 0.5], [0.3, -0.8], [1.2, 1.1], [0.0, 0.0]],
+        weights=[0.2, 0.3, 0.4, 0.1],
+    )
+
+
 def _spec_zoo() -> list[sp.DistributionSpec]:
-    """One spec per constructor (two for Gaussian and PointMass: 1-d and
-    2-d), all with unit-scale parameters; the test suite uses the same list."""
+    """One spec per constructor (two for Gaussian, PointMass and Empirical:
+    1-d and 2-d), all with unit-scale parameters; the test suite uses the
+    same list."""
     rademacher = sp.Empirical(points=[[-1.0], [1.0]], weights=[0.5, 0.5])
     return [
         sp.Gaussian(mean=[0.3], cov=[[1.2]]),
@@ -43,6 +53,7 @@ def _spec_zoo() -> list[sp.DistributionSpec]:
         sp.AffineMap(matrix=[[0.5], [1.0]], shift=[1.0, -1.0], inner=sp.Laplace1D(scale=1.0)),
         sp.StandardizedIIDSum(base=rademacher, n=9),
         sp.Product(factors=(sp.Laplace1D(scale=1.0), sp.UniformBox(lo=[-1.0], hi=[1.0]))),
+        _empirical_2d(),
     ]
 
 
@@ -99,6 +110,23 @@ def check_gaussian_closed_form(_: int) -> CheckResult:
     exact = np.exp(-0.5 * z * z / var) / math.sqrt(2.0 * math.pi * var)
     err = float(np.max(np.abs(field.values - exact)))
     return CheckResult("gaussian_closed_form", err <= 1e-6, f"sup error {err:.3g}")
+
+
+def check_empirical_mixture(_: int) -> CheckResult:
+    """A 2-d ``Empirical`` law smoothed at sigma 0.5, on a grid and at one
+    point, against its closed form: the Gaussian mixture
+    sum_j w_j phi_sigma(z - x_j)."""
+    spec, sigma = _empirical_2d(), 0.5
+    cf = make_cf(spec)
+    grid = Grid(axes=((-4.0, 4.0, 33), (-4.0, 4.0, 33)))
+    field = mollified_density_grid(cf, sigma, grid)
+    z = grid.points()
+    sq = ((z[:, None, :] - spec.points[None, :, :]) ** 2).sum(axis=2)
+    exact = np.exp(-0.5 * sq / sigma**2) @ spec.weights / (2.0 * math.pi * sigma**2)
+    err = float(np.max(np.abs(field.values - exact)))
+    point = abs(mollified_density_at(cf, sigma, z[500]) - exact[500])
+    ok = err <= 1e-6 and point <= 1e-6
+    return CheckResult("empirical_mixture", ok, f"sup error {err:.3g}, point error {point:.3g}")
 
 
 def check_inversion_gaussian(_: int) -> CheckResult:
@@ -172,6 +200,7 @@ ALL_CHECKS = [
     check_empirical_cf,
     check_mollify_semigroup,
     check_gaussian_closed_form,
+    check_empirical_mixture,
     check_inversion_gaussian,
     check_cross_formula,
     check_l1_metric,

@@ -101,6 +101,14 @@ def _recurrence_axis(pts: np.ndarray) -> tuple[int, float] | None:
     return first, float(dt)
 
 
+def _cis(arg: np.ndarray) -> np.ndarray:
+    """exp(i arg) from the real cos and sin of ``arg``."""
+    out = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
 def _recurrence_sums(x: np.ndarray, weights: np.ndarray, t: np.ndarray, dt: float) -> np.ndarray:
     """sum_j w_j exp(i t_k x_j) on a uniform axis t by the row split
     k = q K + s, K = min(``_RESEED``, len(t)): fresh cos/sin of t_(qK) x_j
@@ -117,10 +125,7 @@ def _recurrence_sums(x: np.ndarray, weights: np.ndarray, t: np.ndarray, dt: floa
     step = max(1, ATOM_BLOCK // (2 * (q + k)))
     for lo in range(0, len(x), step):
         xs = x[lo : lo + step]
-        arg = scales * xs
-        rows = np.empty(arg.shape, dtype=complex)
-        np.cos(arg, out=rows.real)
-        np.sin(arg, out=rows.imag)
+        rows = _cis(scales * xs)
         outer, power = rows[:q], rows[q]
         inner = np.empty((k, len(xs)), dtype=complex)
         inner[0] = weights[lo : lo + step]
@@ -159,6 +164,45 @@ def _trig_sums(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.nd
     return num
 
 
+def _lattice_row_length(pts: np.ndarray) -> int | None:
+    """The row length L when d >= 2 probes are whole lattice rows, else
+    None: L >= 2 points per row, the leading coordinates constant within a
+    row and the last coordinates the same L values in every row, all by
+    exact equality (the block layout of ``mollify._weight_tensor``).  NaN
+    probes fail."""
+    n, d = pts.shape
+    if d < 2 or n < 2:
+        return None
+    lead = pts[:, :-1]
+    moved = np.flatnonzero((lead != lead[0]).any(axis=1))
+    length = int(moved[0]) if len(moved) else n
+    if length < 2 or n % length:
+        return None
+    rows = pts.reshape(n // length, length, d)
+    if not (rows[:, :, -1] == rows[0, :, -1]).all():
+        return None
+    if not (rows[:, :, :-1] == rows[:, :1, :-1]).all():
+        return None
+    return length
+
+
+def _lattice_sums(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray, length: int) -> np.ndarray:
+    """sum_j w_j exp(i<t, x_j>) on whole lattice rows of ``length`` points
+    (``_lattice_row_length``), as one complex matrix product per atom
+    chunk: [w_j exp(i<t_lead,r, x_j,lead>)] (rows x atoms) times
+    [exp(i t_last,l x_j,last)] (atoms x length).  Chunks keep both factors
+    within ``ATOM_BLOCK`` elements."""
+    lead, last = pts[::length, :-1], pts[:length, -1]
+    out = np.zeros((len(lead), length), dtype=complex)
+    step = max(1, ATOM_BLOCK // max(len(lead), length))
+    for lo in range(0, len(atoms), step):
+        xs = atoms[lo : lo + step]
+        rows = _cis(lead @ xs[:, :-1].T)
+        rows *= weights[lo : lo + step]
+        out += rows @ _cis(np.multiply.outer(xs[:, -1], last))
+    return out.reshape(-1)
+
+
 def atom_sum(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """sum_j w_j exp(i<t, x_j>) / sum_j w_j for each row t of ``pts``, with
     the atoms x_j the rows of ``atoms``.
@@ -167,24 +211,35 @@ def atom_sum(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndar
     takes fresh cos/sin only every ``_RESEED`` probes and gets the probes in
     between by complex multiplies with exp(i dt x_j); on a mirror-symmetric
     axis only the second half is summed and the first is its conjugate.
-    Every other probe set, 2-d probes among them, takes cos and sin of every
-    phase.  The recurrence moves each phase by at most a small multiple of
+    The recurrence moves each phase by at most a small multiple of
     eps |x_j| max|t|, the size of the rounding of x_j t itself.
 
-    Either way the atoms go through in chunks whose phase arrays hold about
+    d >= 2 probes that are whole rows of a tensor lattice
+    (``_lattice_row_length``: one set of last-axis coordinates shared by
+    every row, the leading coordinates constant within a row, as
+    ``mollify._weight_tensor`` lays out its blocks) factor as
+    exp(i<t_lead, x_lead>) exp(i t_last x_last): cos/sin of the rows' and
+    of the row's phases separately, then one complex matrix product per
+    atom chunk (``_lattice_sums``), so the trig work is atoms x
+    (rows + row length) instead of atoms x rows x row length.  Every other
+    probe set takes cos and sin of every phase (``_trig_sums``).
+
+    Every branch takes the atoms in chunks whose phase arrays hold about
     ``ATOM_BLOCK`` elements, so memory does not grow with the atom count.
     The sums are divided by the weight total, and every row at t = 0 is set
     to that ratio's exact value, 1: chi(0) is exactly 1 for any chunking,
     whether or not t = 0 is a fresh cos/sin row.
     """
     axis = _recurrence_axis(pts)
-    if axis is None:
-        num = _trig_sums(atoms, weights, pts)
-    else:
+    if axis is not None:
         first, dt = axis
         num = np.empty(len(pts), dtype=complex)
         num[first:] = _recurrence_sums(atoms[:, 0], weights, pts[first:, 0], dt)
         np.conj(num[::-1][:first], out=num[:first])
+    elif (length := _lattice_row_length(pts)) is not None:
+        num = _lattice_sums(atoms, weights, pts, length)
+    else:
+        num = _trig_sums(atoms, weights, pts)
     total = weights.sum()
     np.divide(num.real, total, out=num.real)
     np.divide(num.imag, total, out=num.imag)
@@ -269,13 +324,21 @@ class Gaussian(DistributionSpec, type="gaussian"):
     def cf(self) -> CharFn:
         """exp(i<a,t> - <t,Ct>/2); integrable when C is positive definite."""
         mean, cov = self.mean, self.cov
+        centred = not mean.any()
 
         def ev(pts: np.ndarray) -> np.ndarray:
             # PSD tolerance can leave slightly negative quadratic forms; clamp
-            # so |chi| <= 1 holds.
+            # so |chi| <= 1 holds.  The modulus is a real exp; a zero mean
+            # has no phase.
             quad = np.einsum("ni,ni->n", pts @ cov, pts)
             np.maximum(quad, 0.0, out=quad)
-            return np.exp(1j * (pts @ mean) - 0.5 * quad)
+            quad *= -0.5
+            modulus = np.exp(quad, out=quad)
+            if centred:
+                return modulus.astype(complex)
+            vals = _cis(pts @ mean)
+            vals *= modulus
+            return vals
 
         flag = "yes" if self.is_positive_definite() else "unknown"
         return CharFn(self.dim, ev, flag, self.json_type)
@@ -340,7 +403,7 @@ class UniformBox(DistributionSpec, type="uniform_box"):
 
     def cf(self) -> CharFn:
         """Product over axes of exp(i t c_j) sin(t w_j)/(t w_j), with c the
-        box centre and w its half-widths."""
+        box centre and w its half-widths; the phase is skipped where c_j = 0."""
         center = 0.5 * (self.lo + self.hi)
         half = 0.5 * (self.hi - self.lo)
         width = self.hi - self.lo
@@ -353,7 +416,9 @@ class UniformBox(DistributionSpec, type="uniform_box"):
                 small = np.abs(tj * width[j]) < UNIFORM_TAYLOR_SWITCH
                 safe = np.where(small, 1.0, x)
                 ratio = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
-                vals *= ratio * np.exp(1j * tj * center[j])
+                if center[j] != 0.0:
+                    ratio = ratio * np.exp(1j * tj * center[j])
+                vals *= ratio
             return vals
 
         return CharFn(self.dim, ev, "unknown", self.json_type)
@@ -425,9 +490,9 @@ class Empirical(DistributionSpec, type="empirical"):
         return self.points.shape[1]
 
     def cf(self) -> CharFn:
-        """sum_j w_j exp(i<t,x_j>) (``atom_sum``, by its phase recurrence on
-        uniform 1-d blocks such as a 1-d lattice's); atoms, so never
-        integrable."""
+        """sum_j w_j exp(i<t,x_j>) (``atom_sum``: by its phase recurrence on
+        uniform 1-d blocks such as a 1-d lattice's, and factored over the
+        rows of 2-d and 3-d lattice blocks); atoms, so never integrable."""
         points, weights = self.points, self.weights
         return CharFn(self.dim, lambda pts: atom_sum(points, weights, pts), "no", self.json_type)
 
@@ -508,11 +573,13 @@ class AffineMap(DistributionSpec, type="affine_map"):
         return self.matrix.shape[0]
 
     def cf(self) -> CharFn:
-        """chi_inner(A^T t) exp(i<b,t>)."""
+        """chi_inner(A^T t) exp(i<b,t>), with no phase factor when b = 0."""
         inner, matrix, shift = self.inner.cf(), self.matrix, self.shift
+        shifted = shift.any()
 
         def ev(pts: np.ndarray) -> np.ndarray:
-            return inner.batch_eval(pts @ matrix) * np.exp(1j * (pts @ shift))
+            vals = inner.batch_eval(pts @ matrix)
+            return vals * np.exp(1j * (pts @ shift)) if shifted else vals
 
         return CharFn(self.dim, ev, "unknown", self.json_type)
 

@@ -205,3 +205,42 @@ def test_call_shapes(std_gaussian):
     assert cf2(np.zeros((7, 2))).shape == (7,)
     with pytest.raises(ValidationError):
         cf2(np.zeros((7, 3)))
+
+
+@pytest.mark.parametrize("mean", [[0.0, 0.0, 0.0], [0.4, 0.0, -1.3]], ids=["zero-mean", "mean"])
+def test_gaussian_cf_matches_complex_exp(mean):
+    # the real modulus times cos/sin of the phase is the complex exp of
+    # i<a,t> - <t,Ct>/2 up to rounding; a zero mean gives real values
+    cov = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, -0.4], [0.0, -0.4, 0.5]])
+    t = np.random.default_rng(4).uniform(-5.0, 5.0, (4096, 3))
+    got = make_cf(cm.Gaussian(mean=mean, cov=cov)).batch_eval(t)
+    quad = np.einsum("ni,ni->n", t @ cov, t)  # the same quadratic form
+    closed = np.exp(1j * (t @ np.array(mean)) - 0.5 * quad)
+    assert np.max(np.abs(got - closed) / np.abs(closed)) <= 4 * np.finfo(float).eps
+    if not any(mean):
+        assert np.all(got.imag == 0.0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [([-1.0, -0.5], [1.0, 0.5]), ([-1.0, 0.0], [2.0, 0.5]), ([0.5, -2.0], [1.5, 2.0])],
+    ids=["centred", "off-centre", "mixed"],
+)
+def test_uniform_box_cf_matches_complex_exp(lo, hi):
+    lo, hi = np.array(lo), np.array(hi)
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    t = np.random.default_rng(6).uniform(-6.0, 6.0, (2048, 2))
+    got = make_cf(cm.UniformBox(lo=lo, hi=hi)).batch_eval(t)
+    closed = np.prod(np.sin(t * h) / (t * h) * np.exp(1j * t * c), axis=1)
+    assert np.max(np.abs(got - closed)) <= 4 * np.finfo(float).eps
+    assert np.all(got.imag == 0.0) == (not c.any())
+
+
+@pytest.mark.parametrize("shift", [[0.0, 0.0], [1.0, -0.5]], ids=["no-shift", "shift"])
+def test_affine_map_cf_shift(shift):
+    matrix = np.array([[0.5], [1.0]])
+    spec = cm.AffineMap(matrix=matrix, shift=shift, inner=cm.Laplace1D(scale=1.0))
+    t = np.random.default_rng(8).uniform(-4.0, 4.0, (256, 2))
+    got = make_cf(spec).batch_eval(t)
+    closed = np.exp(1j * (t @ np.array(shift))) / (1.0 + (t @ matrix)[:, 0] ** 2)
+    assert np.max(np.abs(got - closed)) <= 4 * np.finfo(float).eps

@@ -383,6 +383,21 @@ def test_subnormal_tail_tol_exits_2(tmp_path, spec_files, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, tol",
+    [("mollify", "inf"), ("mollify", "0.8"), ("invert", "2.0"), ("invert", "1.0")],
+)
+def test_vacuous_tail_tol_exits_2(tmp_path, spec_files, capsys, command, tol):
+    # inf, or a tolerance at or above the whole damping integral (0.798 at
+    # sigma 0.5 in 1-d) or the bound |chi| <= 1, would shrink the box silently
+    out = tmp_path / "m.csv"
+    sigma = ["--sigma", "0.5"] if command == "mollify" else []
+    rc = main([command, "--spec", spec_files["gauss"], *sigma,
+               "--grid", "-8:8:64", "--tail-tol", tol, "--out", str(out)])
+    assert rc == EXIT_VALIDATION and not out.exists()
+    assert "tail_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, key, value",
     [("invert", "seed", 3), ("invert", "sigma", 0.5), ("mollify", "epsilon", 0.1),
      ("selfcheck", "grid", "-8:8:64"), ("clt-demo", "spec", "a.json")],

@@ -157,6 +157,18 @@ class TestMollifiedDensityGrid:
             pw = max(mollified_density_at(cf, 0.7, [z[i]]), 0.0)
             assert abs(field.values[i] - pw) <= 1e-10
 
+    def test_zoo_grids_agree_with_points(self, spec_zoo):
+        # every constructor, 1-d and 2-d, on a grid and at points; the 2-d
+        # Empirical law's lattice blocks take atom_sum's lattice-row branch
+        for spec in spec_zoo:
+            cf = make_cf(spec)
+            grid = cm.Grid(axes=((-9.0, 9.0, 37),) * spec.dim)
+            field = mollified_density_grid(cf, 0.5, grid)
+            pts = grid.points()
+            for i in range(0, grid.size, grid.size // 5):
+                pw = max(mollified_density_at(cf, 0.5, pts[i]), 0.0)
+                assert abs(field.values[i] - pw) <= 1e-10
+
     def test_agrees_with_pointwise_path_2d(self):
         spec = cm.Product(
             factors=(cm.UniformBox(lo=[-1.0], hi=[1.0]), cm.Laplace1D(scale=0.5))
@@ -424,6 +436,43 @@ class TestParamsAndPolicies:
         for radius in (math.inf, math.nan):
             with pytest.raises(ValidationError, match="finite"):
                 MollificationParams(truncation_radius=radius)
+
+    def test_tail_tol_must_be_finite(self):
+        with pytest.raises(ValidationError, match="finite"):
+            MollificationParams(tail_tol=math.inf)
+
+    @pytest.mark.parametrize(
+        "call, tol",
+        [
+            # the decay scan compares tail_tol with |chi| <= 1
+            (lambda cf, p: invert_density_at(cf, [0.0], p), 2.0),
+            (lambda cf, p: invert_density_at(cf, [0.0], p), 1.0),
+            (lambda cf, p: invert_density_grid(cf, cm.Grid(axes=((-6.0, 6.0, 65),)), p), 1.0),
+            (lambda cf, p: cf_l1_bound(cf, p), 1.0),
+            # (2 pi sigma^2)^(-1/2) = 0.797885 at sigma 0.5 in 1-d
+            (lambda cf, p: mollified_density_at(cf, 0.5, [0.0], p), 0.8),
+            (lambda cf, p: mollified_density_grid(cf, 0.5, cm.Grid(axes=((-6.0, 6.0, 65),)), p), 0.8),
+        ],
+        ids=["invert-2", "invert-1", "invert-grid", "l1-bound", "smooth", "smooth-grid"],
+    )
+    def test_vacuous_tail_tol_fails(self, std_gaussian, call, tol):
+        # such a tolerance bounds nothing: the box shrank to radius 1 or 2
+        # and N(0, 1) read 0.38079 at 0 instead of 0.39894
+        with pytest.raises(ValidationError, match="tail_tol"):
+            call(make_cf(std_gaussian), MollificationParams(tail_tol=tol))
+
+    def test_tail_tol_just_below_the_whole_bound_runs(self, std_gaussian):
+        cf = make_cf(std_gaussian)
+        assert invert_density_at(cf, [0.0], MollificationParams(tail_tol=0.999)) > 0.0
+        assert mollified_density_at(cf, 0.5, [0.0], MollificationParams(tail_tol=0.79)) > 0.0
+        # in 2-d the damping integral is 1 / (2 pi sigma^2) = 0.6366 at sigma 0.5
+        cf2 = make_cf(cm.Gaussian(mean=[0.0, 0.0], cov=np.eye(2)))
+        with pytest.raises(ValidationError, match="tail_tol"):
+            mollified_density_at(cf2, 0.5, [0.0, 0.0], MollificationParams(tail_tol=0.64))
+        assert mollified_density_at(cf2, 0.5, [0.0, 0.0], MollificationParams(tail_tol=0.63)) > 0.0
+        # an explicit radius takes no box from tail_tol
+        explicit = MollificationParams(truncation_radius=8.0, nodes_per_axis=128, tail_tol=2.0)
+        assert invert_density_at(cf, [0.0], explicit) == pytest.approx(INV_SQRT_2PI, abs=1e-12)
 
     def test_default_nodes_per_dimension(self):
         # one default: 512 up to d = 2, 64 from d = 3, for params=None and

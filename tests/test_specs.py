@@ -97,7 +97,7 @@ def test_composite_validation(rademacher):
 
 def test_dimensions(spec_zoo):
     dims = [s.dim for s in spec_zoo]
-    assert dims == [1, 2, 1, 2, 1, 1, 1, 1, 2, 1, 2]
+    assert dims == [1, 2, 1, 2, 1, 1, 1, 1, 2, 1, 2, 2]
 
 
 def test_nested_json_stays_json_serializable(spec_zoo):
@@ -342,3 +342,131 @@ class TestPhaseRecurrence:
         z = grid.axis_points(0)[:, None]
         mixture = np.exp(-0.5 * ((z - spec.points[:, 0]) / 0.5) ** 2) @ spec.weights
         assert np.max(np.abs(field.values - mixture / (0.5 * math.sqrt(2.0 * math.pi)))) <= 1e-10
+
+
+def _lattice_block(*axes):
+    """The probes of a lattice block laid out as ``mollify._weight_tensor``
+    lays them out: whole rows along the last axis, rows in C order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+class TestLatticeRows:
+    """``atom_sum`` on d >= 2 probes that are whole lattice rows."""
+
+    @staticmethod
+    def _parent(atoms, w, pts):
+        """The cos/sin branch, as ``atom_sum`` runs it on other probes."""
+        num = sp._trig_sums(atoms, w, pts)
+        total = w.sum()
+        np.divide(num.real, total, out=num.real)
+        np.divide(num.imag, total, out=num.imag)
+        num[~pts.any(axis=1)] = 1.0
+        return num
+
+    @staticmethod
+    def _fsum_mean(atoms, w, pts):
+        arg = pts @ atoms.T
+        return np.array([
+            complex(math.fsum((w * np.cos(a)).tolist()), math.fsum((w * np.sin(a)).tolist()))
+            for a in arg
+        ]) / math.fsum(w)
+
+    BLOCKS = [
+        # 2-d, 5 rows of 7 (row 2 holds t = 0)
+        (_lattice_block(np.linspace(-3.0, 3.0, 5), np.linspace(-2.0, 2.0, 7)), 7),
+        # 3-d, 4 x 3 rows of 6 (no zero)
+        (_lattice_block(np.linspace(-1.5, 2.5, 4), [-0.7, 0.1, 0.9], np.linspace(-4.0, 1.0, 6)), 6),
+        # 3-d with t = 0 in row (1, 1)
+        (_lattice_block([-1.0, 0.0], [0.5, 0.0, -0.5], np.linspace(-1.0, 1.0, 9)), 9),
+        # one row
+        (_lattice_block([0.7], np.linspace(-5.0, 5.0, 33)), 33),
+        (_lattice_block([0.0], [-0.2], np.linspace(-5.0, 5.0, 16)), 16),
+    ]
+
+    @pytest.mark.parametrize("pts, length", BLOCKS, ids=["2-d", "3-d", "3-d-zero", "one-row", "one-row-3-d"])
+    def test_matches_trig_sums_and_fsum(self, monkeypatch, pts, length):
+        assert sp._lattice_row_length(pts) == length
+        atoms, w = TestAtomSum._law(n=500, d=pts.shape[1])
+        ref = self._fsum_mean(atoms, w, pts)
+        zero = ~pts.any(axis=1)
+        for cap in (1, 700, sp.ATOM_BLOCK):  # one atom per chunk up to all of them
+            monkeypatch.setattr(sp, "ATOM_BLOCK", cap)
+            got = sp.atom_sum(atoms, w, pts)
+            assert np.max(np.abs(got - ref)) <= 1e-15
+            assert np.max(np.abs(got - self._parent(atoms, w, pts))) <= 1e-15
+            assert np.all(got[zero] == 1.0 + 0.0j)
+
+    def test_row_holding_zero_is_exactly_one(self):
+        # non-dyadic weights: only the t = 0 rule makes chi(0) exactly 1
+        pts = _lattice_block(np.linspace(-3.0, 3.0, 5), np.linspace(-2.0, 2.0, 7))
+        atoms, w = TestAtomSum._law(n=1000)
+        zero = int(np.flatnonzero(~pts.any(axis=1))[0])
+        assert zero == 17  # row 2, column 3
+        assert sp.atom_sum(atoms, w, pts)[zero] == 1.0 + 0.0j
+
+    @pytest.mark.parametrize(
+        "case",
+        ["shuffled", "ragged", "last-axis-differs", "lead-varies-in-row", "one-per-row", "nan"],
+    )
+    def test_other_blocks_take_cos_sin(self, case):
+        pts = _lattice_block(np.linspace(-3.0, 3.0, 5), np.linspace(-2.0, 2.0, 7))
+        if case == "shuffled":
+            pts = np.random.default_rng(3).permutation(pts)
+        elif case == "ragged":
+            pts = pts[:-3]
+        elif case == "last-axis-differs":
+            pts[9, 1] += 1e-12
+        elif case == "lead-varies-in-row":
+            pts[10, 0] = np.nextafter(pts[10, 0], 5.0)
+        elif case == "one-per-row":
+            pts = _lattice_block(np.linspace(-3.0, 3.0, 5), [0.4])
+        else:
+            pts[0, 0] = np.nan
+        assert sp._lattice_row_length(pts) is None
+        atoms, w = TestAtomSum._law(n=300)
+        got = sp.atom_sum(atoms, w, pts)
+        assert got.tobytes() == self._parent(atoms, w, pts).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 80),
+        shape=st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple),
+        length=st.integers(2, 12),
+        cap=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        zero=st.booleans(),
+    )
+    def test_property_branches_agree(self, n, shape, length, cap, seed, zero):
+        rng = np.random.default_rng(seed)
+        axes = [np.sort(rng.uniform(-4.0, 4.0, m)) for m in shape + (length,)]
+        if zero:  # put t = 0 on the lattice
+            for y in axes:
+                y[0] = 0.0
+        pts = _lattice_block(*axes)
+        assert sp._lattice_row_length(pts) == length
+        atoms = rng.uniform(-3.0, 3.0, (n, pts.shape[1]))
+        w = rng.uniform(0.0, 1.0, n) + 1e-3
+        with mock.patch.object(sp, "ATOM_BLOCK", cap):
+            got = sp.atom_sum(atoms, w, pts)
+        assert np.max(np.abs(got - self._parent(atoms, w, pts))) <= 1e-14
+        assert np.all(got[~pts.any(axis=1)] == 1.0 + 0.0j)
+        assert np.max(np.abs(got)) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lattice_blocks_take_the_branch(self, monkeypatch, d):
+        # every chi block of a 2-d or 3-d Empirical lattice is whole rows
+        spec = cm.Empirical(points=TestAtomSum._law(n=5, d=d)[0] / 3.0, weights=np.full(5, 0.2))
+        grid = cm.Grid(axes=((-4.0, 4.0, 17),) * d)
+        calls = {"_lattice_sums": 0, "_trig_sums": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(sp, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(sp, name, counted)
+        params = cm.MollificationParams(truncation_radius=12.0, nodes_per_axis=64)
+        field = cm.mollified_density_grid(spec.cf(), 0.5, grid, params)
+        assert calls["_lattice_sums"] > 0 and calls["_trig_sums"] == 0
+        monkeypatch.setattr(sp, "_lattice_row_length", lambda pts: None)
+        parent = cm.mollified_density_grid(spec.cf(), 0.5, grid, params)
+        assert calls["_trig_sums"] > 0
+        assert np.max(np.abs(field.values - parent.values)) <= 1e-15
