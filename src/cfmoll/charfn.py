@@ -1,9 +1,11 @@
 """Characteristic functions and their algebra.
 
 Each spec class builds its own CharFn (``DistributionSpec.cf`` in
-``cfmoll.specs``); this module holds the CharFn type, ``make_cf`` and the
-operations on CFs (``convolve``, ``gaussian_mollify_cf``), and knows
-nothing of specs.
+``cfmoll.specs``); this module holds the CharFn type, ``make_cf``, the
+operations on CFs (``convolve``, ``gaussian_mollify_cf``) and the helpers
+every other module shares (``cis`` for complex phases, ``whole_number``
+and ``positive_sigma`` for checked counts and scales), and knows nothing
+of specs.
 
 A CharFn wraps a vectorized evaluator chi: R^d -> C together with its
 dimension and an integrability flag for integral(|chi|) < infinity.  The
@@ -18,6 +20,7 @@ the Hermitian symmetry chi(-t) = conj(chi(t)).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -92,9 +95,29 @@ def convolve(a: CharFn, b: CharFn) -> CharFn:
     return CharFn(a.d, ev, flag, "convolution")
 
 
+def cis(arg: np.ndarray) -> np.ndarray:
+    """exp(i arg) from the real cos and sin of ``arg``."""
+    out = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
+def whole_number(x, name: str, least: int) -> int:
+    """``x`` as an int >= ``least``: integers, numpy integers and integral
+    floats (4, 4.0) pass; 2.7, NaN, infinities and bools do not."""
+    if isinstance(x, bool) or not (isinstance(x, numbers.Real) and float(x).is_integer()):
+        raise ValidationError(f"{name} must be an integer, got {x!r}")
+    if x < least:
+        raise ValidationError(f"{name} must be >= {least}, got {x!r}")
+    return int(x)
+
+
 def positive_sigma(sigma) -> float:
     """``sigma`` as a float, or ValidationError unless it is a positive,
-    finite smoothing scale."""
+    finite smoothing scale (a bool is not one)."""
+    if isinstance(sigma, bool):
+        raise ValidationError(f"sigma must be a number, got {sigma!r}")
     sigma = float(sigma)
     if not (sigma > 0 and np.isfinite(sigma)):
         raise ValidationError(f"sigma must be positive, got {sigma!r}")

@@ -205,7 +205,7 @@ def _cmd_converge(cfg: dict) -> int:
         except ValueError as exc:
             raise ValidationError(f"bad --k-schedule {raw_ks!r}: {exc}") from exc
     else:
-        ks = [int(x) for x in raw_ks]
+        ks = raw_ks
     epsilon = float(_default(cfg, "epsilon", 0.1))
     report = convergence_certificate(
         seq,

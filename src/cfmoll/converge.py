@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .charfn import CharFn
+from .charfn import CharFn, whole_number
 from .errors import ValidationError
 from .grids import DensityField, Grid, MollificationParams
 from .mollify import mollified_density_grid
@@ -75,15 +75,11 @@ def gaussian_tail_prob(k: int, epsilon: float, d: int) -> float:
     increasing in d at fixed k*epsilon.  Computed as -expm1(d log erf), with
     log erf taken from erfc where erf is near 1, so small tails keep their
     relative accuracy instead of cancelling to 0."""
-    k = int(k)
+    k = whole_number(k, "k", 1)
     epsilon = float(epsilon)
-    d = int(d)
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    d = whole_number(d, "dimension", 1)
     if not (epsilon > 0):
         raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
     x = k * epsilon / math.sqrt(2.0)
     log_inside = math.log(math.erf(x)) if x < 0.5 else math.log1p(-math.erfc(x))
     return -math.expm1(d * log_inside)
@@ -193,8 +189,8 @@ def convergence_certificate(
         raise ValidationError("all CFs must share the target's dimension")
     if grid.d != target.d:
         raise ValidationError(f"grid dimension {grid.d} != CF dimension {target.d}")
-    ks = [int(k) for k in k_schedule]
-    if not ks or any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] < 1:
+    ks = [whole_number(k, "k_schedule entry", 1) for k in k_schedule]
+    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValidationError(f"k_schedule must be increasing positive ints, got {k_schedule}")
     epsilon = float(epsilon)
     if not (epsilon > 0):
@@ -203,7 +199,7 @@ def convergence_certificate(
     if seq_labels is None:
         labels = list(range(1, len(seq) + 1))
     else:
-        labels = [int(x) for x in seq_labels]
+        labels = [whole_number(x, "seq_labels entry", 0) for x in seq_labels]
         if len(labels) != len(seq):
             raise ValidationError("seq_labels must match the sequence length")
 

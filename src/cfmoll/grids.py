@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .charfn import whole_number
 from .errors import ValidationError
 
 DEFAULT_TAIL_TOL = 1e-8
@@ -36,13 +37,12 @@ class Grid:
         norm = []
         for ax in self.axes:
             try:
-                lo, hi, n = float(ax[0]), float(ax[1]), int(ax[2])
+                lo, hi, n = float(ax[0]), float(ax[1]), ax[2]
             except (TypeError, ValueError, IndexError) as exc:
                 raise ValidationError(f"bad grid axis {ax!r}: {exc}") from exc
             if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
                 raise ValidationError(f"grid axis needs max > min, got {ax!r}")
-            if n < 2:
-                raise ValidationError(f"grid axis needs count >= 2, got {ax!r}")
+            n = whole_number(n, f"count of grid axis {ax!r}", 2)
             norm.append((lo, hi, n))
         object.__setattr__(self, "axes", tuple(norm))
 
@@ -120,7 +120,8 @@ class DensityField:
         if not np.all(np.isfinite(vals)):
             raise ValidationError("density values must be finite")
         sigma = self.sigma
-        if sigma is not None and not (isinstance(sigma, (int, float)) and 0 <= sigma < math.inf):
+        number = isinstance(sigma, (int, float)) and not isinstance(sigma, bool)
+        if sigma is not None and not (number and 0 <= sigma < math.inf):
             raise ValidationError(f"sigma must be None or a finite number >= 0, got {sigma!r}")
         object.__setattr__(self, "values", vals)
 

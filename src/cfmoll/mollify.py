@@ -8,15 +8,18 @@ truncated trapezoid quadrature on a tensor-product frequency lattice:
 sigma > 0 gives the density of the law smoothed by N_d(0, sigma^2 I);
 sigma = 0 is direct inversion, the density itself, which requires an
 integrable CF.  Both run on one path (``_density``): plan, transform,
-checks.  The only difference is where the truncation box comes from: the
-Gaussian damping factor (``truncation_radius``) when sigma > 0, and a scan
-of the decay of |chi| itself when sigma = 0.  In automatic mode the
-per-axis node count is also scaled so the node spacing h keeps the
-spectral alias period 2 pi / h at least ``ALIAS_PERIOD``; the recovered
-density then wraps around only at a distance where unit-scale laws carry
-negligible mass.  Pointwise and grid
-evaluations share one quadrature plan, which is what makes them agree to
-far better than the documented 1e-10 contract.
+checks.  The plan is the whole quadrature rule: per-axis nodes and
+trapezoid weights, into which the damping exp(-sigma^2 y^2 / 2) is
+multiplied once when sigma > 0, so the transform is a pure weighted
+lattice sum that never sees sigma.  The only other difference is where
+the truncation box comes from: the Gaussian damping factor
+(``truncation_radius``) when sigma > 0, and a scan of the decay of |chi|
+itself when sigma = 0.  In automatic mode the per-axis node count is
+also scaled so the node spacing h keeps the spectral alias period
+2 pi / h at least ``ALIAS_PERIOD``; the recovered density then wraps
+around only at a distance where unit-scale laws carry negligible mass.
+Pointwise and grid evaluations share one quadrature plan, which is what
+makes them agree to far better than the documented 1e-10 contract.
 
 Trapezoid on a symmetric lattice is the right rule here where the
 integrand, chi(y) times the damping, is negligible at the box ends +-R:
@@ -47,7 +50,8 @@ shape alone:
 
 The form depends on the lattice dimension alone, never on the worker
 count.  Every density value, pointwise or on a grid, then passes the
-same checks: the negativity policy and the |chi| L1 certificate.
+same checks in one place (``_certify``): the Hermitian imaginary
+residue, finiteness, the negativity policy and the |chi| L1 certificate.
 
 The lattice is walked in slabs of axis-0 rows whose bounds depend on the
 lattice shape alone, so a 2-d or 3-d lattice is never held whole.  Each
@@ -74,7 +78,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .charfn import CharFn, positive_sigma
+from .charfn import CharFn, cis, positive_sigma, whole_number
 from .errors import NumericFailure, ValidationError
 from .grids import DensityField, Grid, MollificationParams, NORMALIZATION_WINDOW
 
@@ -124,11 +128,9 @@ def truncation_radius(sigma: float, tail_tol: float, d: int) -> float:
     """
     sigma = positive_sigma(sigma)
     tail_tol = float(tail_tol)
-    d = int(d)
+    d = whole_number(d, "dimension", 1)
     if not (tail_tol > 0):
         raise ValidationError(f"tail_tol must be positive, got {tail_tol!r}")
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
     whole = _damping_mass(sigma, d)
     if tail_tol >= whole:
         return 1.0
@@ -148,7 +150,9 @@ def truncation_radius(sigma: float, tail_tol: float, d: int) -> float:
 
 @dataclass(frozen=True)
 class QuadPlan:
-    """Per-axis trapezoid nodes and weights on [-R_j, R_j]."""
+    """Per-axis trapezoid nodes and weights on [-R_j, R_j].  At sigma > 0
+    the weights carry the Gaussian damping exp(-sigma^2 y^2 / 2), so the
+    plan is the whole quadrature rule and W = chi times the weights."""
 
     radii: tuple[float, ...]
     nodes: tuple[np.ndarray, ...]
@@ -194,10 +198,12 @@ def _budget_check(plan_shape: tuple[int, ...]) -> None:
         )
 
 
-def _build_plan(radii: list[float], m: int, auto: bool) -> QuadPlan:
+def _build_plan(radii: list[float], m: int, sigma: float, auto: bool) -> QuadPlan:
     ms = [max(m, _alias_nodes(r)) if auto else m for r in radii]
     _budget_check(tuple(ms))
     rules = [_axis_rule(r, m) for r, m in zip(radii, ms)]
+    if sigma > 0.0:
+        rules = [(y, w * np.exp(-0.5 * sigma * sigma * y**2)) for y, w in rules]
     return QuadPlan(
         radii=tuple(radii),
         nodes=tuple(y for y, _ in rules),
@@ -242,9 +248,9 @@ def _decay_radii(cf: CharFn, tail_tol: float) -> list[float]:
 
 
 def _plan(cf: CharFn, sigma: float, params: MollificationParams) -> QuadPlan:
-    """The lattice for scale sigma.  An explicit radius is used as given;
-    otherwise sigma > 0 takes the erfc radius of the Gaussian damping and
-    sigma = 0 (inversion) the decay scan of |chi|.  No axis gets fewer
+    """The quadrature rule for scale sigma.  An explicit radius is used as
+    given; otherwise sigma > 0 takes the erfc radius of the Gaussian damping
+    and sigma = 0 (inversion) the decay scan of |chi|.  No axis gets fewer
     than ``params.nodes(d)`` nodes, so a lattice of that many per axis
     that is over the node budget fails before chi is called.
 
@@ -255,7 +261,7 @@ def _plan(cf: CharFn, sigma: float, params: MollificationParams) -> QuadPlan:
     m = params.nodes(cf.d)
     _budget_check((m,) * cf.d)
     if params.truncation_radius is not None:
-        return _build_plan([params.truncation_radius] * cf.d, m, auto=False)
+        return _build_plan([params.truncation_radius] * cf.d, m, sigma, auto=False)
     whole, what = (
         (_damping_mass(sigma, cf.d), "the damping integral (2 pi sigma^2)^(-d/2)")
         if sigma > 0.0
@@ -270,7 +276,7 @@ def _plan(cf: CharFn, sigma: float, params: MollificationParams) -> QuadPlan:
         radii = [truncation_radius(sigma, params.tail_tol, cf.d)] * cf.d
     else:
         radii = _decay_radii(cf, params.tail_tol)
-    return _build_plan(radii, m, auto=True)
+    return _build_plan(radii, m, sigma, auto=True)
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +294,18 @@ def _slabs(shape: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, m0)) for lo in range(0, m0, rows)]
 
 
-def _weight_tensor(cf: CharFn, plan: QuadPlan, sigma: float, lo: int, hi: int) -> np.ndarray:
-    """chi on rows [lo, hi) of the node lattice times quadrature weights and,
-    when sigma > 0, the Gaussian damping, as per-axis factors.
+def _weight_tensor(cf: CharFn, plan: QuadPlan, lo: int, hi: int) -> np.ndarray:
+    """W on rows [lo, hi) of the node lattice: chi times the plan's
+    per-axis weights, which carry the Gaussian damping when sigma > 0.
 
     chi fills a preallocated slab in blocks of about ``_EVAL_BLOCK`` points.
     A 1-d block is a slice of the nodes.  Otherwise a block is whole rows
     along the last axis, written into one reused point buffer whose last
-    coordinate is set once: row after row in C order, every row holding
-    the same last-axis nodes in order and one fixed leading coordinate
-    tuple.  ``specs.atom_sum`` recognises that layout by exact equality
-    and factors an ``Empirical`` law's phases over it.
+    coordinate is set once and whose leading coordinates are copied from
+    the slab's meshgrid columns: row after row in C order, every row
+    holding the same last-axis nodes in order and one fixed leading
+    coordinate tuple.  ``specs.atom_sum`` recognises that layout by exact
+    equality and factors an ``Empirical`` law's phases over it.
     """
     nodes = (plan.nodes[0][lo:hi],) + plan.nodes[1:]
     shape = tuple(len(y) for y in nodes)
@@ -313,28 +320,17 @@ def _weight_tensor(cf: CharFn, plan: QuadPlan, sigma: float, lo: int, hi: int) -
         step = max(1, _EVAL_BLOCK // last)
         buf = np.empty((min(step, rows), last, plan.d))
         buf[..., -1] = nodes[-1]
+        cols = [c.reshape(-1) for c in np.meshgrid(*nodes[:-1], indexing="ij")]
         for r in range(0, rows, step):
-            lead = np.unravel_index(np.arange(r, min(r + step, rows)), shape[:-1])
-            n = len(lead[0])
-            for j, idx in enumerate(lead):
-                buf[:n, :, j] = nodes[j][idx, None]
+            n = min(step, rows - r)
+            for j, col in enumerate(cols):
+                buf[:n, :, j] = col[r : r + n, None]
             flat[r * last : (r + n) * last] = cf.batch_eval(buf[:n].reshape(-1, plan.d))
-    for j in range(plan.d):
-        factor = plan.weights[j]
-        if sigma > 0.0:
-            factor = factor * np.exp(-0.5 * sigma * sigma * plan.nodes[j] ** 2)
+    for j, factor in enumerate(plan.weights):
         if j == 0:
             factor = factor[lo:hi]
         w *= factor.reshape([-1 if a == j else 1 for a in range(plan.d)])
     return w
-
-
-def _weighted_slab(
-    cf: CharFn, plan: QuadPlan, sigma: float, lo: int, hi: int
-) -> tuple[np.ndarray, float]:
-    """W on rows [lo, hi) of the lattice and its unscaled sum of |W|."""
-    w = _weight_tensor(cf, plan, sigma, lo, hi)
-    return w, float(np.sum(np.abs(w)))
 
 
 def _contract_axis(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -348,7 +344,7 @@ def _contract_axis(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     out_blocks = []
     step = max(1, _PHASE_BLOCK // len(y))
     for lo in range(0, len(z), step):
-        phases = np.exp(-1j * np.outer(z[lo : lo + step], y))
+        phases = cis(-np.outer(z[lo : lo + step], y))
         out_blocks.append(np.tensordot(t, phases, axes=([0], [1])))
     return np.concatenate(out_blocks, axis=-1) if len(out_blocks) > 1 else out_blocks[0]
 
@@ -378,7 +374,7 @@ def _chirp(theta: float, length: int) -> np.ndarray:
     bits = 53 - int(jj[-1]).bit_length()
     exp2 = math.frexp(theta)[1] - bits
     head = math.ldexp(round(math.ldexp(theta, -exp2)), exp2)
-    return np.exp(0.5j * head * jj) * np.exp(0.5j * (theta - head) * jj)
+    return cis(0.5 * head * jj) * cis(0.5 * (theta - head) * jj)
 
 
 def _fft_size(n: int) -> int:
@@ -422,7 +418,7 @@ def _vector_contract(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     q = -(-m // k)
     h = (y[-1] - y[0]) / (m - 1)
     starts = y[::k]
-    inner_ph = np.exp(-1j * z[0] * h * np.arange(k))
+    inner_ph = cis(-z[0] * h * np.arange(k))
     if n == 1:
         pieces = (_rows(t, k, 0, m // k), _rows(t, k, m // k, q))
         inner = np.concatenate([p @ inner_ph for p in pieces])
@@ -444,38 +440,35 @@ def _vector_contract(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _outer_sum(inner: np.ndarray, starts: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_q inner[q, a] exp(-i starts_q z_a).  The phases are written as
-    cos and -sin into one array: the same values as the complex exp, and
-    faster."""
-    arg = np.outer(starts, z)
-    outer = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=outer.real)
-    np.sin(arg, out=outer.imag)
-    np.negative(outer.imag, out=outer.imag)
-    return np.einsum("qa,qa->a", inner, outer)
+    """sum_q inner[q, a] exp(-i starts_q z_a)."""
+    return np.einsum("qa,qa->a", inner, cis(-np.outer(starts, z)))
 
 
-def _check_imag(im_max: float, tail_tol: float, absmass: float) -> None:
-    combined = tail_tol + 1e-12 * max(1.0, absmass)
-    if im_max > 100.0 * combined:
+def _certify(raw: np.ndarray, bound: float, params: MollificationParams) -> np.ndarray:
+    """Every check a density value passes, pointwise or on a grid; returns
+    the real part of the scaled sums ``raw``, flattened row-major, with
+    ripple clamped to zero.
+
+    The imaginary residue of a Hermitian-symmetric chi is rounding, so one
+    above 100 (tail_tol + 1e-12 max(1, bound)) means a broken evaluator, as
+    does a value that is not finite.  Ripple in [-negativity_tol, 0) is
+    clamped to zero; larger negativity means misconfiguration, not
+    mathematics, and is a hard error.  No value may exceed ``bound``, the
+    |chi| L1 quadrature mass on the same nodes, by more than
+    ``BOUND_SLACK``.
+    """
+    limit = 100.0 * (params.tail_tol + 1e-12 * max(1.0, bound))
+    im_max = float(np.max(np.abs(raw.imag)))
+    if im_max > limit:
         raise NumericFailure(
-            f"imaginary residue {im_max:g} exceeds {100.0 * combined:g}; the "
+            f"imaginary residue {im_max:g} exceeds {limit:g}; the "
             "CharFn is not Hermitian-symmetric (broken evaluator)"
         )
-
-
-def _certify(values: np.ndarray, bound: float, tol: float) -> np.ndarray:
-    """The checks every density value passes, pointwise or on a grid.
-
-    A value that is not finite means a broken evaluator.  Quadrature ripple
-    in [-tol, 0) is clamped to zero; larger negativity means
-    misconfiguration, not mathematics, and is a hard error.  No value may
-    exceed ``bound``, the |chi| L1 quadrature mass on the same nodes, by
-    more than ``BOUND_SLACK``.
-    """
+    values = np.ascontiguousarray(raw.real).reshape(-1)
     if not np.all(np.isfinite(values)):
         raise NumericFailure("density values are not finite; check the CharFn")
     vmin = float(values.min())
+    tol = params.negativity_tol
     if vmin < -tol:
         raise NumericFailure(
             f"density value {vmin:g} below -{tol:g}; increase the node count "
@@ -486,16 +479,17 @@ def _certify(values: np.ndarray, bound: float, tol: float) -> np.ndarray:
         raise NumericFailure(
             f"density value {vmax:g} exceeds the L1 certificate {bound:g} + {BOUND_SLACK:g}"
         )
-    return np.maximum(values, 0.0)
+    return np.maximum(values, 0.0, out=values)
 
 
 def _slab_transform(
-    cf: CharFn, plan: QuadPlan, sigma: float, z_axes: list[np.ndarray], lo: int, hi: int
+    cf: CharFn, plan: QuadPlan, z_axes: list[np.ndarray], lo: int, hi: int
 ) -> tuple[np.ndarray, float]:
     """Sum over rows [lo, hi) of W(y) exp(-i<z,y>) on the z lattice, plus the
     slab's sum of |W|.  Axes d-1 .. 1 are contracted first and the slab's
     axis-0 nodes last, so the slabs together cost what one lattice would."""
-    t, mass = _weighted_slab(cf, plan, sigma, lo, hi)
+    t = _weight_tensor(cf, plan, lo, hi)
+    mass = float(np.sum(np.abs(t)))
     for j in reversed(range(plan.d)):
         y = plan.nodes[j][lo:hi] if j == 0 else plan.nodes[j]
         t = _contract_axis(np.moveaxis(t, j, 0), y, z_axes[j])
@@ -515,16 +509,11 @@ def _run_jobs(jobs: list, workers: int) -> Iterator:
 
 
 def _scaled_transform(
-    cf: CharFn,
-    plan: QuadPlan,
-    sigma: float,
-    tail_tol: float,
-    z_axes: list[np.ndarray],
-    workers: int = 1,
+    cf: CharFn, plan: QuadPlan, z_axes: list[np.ndarray], workers: int = 1
 ) -> tuple[np.ndarray, float]:
-    """Real part of the (2 pi)^-d scaled transform on the tensor lattice of
-    ``z_axes`` plus the |chi| L1 quadrature mass; checks the Hermitian
-    imaginary residue.  Pointwise calls pass one-point axes.
+    """The (2 pi)^-d scaled complex sums on the tensor lattice of ``z_axes``
+    plus the |chi| L1 quadrature mass; ``_certify`` checks them.
+    Pointwise calls pass one-point axes.
 
     The lattice is walked in the slabs of ``_slabs`` on up to ``workers``
     threads, and the partial sums are added in slab order.  A 1-d lattice
@@ -532,7 +521,7 @@ def _scaled_transform(
     """
     z_axes = [np.asarray(z, dtype=float) for z in z_axes]
     jobs = [
-        functools.partial(_slab_transform, cf, plan, sigma, z_axes, lo, hi)
+        functools.partial(_slab_transform, cf, plan, z_axes, lo, hi)
         for lo, hi in _slabs(plan.shape)
     ]
     raw, mass = None, 0.0
@@ -540,10 +529,7 @@ def _scaled_transform(
         raw = part if raw is None else raw + part
         mass += slab_mass
     scale = (2.0 * math.pi) ** (-cf.d)
-    absmass = scale * mass
-    raw = raw * scale
-    _check_imag(float(np.max(np.abs(raw.imag))), tail_tol, absmass)
-    return np.ascontiguousarray(raw.real), absmass
+    return raw * scale, scale * mass
 
 
 def _density(
@@ -563,8 +549,8 @@ def _density(
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
     params = params or MollificationParams()
     plan = _plan(cf, sigma, params)
-    vals, bound = _scaled_transform(cf, plan, sigma, params.tail_tol, z_axes, workers)
-    return _certify(vals.reshape(-1), bound, params.negativity_tol)
+    raw, bound = _scaled_transform(cf, plan, z_axes, workers)
+    return _certify(raw, bound, params)
 
 
 # ---------------------------------------------------------------------------
@@ -684,5 +670,5 @@ def cf_l1_bound(
     """
     _require_integrable(cf, allow_unknown_integrability)
     plan = _plan(cf, 0.0, params or MollificationParams())
-    masses = [_weighted_slab(cf, plan, 0.0, lo, hi)[1] for lo, hi in _slabs(plan.shape)]
-    return (2.0 * math.pi) ** (-cf.d) * sum(masses)
+    masses = [np.sum(np.abs(_weight_tensor(cf, plan, lo, hi))) for lo, hi in _slabs(plan.shape)]
+    return (2.0 * math.pi) ** (-cf.d) * float(sum(masses))

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .charfn import CharFn, positive_sigma
+from .charfn import CharFn, positive_sigma, whole_number
 from .errors import ValidationError
 from .grids import DensityField, Grid, NORMALIZATION_WINDOW
 from . import specs as sp
@@ -72,7 +72,7 @@ class SampleBatch:
 
 def sample(spec: sp.DistributionSpec, n: int, seed: int) -> SampleBatch:
     """n i.i.d. draws from the law described by ``spec``."""
-    n, seed = sp.whole_number(n, "sample size", 1), sp.whole_number(seed, "seed", 0)
+    n, seed = whole_number(n, "sample size", 1), whole_number(seed, "seed", 0)
     pts = spec.draw(n, np.random.SeedSequence(seed))
     return SampleBatch(points=pts, seed=seed, spec=spec)
 
@@ -187,7 +187,7 @@ def mollified_histogram(
     sigma = positive_sigma(sigma)
     if grid.d != spec.dim:
         raise ValidationError(f"grid dimension {grid.d} != spec dimension {spec.dim}")
-    n, seed = sp.whole_number(n, "sample size", 1), sp.whole_number(seed, "seed", 0)
+    n, seed = whole_number(n, "sample size", 1), whole_number(seed, "seed", 0)
 
     root = np.random.SeedSequence(seed)
     spec_seq, noise_seq = root.spawn(2)

@@ -23,21 +23,16 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .charfn import CharFn, convolve
+from .charfn import CharFn, cis, convolve, whole_number
 from .errors import ValidationError
 
 WEIGHT_SUM_TOL = 1e-12
 COV_EIG_TOL = 1e-12
-
-# Switch to the 2-term Taylor expansion of sin(x)/x once t*(hi-lo) is this
-# small; avoids 0/0 at t=0 and cancellation nearby.
-UNIFORM_TAYLOR_SWITCH = 1e-8
 
 # Elements of one (atoms x points) chunk of ``atom_sum``: its temporaries
 # stay near 4 MiB each, whatever the atom count.
@@ -62,16 +57,6 @@ def _vector(x, name: str) -> np.ndarray:
     if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
         raise ValidationError(f"{name} must be a finite 1-d vector, got {x!r}")
     return v
-
-
-def whole_number(x, name: str, least: int) -> int:
-    """``x`` as an int >= ``least``: integers, numpy integers and integral
-    floats (4, 4.0) pass; 2.7, NaN and infinities do not."""
-    if not (isinstance(x, numbers.Real) and float(x).is_integer()):
-        raise ValidationError(f"{name} must be an integer, got {x!r}")
-    if x < least:
-        raise ValidationError(f"{name} must be >= {least}, got {x!r}")
-    return int(x)
 
 
 def _recurrence_axis(pts: np.ndarray) -> tuple[int, float] | None:
@@ -101,14 +86,6 @@ def _recurrence_axis(pts: np.ndarray) -> tuple[int, float] | None:
     return first, float(dt)
 
 
-def _cis(arg: np.ndarray) -> np.ndarray:
-    """exp(i arg) from the real cos and sin of ``arg``."""
-    out = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=out.real)
-    np.sin(arg, out=out.imag)
-    return out
-
-
 def _recurrence_sums(x: np.ndarray, weights: np.ndarray, t: np.ndarray, dt: float) -> np.ndarray:
     """sum_j w_j exp(i t_k x_j) on a uniform axis t by the row split
     k = q K + s, K = min(``_RESEED``, len(t)): fresh cos/sin of t_(qK) x_j
@@ -125,7 +102,7 @@ def _recurrence_sums(x: np.ndarray, weights: np.ndarray, t: np.ndarray, dt: floa
     step = max(1, ATOM_BLOCK // (2 * (q + k)))
     for lo in range(0, len(x), step):
         xs = x[lo : lo + step]
-        rows = _cis(scales * xs)
+        rows = cis(scales * xs)
         outer, power = rows[:q], rows[q]
         inner = np.empty((k, len(xs)), dtype=complex)
         inner[0] = weights[lo : lo + step]
@@ -197,9 +174,9 @@ def _lattice_sums(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray, lengt
     step = max(1, ATOM_BLOCK // max(len(lead), length))
     for lo in range(0, len(atoms), step):
         xs = atoms[lo : lo + step]
-        rows = _cis(lead @ xs[:, :-1].T)
+        rows = cis(lead @ xs[:, :-1].T)
         rows *= weights[lo : lo + step]
-        out += rows @ _cis(np.multiply.outer(xs[:, -1], last))
+        out += rows @ cis(np.multiply.outer(xs[:, -1], last))
     return out.reshape(-1)
 
 
@@ -336,7 +313,7 @@ class Gaussian(DistributionSpec, type="gaussian"):
             modulus = np.exp(quad, out=quad)
             if centred:
                 return modulus.astype(complex)
-            vals = _cis(pts @ mean)
+            vals = cis(pts @ mean)
             vals *= modulus
             return vals
 
@@ -372,7 +349,7 @@ class PointMass(DistributionSpec, type="point_mass"):
         location = self.location
 
         def ev(pts: np.ndarray) -> np.ndarray:
-            return np.exp(1j * (pts @ location))
+            return cis(pts @ location)
 
         return CharFn(self.dim, ev, "no", self.json_type)
 
@@ -406,18 +383,17 @@ class UniformBox(DistributionSpec, type="uniform_box"):
         box centre and w its half-widths; the phase is skipped where c_j = 0."""
         center = 0.5 * (self.lo + self.hi)
         half = 0.5 * (self.hi - self.lo)
-        width = self.hi - self.lo
 
         def ev(pts: np.ndarray) -> np.ndarray:
             vals = np.ones(pts.shape[0], dtype=complex)
-            for j in range(width.size):
+            for j in range(half.size):
                 tj = pts[:, j]
                 x = tj * half[j]
-                small = np.abs(tj * width[j]) < UNIFORM_TAYLOR_SWITCH
-                safe = np.where(small, 1.0, x)
-                ratio = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+                # sin(x)/x rounds to exactly 1 wherever x is tiny, so only
+                # x = 0 needs its limit
+                ratio = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
                 if center[j] != 0.0:
-                    ratio = ratio * np.exp(1j * tj * center[j])
+                    ratio = ratio * cis(tj * center[j])
                 vals *= ratio
             return vals
 
@@ -579,7 +555,7 @@ class AffineMap(DistributionSpec, type="affine_map"):
 
         def ev(pts: np.ndarray) -> np.ndarray:
             vals = inner.batch_eval(pts @ matrix)
-            return vals * np.exp(1j * (pts @ shift)) if shifted else vals
+            return vals * cis(pts @ shift) if shifted else vals
 
         return CharFn(self.dim, ev, "unknown", self.json_type)
 

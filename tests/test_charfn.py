@@ -43,6 +43,27 @@ def test_uniform_box_taylor_branch_is_continuous():
     assert abs(below - 1.0) < 1e-16
 
 
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-1.0, 2.0), (-1e-3, 1e-3), (-500.0, 700.0)])
+def test_uniform_box_matches_the_taylor_switch_formula(lo, hi):
+    # chi is bit-equal to the former form, which took 1 - x^2/6 for
+    # |t (hi - lo)| < 1e-8: at t = 0, at subnormal t and on both sides of
+    # that switch
+    half, width, center = 0.5 * (hi - lo), hi - lo, 0.5 * (lo + hi)
+    edge = 1e-8 / width
+    t = np.array([0.0, 5e-324, 1e-310, 2.2e-308, 1e-300, 1e-20])
+    t = np.concatenate([t, edge * np.array([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 1e4])])
+    t = np.concatenate([t, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)], axis=None)
+    t = np.concatenate([t, -t])
+    x = t * half
+    small = np.abs(t * width) < 1e-8
+    safe = np.where(small, 1.0, x)
+    old = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+    if center != 0.0:
+        old = old * np.exp(1j * t * center)
+    vals = make_cf(cm.UniformBox(lo=[lo], hi=[hi])).batch_eval(t[:, None])
+    assert vals.tobytes() == (np.ones(len(t), dtype=complex) * old).tobytes()
+
+
 def test_laplace_closed_form():
     cf = make_cf(cm.Laplace1D(scale=2.0))
     for t in (0.0, 0.5, -3.0):

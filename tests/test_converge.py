@@ -151,6 +151,11 @@ class TestGaussianTailProb:
             gaussian_tail_prob(0, 0.5, 1)
         with pytest.raises(ValidationError):
             gaussian_tail_prob(1, 0.0, 1)
+        # fractional counts are not cut to integers; integral ones pass
+        for k, d in ((1.9, 1), (1, 2.9), (True, 1)):
+            with pytest.raises(ValidationError, match="integer"):
+                gaussian_tail_prob(k, 0.5, d)
+        assert gaussian_tail_prob(2.0, 0.5, np.int64(3)) == gaussian_tail_prob(2, 0.5, 3)
 
 
 class TestMassInBox:
@@ -251,6 +256,14 @@ class TestCertificate:
             convergence_certificate([], target, [1], grid, 0.1)
         with pytest.raises(ValidationError):
             convergence_certificate([target], target, [1], grid, -0.1)
+        # fractional k and labels are not cut to integers; integral ones pass
+        with pytest.raises(ValidationError, match="integer"):
+            convergence_certificate([target], target, [1.5, 2.7], grid, 0.1)
+        with pytest.raises(ValidationError, match="integer"):
+            convergence_certificate([target], target, [1], grid, 0.1, seq_labels=[3.9])
+        rep = convergence_certificate([target], target, [np.int64(1), 2.0], grid, 0.1, seq_labels=[4.0])
+        assert (rep.k_schedule, rep.seq_labels) == ((1, 2), (4,))
+        assert all(type(x) is int for x in rep.k_schedule + rep.seq_labels)
         with pytest.raises(ValidationError):
             convergence_certificate(
                 [make_cf(cm.PointMass(location=[0.0, 0.0]))], target, [1], grid, 0.1

@@ -34,6 +34,10 @@ def test_grid_validation():
             Grid.parse(bad)
     with pytest.raises(ValidationError):
         Grid(axes=())
+    # a fractional count is not cut to an integer; integral ones pass
+    with pytest.raises(ValidationError, match="integer"):
+        Grid(axes=((-1.0, 1.0, 3.7),))
+    assert Grid(axes=((-1.0, 1.0, 3.0), (0.0, 1.0, np.int64(2)))).axes == ((-1.0, 1.0, 3), (0.0, 1.0, 2))
 
 
 def test_grid_dict_round_trip():
@@ -47,6 +51,8 @@ def test_density_field_validation():
         cm.DensityField(g, np.ones(4), False)  # wrong length
     with pytest.raises(ValidationError):
         cm.DensityField(g, np.array([1.0, np.inf, 0.0]), False)
+    with pytest.raises(ValidationError, match="sigma"):
+        cm.DensityField(g, np.ones(3), False, sigma=True)
     field = cm.DensityField(g, np.array([1.0, -1e-7, 1.0]), False)
     field.check_invariants()  # tiny ripple is allowed
     with pytest.raises(ValidationError):
@@ -95,7 +101,7 @@ def test_density_csv_sigma_round_trip(tmp_path):
     meta.pop("sigma")
     sidecar.write_text(json.dumps(meta))
     assert cm.read_density_csv(path).sigma is None
-    for bad in ("0.5", -1.0, float("inf"), [0.5]):
+    for bad in ("0.5", -1.0, float("inf"), [0.5], True):
         sidecar.write_text(json.dumps({**meta, "sigma": bad}))
         with pytest.raises(ValidationError, match="sigma"):
             cm.read_density_csv(path)

@@ -98,6 +98,11 @@ class TestTruncationRadius:
             truncation_radius(0.0, 1e-6, 1)
         with pytest.raises(ValidationError):
             truncation_radius(1.0, 0.0, 1)
+        # a fractional dimension is not cut to 2
+        with pytest.raises(ValidationError, match="integer"):
+            truncation_radius(0.5, 1e-8, 2.9)
+        r = truncation_radius(0.5, 1e-8, 2)
+        assert truncation_radius(0.5, 1e-8, 2.0) == truncation_radius(0.5, 1e-8, np.int64(2)) == r
 
 
 class TestMollifiedDensityAt:
@@ -120,6 +125,8 @@ class TestMollifiedDensityAt:
     def test_rejects_nonpositive_sigma(self, std_gaussian):
         with pytest.raises(ValidationError):
             mollified_density_at(make_cf(std_gaussian), 0.0, [0.0])
+        with pytest.raises(ValidationError):
+            mollified_density_at(make_cf(std_gaussian), True, [0.0])
 
     def test_broken_charfn_trips_imaginary_guard(self):
         # deliberately non-Hermitian evaluator: phase flips with |t|
@@ -128,8 +135,25 @@ class TestMollifiedDensityAt:
             batch_eval=lambda pts: np.exp(1j * np.abs(pts[:, 0]) - 0.1 * np.abs(pts[:, 0])),
             integrable="yes",
         )
-        with pytest.raises(NumericFailure):
+        with pytest.raises(NumericFailure, match="imaginary residue"):
             mollified_density_at(broken, 0.5, [2.0])
+        # the same flip on a Gaussian modulus, through every density function
+        for d in (1, 2):
+            cf = CharFn(
+                d,
+                lambda pts: np.exp(1j * np.abs(pts[:, 0]) - 0.5 * np.einsum("ni,ni->n", pts, pts)),
+                "yes",
+            )
+            grid = cm.Grid(axes=((-6.0, 6.0, 25),) * d)
+            point = [2.0] * d
+            for call in (
+                lambda: mollified_density_at(cf, 0.5, point),
+                lambda: mollified_density_grid(cf, 0.5, grid),
+                lambda: invert_density_at(cf, point),
+                lambda: invert_density_grid(cf, grid),
+            ):
+                with pytest.raises(NumericFailure, match="imaginary residue"):
+                    call()
 
 
 class TestMollifiedDensityGrid:
@@ -384,9 +408,9 @@ class TestPointwiseChecks:
             cf, sigma = gaussian_mollify_cf(cf, 0.5), 0.0
             at = invert_density_at(cf, [z], params)
             field = invert_density_grid(cf, grid, params)
-        plan = mo._plan(cf, 0.5, params)  # = the inversion plan at an explicit R
-        raw, _ = mo._scaled_transform(cf, plan, sigma, params.tail_tol, [np.array([z])])
-        assert -params.negativity_tol <= raw.item() < -1e-9
+        plan = mo._plan(cf, sigma, params)
+        raw, _ = mo._scaled_transform(cf, plan, [np.array([z])])
+        assert -params.negativity_tol <= raw.real.item() < -1e-9
         assert at == 0.0
         assert field.values[node] == 0.0
 
@@ -526,12 +550,13 @@ class TestParamsAndPolicies:
 
     def test_negativity_policy(self):
         vals = np.array([0.5, -1e-8, 1e-3])
-        out = mo._certify(vals, 1.0, 1e-6)
+        params = MollificationParams(negativity_tol=1e-6)
+        out = mo._certify(vals + 0j, 1.0, params)
         assert np.array_equal(out, [0.5, 0.0, 1e-3])
         with pytest.raises(NumericFailure, match="below"):
-            mo._certify(np.array([0.5, -1e-3]), 1.0, 1e-6)
+            mo._certify(np.array([0.5, -1e-3]) + 0j, 1.0, params)
         with pytest.raises(NumericFailure, match="L1 certificate"):
-            mo._certify(np.array([0.5, 0.4]), 0.45, 1e-6)
+            mo._certify(np.array([0.5, 0.4]) + 0j, 0.45, params)
 
     def test_node_budget_guard(self):
         spec = cm.Product(factors=(cm.Laplace1D(scale=1.0), cm.Laplace1D(scale=1.0)))
@@ -542,6 +567,19 @@ class TestParamsAndPolicies:
         laplace2 = make_cf(spec)
         with pytest.raises(NumericFailure, match="budget"):
             invert_density_at(laplace2, [0.0, 0.0], allow_unknown_integrability=True)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("radius", [None, 12.0])
+    def test_plan_weights_carry_the_damping(self, d, sigma, radius):
+        # each axis's weights are the trapezoid rule for
+        # integral exp(-sigma^2 y^2 / 2) dy = sqrt(2 pi) / sigma
+        params = MollificationParams(truncation_radius=radius, nodes_per_axis=None if radius is None else 256)
+        plan = mo._plan(_gauss_cf(d), sigma, params)
+        for w in plan.weights:
+            assert w.sum() == pytest.approx(math.sqrt(2.0 * math.pi) / sigma, rel=1e-6)
+        undamped = mo._plan(_gauss_cf(d), 0.0, MollificationParams(truncation_radius=12.0))
+        assert all(w.sum() == pytest.approx(24.0, rel=1e-12) for w in undamped.weights)
 
     def test_explicit_radius_disables_autoscaling(self, std_gaussian):
         cf = make_cf(std_gaussian)
@@ -640,7 +678,8 @@ class TestContractAxis:
         plan = mo._plan(cf, 0.0, MollificationParams())
         y = plan.nodes[0]
         assert len(y) > 4096  # more than one 4096-node row
-        t, abs_sum = mo._weighted_slab(cf, plan, 0.0, 0, len(y))
+        t = mo._weight_tensor(cf, plan, 0, len(y))
+        abs_sum = float(np.sum(np.abs(t)))
         return y, t, abs_sum
 
     def test_long_laplace_axis_matches_extended_precision(self, laplace_axis):
@@ -809,11 +848,11 @@ class TestSlabs:
             z_axes = [grid.axis_points(j) for j in range(3)]
         plan = mo._plan(cf, sigma, params)
         assert len(mo._slabs(plan.shape)) > 1
-        vals, mass = mo._scaled_transform(cf, plan, sigma, params.tail_tol, z_axes)
+        vals, mass = mo._scaled_transform(cf, plan, z_axes)
         monkeypatch.setattr(mo, "_SLAB_NODES", plan.total_nodes)
         monkeypatch.setattr(mo, "_MIN_SLABS", 1)
         assert mo._slabs(plan.shape) == [(0, plan.shape[0])]
-        whole, whole_mass = mo._scaled_transform(cf, plan, sigma, params.tail_tol, z_axes)
+        whole, whole_mass = mo._scaled_transform(cf, plan, z_axes)
         assert np.max(np.abs(vals - whole)) <= 1e-13 * np.max(np.abs(whole))
         assert mass == pytest.approx(whole_mass, rel=1e-12, abs=0)
 
@@ -877,25 +916,25 @@ class TestSlabs:
         assert bounds == [cf_l1_bound(cf)]
 
 
-def _one_shot_weights(cf, plan, sigma, lo, hi):
+def _one_shot_weights(cf, plan, lo, hi):
     """The slab's W from one meshgrid and one chi call: the reference for
     the blocked ``_weight_tensor``."""
     nodes = (plan.nodes[0][lo:hi],) + plan.nodes[1:]
     mesh = np.meshgrid(*nodes, indexing="ij")
     w = cf.batch_eval(np.stack([m.reshape(-1) for m in mesh], axis=-1)).reshape(mesh[0].shape)
-    for j in range(plan.d):
-        f = plan.weights[j] * np.exp(-0.5 * sigma * sigma * plan.nodes[j] ** 2)
+    for j, f in enumerate(plan.weights):
         w = w * (f[lo:hi] if j == 0 else f).reshape([-1 if a == j else 1 for a in range(plan.d)])
     return w
 
 
 def _plan(*ms):
-    """A hand-built plan; an axis of one node sits at 0.3 with weight 1."""
+    """A hand-built plan with weights damped at sigma = 0.5; an axis of one
+    node sits at 0.3 with undamped weight 1."""
     rules = [mo._axis_rule(4.0, m) if m > 1 else (np.array([0.3]), np.array([1.0])) for m in ms]
     return mo.QuadPlan(
         radii=(4.0,) * len(ms),
         nodes=tuple(y for y, _ in rules),
-        weights=tuple(w for _, w in rules),
+        weights=tuple(w * np.exp(-0.125 * y**2) for y, w in rules),
     )
 
 
@@ -919,9 +958,9 @@ class TestBlockedEvaluation:
         # blocks that split rows, end in a partial block, or hold the slab
         plan = _plan(*shape)
         cf = self.CFS[len(shape)]
-        ref = _one_shot_weights(cf, plan, 0.5, lo, hi)
+        ref = _one_shot_weights(cf, plan, lo, hi)
         monkeypatch.setattr(mo, "_EVAL_BLOCK", block)
-        w = mo._weight_tensor(cf, plan, 0.5, lo, hi)
+        w = mo._weight_tensor(cf, plan, lo, hi)
         assert w.shape == ref.shape
         assert np.max(np.abs(w - ref)) <= 1e-15 * np.max(np.abs(ref))
 
