@@ -71,8 +71,6 @@ _OPTIONS = {
                 "3-d lattices are split into slabs; 1-d grids always run on one thread",
                 {"type": int}),
     "tail_tol": (_is_real, "a number", "truncation tail tolerance", {"type": float}),
-    "negativity_tol": (_is_real, "a number", "allowed negative quadrature ripple",
-                       {"type": float}),
     "nodes": (_is_int, "an integer", "quadrature nodes per axis (even, >= 16; default 512 "
               "up to 2-d, 64 from 3-d)", {"type": int}),
     "allow_unknown_integrability": (
@@ -95,7 +93,7 @@ _VALUE_FLAGS = {"--config"} | {
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """File values fill in only where flags were not given.  A file may set
-    only the options its command reads, as the command's flags do."""
+    only the options that are its command's flags."""
     merged: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -114,7 +112,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             check, wanted, *_ = _OPTIONS[key]
             if val is not None and not check(val):
                 raise ValidationError(f"config key '{key}' must be {wanted}, got {val!r}")
-        unread = set(data) - set(_COMMANDS[args.command][2] + _CONFIG_ONLY.get(args.command, ()))
+        unread = set(data) - set(_COMMANDS[args.command][2])
         if unread:
             raise ValidationError(f"config keys not read by '{args.command}': {sorted(unread)}")
         merged.update(data)
@@ -129,8 +127,6 @@ def _params_from(cfg: dict) -> MollificationParams:
     overrides: dict = {}
     if cfg.get("tail_tol") is not None:
         overrides["tail_tol"] = float(cfg["tail_tol"])
-    if cfg.get("negativity_tol") is not None:
-        overrides["negativity_tol"] = float(cfg["negativity_tol"])
     if cfg.get("nodes") is not None:
         overrides["nodes_per_axis"] = int(cfg["nodes"])
     return MollificationParams(**overrides)
@@ -224,7 +220,8 @@ def _cmd_converge(cfg: dict) -> int:
 
 
 def _cmd_clt_demo(cfg: dict) -> int:
-    """Standardized Bernoulli(1/2) sums against the standard normal."""
+    """Standardized Bernoulli(1/2) sums against the standard normal, at
+    epsilon 0.1."""
     rademacher = Empirical(points=[[-1.0], [1.0]], weights=[0.5, 0.5])
     ns = [4, 16, 64]
     seq = [make_cf(StandardizedIIDSum(base=rademacher, n=n)) for n in ns]
@@ -235,7 +232,7 @@ def _cmd_clt_demo(cfg: dict) -> int:
         target,
         [2],
         grid,
-        float(_default(cfg, "epsilon", 0.1)),
+        0.1,
         params=_params_from(cfg),
         seq_labels=ns,
         workers=_threads(cfg),
@@ -259,7 +256,7 @@ def _cmd_selfcheck(cfg: dict) -> int:
     return EXIT_OK if failed == 0 else EXIT_NUMERIC
 
 
-_GRID_KEYS = ("grid", "out", "threads", "tail_tol", "negativity_tol", "nodes")
+_GRID_KEYS = ("grid", "out", "threads", "tail_tol", "nodes")
 
 # Each command: its handler, its help line, and the options it reads.
 _COMMANDS = {
@@ -277,8 +274,6 @@ _COMMANDS = {
     "clt-demo": (_cmd_clt_demo, "built-in Bernoulli CLT certificate", _GRID_KEYS),
     "selfcheck": (_cmd_selfcheck, "run the closed-form invariant suite", ("seed",)),
 }
-# Options a command reads from a config file only; they have no flag there.
-_CONFIG_ONLY = {"clt-demo": ("epsilon",)}
 
 
 def _build_parser() -> argparse.ArgumentParser:

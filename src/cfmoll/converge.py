@@ -33,6 +33,7 @@ from .grids import DensityField, Grid, MollificationParams
 from .mollify import mollified_density_grid
 
 PROBES_PER_AXIS = 129
+PROBE_BUDGET = 1 << 16
 PROBE_HALF_WIDTH = 5.0
 
 
@@ -49,8 +50,13 @@ def tv_distance(a: DensityField, b: DensityField) -> float:
 
 
 def default_probes(d: int) -> np.ndarray:
-    """Tensor probe lattice: 129 points per axis, uniform on [-5, 5]^d."""
-    return Grid(axes=((-PROBE_HALF_WIDTH, PROBE_HALF_WIDTH, PROBES_PER_AXIS),) * d).points()
+    """Tensor probe lattice, uniform on [-5, 5]^d: the largest n <= 129
+    points per axis with n^d <= 2^16, so 129 up to d = 2, 40 in 3-d and
+    16 in 4-d."""
+    n = PROBES_PER_AXIS
+    while n**d > PROBE_BUDGET:
+        n -= 1
+    return Grid(axes=((-PROBE_HALF_WIDTH, PROBE_HALF_WIDTH, n),) * d).points()
 
 
 def cf_sup_error(cf_n: CharFn, cf_target: CharFn, probes=None) -> float:
@@ -95,9 +101,10 @@ def mass_in_box(field: DensityField, radius: float) -> float:
             raise ValidationError(
                 f"box [-{radius}, {radius}]^d exceeds the grid extent [{lo}, {hi}]"
             )
-    pts = field.grid.points()
-    mask = np.all(np.abs(pts) <= radius * (1.0 + 1e-15), axis=1)
-    return float(np.sum(field.values[mask]) * field.grid.cell_volume)
+    grid = field.grid
+    masks = [np.abs(grid.axis_points(j)) <= radius * (1.0 + 1e-15) for j in range(grid.d)]
+    block = field.values.reshape(grid.shape)[np.ix_(*masks)]
+    return float(np.sum(block) * grid.cell_volume)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ from .charfn import whole_number
 from .errors import ValidationError
 
 DEFAULT_TAIL_TOL = 1e-8
-DEFAULT_NEGATIVITY_TOL = 1e-6
+# A density is >= 0, so a value below -NEGATIVITY_TOL is a quadrature
+# failure; ripple above it is clamped to zero.
+NEGATIVITY_TOL = 1e-6
 NORMALIZATION_WINDOW = 1e-3
 
 
@@ -129,11 +131,11 @@ class DensityField:
     def riemann_sum(self) -> float:
         return float(np.sum(self.values) * self.grid.cell_volume)
 
-    def check_invariants(self, negativity_tol: float = DEFAULT_NEGATIVITY_TOL) -> None:
+    def check_invariants(self) -> None:
         """Raise ValidationError if the field violates its own claims."""
-        if float(self.values.min(initial=0.0)) < -negativity_tol:
+        if float(self.values.min(initial=0.0)) < -NEGATIVITY_TOL:
             raise ValidationError(
-                f"density has values below -{negativity_tol:g}: min {self.values.min():g}"
+                f"density has values below -{NEGATIVITY_TOL:g}: min {self.values.min():g}"
             )
         if self.normalized and abs(self.riemann_sum - 1.0) > NORMALIZATION_WINDOW:
             raise ValidationError(
@@ -156,7 +158,6 @@ class MollificationParams:
     truncation_radius: float | None = None
     nodes_per_axis: int | None = None
     tail_tol: float = DEFAULT_TAIL_TOL
-    negativity_tol: float = DEFAULT_NEGATIVITY_TOL
 
     def __post_init__(self):
         if self.truncation_radius is not None and not (0 < self.truncation_radius < math.inf):
@@ -168,10 +169,6 @@ class MollificationParams:
             raise ValidationError(f"nodes_per_axis must be even and >= 16, got {m}")
         if not (0 < self.tail_tol < math.inf):
             raise ValidationError(f"tail_tol must be positive and finite, got {self.tail_tol!r}")
-        if not (self.negativity_tol > 0):
-            raise ValidationError(
-                f"negativity_tol must be positive, got {self.negativity_tol!r}"
-            )
 
     def nodes(self, d: int) -> int:
         """Nodes per axis in dimension d: ``nodes_per_axis``, or by default

@@ -51,7 +51,7 @@ shape alone:
 The form depends on the lattice dimension alone, never on the worker
 count.  Every density value, pointwise or on a grid, then passes the
 same checks in one place (``_certify``): the Hermitian imaginary
-residue, finiteness, the negativity policy and the |chi| L1 certificate.
+residue, finiteness, the negativity floor and the |chi| L1 sum.
 
 The lattice is walked in slabs of axis-0 rows whose bounds depend on the
 lattice shape alone, so a 2-d or 3-d lattice is never held whole.  Each
@@ -80,14 +80,14 @@ import numpy as np
 
 from .charfn import CharFn, cis, positive_sigma, whole_number
 from .errors import NumericFailure, ValidationError
-from .grids import DensityField, Grid, MollificationParams, NORMALIZATION_WINDOW
+from .grids import DensityField, Grid, MollificationParams, NEGATIVITY_TOL, NORMALIZATION_WINDOW
 
 # Alias period floor for automatic node selection (see module docstring).
 ALIAS_PERIOD = 64.0
 # Hard cap on total lattice nodes, the one size guard: beyond this the
 # tensor quadrature is hopeless and the caller must reconfigure.
 NODE_BUDGET = 1 << 24
-# A density value may exceed the |chi| L1 certificate by at most this.
+# A density value may exceed the |chi| L1 sum by at most this.
 BOUND_SLACK = 1e-6
 
 _SCAN_PROBES = 33
@@ -451,11 +451,11 @@ def _certify(raw: np.ndarray, bound: float, params: MollificationParams) -> np.n
 
     The imaginary residue of a Hermitian-symmetric chi is rounding, so one
     above 100 (tail_tol + 1e-12 max(1, bound)) means a broken evaluator, as
-    does a value that is not finite.  Ripple in [-negativity_tol, 0) is
-    clamped to zero; larger negativity means misconfiguration, not
-    mathematics, and is a hard error.  No value may exceed ``bound``, the
-    |chi| L1 quadrature mass on the same nodes, by more than
-    ``BOUND_SLACK``.
+    does a value that is not finite.  A density is nonnegative, so ripple
+    in [-NEGATIVITY_TOL, 0) is clamped to zero and anything lower is a
+    quadrature failure.  No value may exceed ``bound``, the |chi| L1
+    quadrature mass on the same nodes, by more than ``BOUND_SLACK``; that
+    sum guards the arithmetic, not the quadrature error (ROADMAP item 3).
     """
     limit = 100.0 * (params.tail_tol + 1e-12 * max(1.0, bound))
     im_max = float(np.max(np.abs(raw.imag)))
@@ -468,10 +468,9 @@ def _certify(raw: np.ndarray, bound: float, params: MollificationParams) -> np.n
     if not np.all(np.isfinite(values)):
         raise NumericFailure("density values are not finite; check the CharFn")
     vmin = float(values.min())
-    tol = params.negativity_tol
-    if vmin < -tol:
+    if vmin < -NEGATIVITY_TOL:
         raise NumericFailure(
-            f"density value {vmin:g} below -{tol:g}; increase the node count "
+            f"density value {vmin:g} below -{NEGATIVITY_TOL:g}; increase the node count "
             "or truncation radius, or check the CharFn"
         )
     vmax = float(values.max())
@@ -565,9 +564,9 @@ def mollified_density_at(
 ) -> float:
     """Density of the law smoothed by N_d(0, sigma^2 I), evaluated at z.
 
-    The value passes the grid's checks: ripple in [-negativity_tol, 0) is
+    The value passes the grid's checks: ripple in [-NEGATIVITY_TOL, 0) is
     clamped to zero, and larger negativity or a value above the |chi| L1
-    certificate raises NumericFailure.
+    sum raises NumericFailure.
     """
     sigma = positive_sigma(sigma)
     # one-point axes: the lattice path evaluates a single point
@@ -586,7 +585,7 @@ def mollified_density_grid(
 
     Shares the quadrature plan with ``mollified_density_at``, so lattice
     values match the pointwise ones to rounding.  Values pass the checks
-    of the pointwise ones (negativity policy and L1 certificate), and the
+    of the pointwise ones (negativity and the |chi| L1 sum), and the
     Riemann sum must come out within 1e-3 of 1, else the grid window or
     quadrature is inadequate and a NumericFailure is raised.  ``workers``
     (at least 1) caps the threads, which may call ``cf.batch_eval``
@@ -624,9 +623,12 @@ def invert_density_at(
 ) -> float:
     """Density recovered from an integrable CF at the point z.
 
-    The result is certified against the |chi| L1 quadrature bound computed
-    on the same nodes: values above it (plus slack) or below the
-    negativity tolerance raise NumericFailure.
+    The result is checked against the |chi| L1 quadrature sum on the same
+    nodes: values above it (plus slack) or below -NEGATIVITY_TOL raise
+    NumericFailure.  That sum bounds the value by the triangle inequality
+    whatever the evaluator returns, so it guards the arithmetic, not the
+    quadrature error; a bound computed apart from the quadrature is
+    ROADMAP item 3.
     """
     _require_integrable(cf, allow_unknown_integrability)
     # one-point axes: the lattice path evaluates a single point
@@ -665,8 +667,10 @@ def cf_l1_bound(
 ) -> float:
     """Truncated quadrature estimate of (2 pi)^-d * integral |chi| d lambda^d.
 
-    This constant bounds every value the inversion can produce, so it acts
-    as a sup certificate for ``invert_density_at`` outputs.
+    It bounds every value the inversion computes on the same nodes, by the
+    triangle inequality and whatever the evaluator returns, so it guards
+    the arithmetic of ``invert_density_at``, not its quadrature error
+    (ROADMAP item 3).
     """
     _require_integrable(cf, allow_unknown_integrability)
     plan = _plan(cf, 0.0, params or MollificationParams())

@@ -549,15 +549,19 @@ class AffineMap(DistributionSpec, type="affine_map"):
         return self.matrix.shape[0]
 
     def cf(self) -> CharFn:
-        """chi_inner(A^T t) exp(i<b,t>), with no phase factor when b = 0."""
+        """chi_inner(A^T t) exp(i<b,t>), with no phase factor when b = 0.
+        A square A of full rank keeps the inner integrability flag (the
+        substitution u = A^T t); any other A gives "unknown"."""
         inner, matrix, shift = self.inner.cf(), self.matrix, self.shift
         shifted = shift.any()
+        invertible = matrix.shape[1] == self.dim and np.linalg.matrix_rank(matrix) == self.dim
+        flag = inner.integrable if invertible else "unknown"
 
         def ev(pts: np.ndarray) -> np.ndarray:
             vals = inner.batch_eval(pts @ matrix)
             return vals * cis(pts @ shift) if shifted else vals
 
-        return CharFn(self.dim, ev, "unknown", self.json_type)
+        return CharFn(self.dim, ev, flag, self.json_type)
 
     def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
         return self.inner.draw(n, seq.spawn(1)[0]) @ self.matrix.T + self.shift
@@ -586,14 +590,16 @@ class StandardizedIIDSum(DistributionSpec, type="standardized_iid_sum"):
         return 1
 
     def cf(self) -> CharFn:
-        """chi_base(t/sqrt(n))^n."""
+        """chi_base(t/sqrt(n))^n; integrable when the base is, since
+        |chi_base(t/sqrt(n))|^n <= |chi_base(t/sqrt(n))|."""
         base, n = self.base.cf(), self.n
         root = math.sqrt(n)
 
         def ev(pts: np.ndarray) -> np.ndarray:
             return base.batch_eval(pts / root) ** n
 
-        return CharFn(1, ev, "unknown", self.json_type)
+        flag = "yes" if base.integrable == "yes" else "unknown"
+        return CharFn(1, ev, flag, self.json_type)
 
     def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
         acc = np.zeros((n, 1))
@@ -622,7 +628,8 @@ class Product(DistributionSpec, type="product"):
         return len(self.factors)
 
     def cf(self) -> CharFn:
-        """Product over axes of the factor CFs."""
+        """Product over axes of the factor CFs; integrable when every
+        factor is (Fubini)."""
         factors = [f.cf() for f in self.factors]
 
         def ev(pts: np.ndarray) -> np.ndarray:
@@ -631,7 +638,8 @@ class Product(DistributionSpec, type="product"):
                 vals *= f.batch_eval(pts[:, j : j + 1])
             return vals
 
-        return CharFn(self.dim, ev, "unknown", self.json_type)
+        flag = "yes" if all(f.integrable == "yes" for f in factors) else "unknown"
+        return CharFn(self.dim, ev, flag, self.json_type)
 
     def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
         children = seq.spawn(len(self.factors))

@@ -199,7 +199,7 @@ def test_symmetric_iid_sum_is_real(rademacher):
         assert np.max(np.abs(cf(t).imag)) <= 1e-12
 
 
-def test_integrability_flags(std_gaussian, rademacher):
+def test_integrability_flags(std_gaussian, rademacher, spec_zoo):
     assert make_cf(std_gaussian).integrable == "yes"
     assert make_cf(cm.Laplace1D(scale=1.0)).integrable == "yes"
     assert make_cf(cm.PointMass(location=[0.0])).integrable == "no"
@@ -215,6 +215,27 @@ def test_integrability_flags(std_gaussian, rademacher):
     conv_spec = cm.Convolution(parts=(rademacher, std_gaussian))
     assert make_cf(conv_spec).integrable == "yes"
     assert gaussian_mollify_cf(make_cf(rademacher), 0.1).integrable == "yes"
+    laplace, uniform = cm.Laplace1D(scale=1.0), cm.UniformBox(lo=[-1.0], hi=[1.0])
+    # Product: "yes" iff every factor is (Fubini)
+    assert make_cf(cm.Product(factors=(std_gaussian, laplace))).integrable == "yes"
+    assert make_cf(cm.Product(factors=(laplace, uniform))).integrable == "unknown"
+    assert make_cf(cm.Product(factors=(std_gaussian, rademacher))).integrable == "unknown"
+    # StandardizedIIDSum: |chi(t/sqrt(n))|^n <= |chi(t/sqrt(n))|
+    assert make_cf(cm.StandardizedIIDSum(base=laplace, n=3)).integrable == "yes"
+    assert make_cf(cm.StandardizedIIDSum(base=uniform, n=3)).integrable == "unknown"
+    # AffineMap: a square A of full rank keeps the inner flag
+    gauss2 = cm.Gaussian(mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, 1.0]])
+    rotate = [[1.0, 2.0], [0.5, -1.0]]
+    assert make_cf(cm.AffineMap(matrix=[[2.0]], shift=[0.5], inner=laplace)).integrable == "yes"
+    assert make_cf(cm.AffineMap(matrix=rotate, shift=[0.0, 1.0], inner=gauss2)).integrable == "yes"
+    point = cm.PointMass(location=[1.0, -1.0])
+    assert make_cf(cm.AffineMap(matrix=rotate, shift=[0.0, 0.0], inner=point)).integrable == "no"
+    rank_one = cm.AffineMap(matrix=[[1.0, 2.0], [0.5, 1.0]], shift=[0.0, 0.0], inner=gauss2)
+    assert make_cf(rank_one).integrable == "unknown"
+    # the zoo's 2x1 map, its Rademacher sum and its Product keep "unknown"
+    flags = [make_cf(spec).integrable for spec in spec_zoo]
+    assert flags == ["yes", "yes", "no", "no", "unknown", "yes", "no", "yes",
+                     "unknown", "unknown", "unknown", "no"]
 
 
 def test_call_shapes(std_gaussian):

@@ -99,8 +99,7 @@ def test_sidecar_records_sigma_and_default_nodes(tmp_path):
     assert rc == EXIT_OK
     meta = json.loads(out.with_suffix(".meta.json").read_text())
     assert (meta["sigma"], meta["params"]["nodes_per_axis"]) == (1.0, 64)
-    assert sorted(meta["params"]) == ["negativity_tol", "nodes_per_axis", "tail_tol",
-                                      "truncation_radius"]
+    assert sorted(meta["params"]) == ["nodes_per_axis", "tail_tol", "truncation_radius"]
 
 
 def test_invert_point_mass_exits_2(spec_files, capsys):
@@ -257,19 +256,13 @@ def test_selfcheck_seed_zero_is_a_seed(monkeypatch, capsys):
     assert seeds == [0, 20240]
 
 
-@pytest.mark.parametrize("command", ["converge", "clt-demo"])
+@pytest.mark.parametrize("command", ["converge"])
 def test_epsilon_zero_is_rejected(tmp_path, spec_files, command, capsys):
-    # 0 must reach the certificate's check, not be replaced by the default
-    # 0.1; clt-demo takes epsilon from a config file only
+    # 0 must reach the certificate's check, not be replaced by the default 0.1
     out = tmp_path / "rep.json"
-    args = [command, "--grid", "-8:8:128", "--out", str(out)]
-    if command == "converge":
-        args += ["--spec", spec_files["gauss"], "--target", spec_files["gauss"],
-                 "--k-schedule", "1,2", "--epsilon", "0"]
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epsilon": 0}))
-        args += ["--config", str(cfg)]
+    args = [command, "--grid", "-8:8:128", "--out", str(out),
+            "--spec", spec_files["gauss"], "--target", spec_files["gauss"],
+            "--k-schedule", "1,2", "--epsilon", "0"]
     assert main(args) == EXIT_VALIDATION
     assert "epsilon must be positive" in capsys.readouterr().err
     assert not out.exists()
@@ -400,7 +393,8 @@ def test_vacuous_tail_tol_exits_2(tmp_path, spec_files, capsys, command, tol):
 @pytest.mark.parametrize(
     "command, key, value",
     [("invert", "seed", 3), ("invert", "sigma", 0.5), ("mollify", "epsilon", 0.1),
-     ("selfcheck", "grid", "-8:8:64"), ("clt-demo", "spec", "a.json")],
+     ("selfcheck", "grid", "-8:8:64"), ("clt-demo", "spec", "a.json"),
+     ("clt-demo", "epsilon", 0.2)],
 )
 def test_config_keys_outside_the_command_exit_2(tmp_path, spec_files, command, key, value, capsys):
     # a config file may set only what the command's flags may set, so a key
@@ -412,3 +406,17 @@ def test_config_keys_outside_the_command_exit_2(tmp_path, spec_files, command, k
     assert main([command, "--config", str(cfg)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"not read by '{command}'" in err and key in err
+
+
+@pytest.mark.parametrize("command", ["invert", "mollify", "converge", "clt-demo"])
+def test_negativity_tol_is_no_option(tmp_path, spec_files, command, capsys):
+    # the negativity tolerance is a constant of the numerical contract, so
+    # neither a flag nor a config key may set it
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--negativity-tol", "1e-6"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": "-8:8:64", "negativity_tol": 1e-6}))
+    assert main([command, "--config", str(cfg)]) == EXIT_VALIDATION
+    assert "negativity_tol" in capsys.readouterr().err

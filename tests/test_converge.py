@@ -7,6 +7,7 @@ from cfmoll import (
     ConvergenceReport,
     MollificationParams,
     ValidationError,
+    NumericFailure,
     cf_sup_error,
     convergence_certificate,
     gaussian_tail_prob,
@@ -17,6 +18,7 @@ from cfmoll import (
     mollified_density_grid,
     tv_distance,
 )
+from cfmoll.converge import default_probes
 from tests.conftest import gaussian_density
 
 # frozen mpmath oracles
@@ -111,6 +113,13 @@ class TestCfSupError:
         b = make_cf(cm.PointMass(location=[1.0]))
         assert cf_sup_error(a, b, [[np.pi]]) == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d, per_axis", [(1, 129), (2, 129), (3, 40), (4, 16)])
+    def test_default_probe_count(self, d, per_axis):
+        # the largest n <= 129 per axis with n^d <= 2^16
+        probes = default_probes(d)
+        assert probes.shape == (per_axis**d, d)
+        assert probes.min() == -5.0 and probes.max() == 5.0
+
     def test_validation(self, std_gaussian):
         cf = make_cf(std_gaussian)
         with pytest.raises(ValidationError):
@@ -176,6 +185,19 @@ class TestMassInBox:
     def test_outside_extent_rejected(self, normal_field):
         with pytest.raises(ValidationError):
             mass_in_box(normal_field, 9.0)
+
+    def test_2d_box_matches_the_masked_points(self):
+        # the per-axis block sums the same values in the same order as
+        # masking the point list
+        grid = cm.Grid(axes=((-3.0, 4.0, 29), (-5.0, 5.0, 20)))
+        field = cm.DensityField(grid, np.random.default_rng(3).uniform(0, 1, grid.size), False)
+        for radius in (1.5, 3.0):
+            inside = np.all(np.abs(grid.points()) <= radius, axis=1)
+            expected = float(np.sum(field.values[inside]) * grid.cell_volume)
+            assert mass_in_box(field, radius) == expected
+        square = cm.Grid(axes=((-4.0, 4.0, 17), (-4.0, 4.0, 9)))
+        full = cm.DensityField(square, np.random.default_rng(4).uniform(0, 1, square.size), False)
+        assert mass_in_box(full, 4.0) == full.riemann_sum
 
 
 def clt_mixture_l1_oracle(n, sigma=0.5, var_target=1.25):
@@ -244,6 +266,17 @@ class TestCertificate:
         rows = (tmp_path / "report.csv").read_text().strip().splitlines()
         assert rows[0] == "n,k,l1_mollified,smoothing_remainder"
         assert len(rows) == 1 + 1 * 2
+
+    def test_4d_certificate_fails_the_node_budget_or_completes(self):
+        # 16^4 probes fit in memory, so the default plan fails on its node
+        # budget (exit 3 at the CLI) and an explicit plan completes
+        gauss4 = make_cf(cm.Gaussian(mean=[0.0] * 4, cov=np.eye(4).tolist()))
+        grid = cm.Grid(axes=((-8.0, 8.0, 17),) * 4)
+        with pytest.raises(NumericFailure, match="budget"):
+            convergence_certificate([gauss4], gauss4, [1], grid, 0.1)
+        params = MollificationParams(truncation_radius=6.0, nodes_per_axis=48)
+        rep = convergence_certificate([gauss4], gauss4, [1], grid, 0.1, params=params)
+        assert rep.cf_sup_error == (0.0,) and rep.final_l1 == 0.0
 
     def test_schedule_validation(self, std_gaussian):
         target = make_cf(std_gaussian)

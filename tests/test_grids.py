@@ -57,6 +57,9 @@ def test_density_field_validation():
     field.check_invariants()  # tiny ripple is allowed
     with pytest.raises(ValidationError):
         cm.DensityField(g, np.array([1.0, -1e-3, 1.0]), False).check_invariants()
+    # the negativity tolerance is the contract's constant, not an argument
+    with pytest.raises(TypeError):
+        field.check_invariants(1e-2)
     # normalization claim is checked against the Riemann sum
     with pytest.raises(ValidationError):
         cm.DensityField(g, np.array([9.0, 9.0, 9.0]), True).check_invariants()
@@ -95,7 +98,7 @@ def test_density_csv_sigma_round_trip(tmp_path):
         meta = json.loads(sidecar.read_text())
         assert meta["sigma"] == sigma
         assert meta["params"] == {"truncation_radius": None, "nodes_per_axis": 512,
-                                  "tail_tol": 1e-10, "negativity_tol": 1e-6}
+                                  "tail_tol": 1e-10}
         assert cm.read_density_csv(path).sigma == sigma
     # a sidecar written before sigma was recorded reads as unknown
     meta.pop("sigma")

@@ -26,6 +26,7 @@ from cfmoll import (
     truncation_radius,
 )
 from cfmoll.charfn import CharFn
+from cfmoll.grids import NEGATIVITY_TOL
 from tests.conftest import gaussian_density, subprocess_env, traced_peak_mb
 
 INV_SQRT_2PI = 0.39894228040143268  # standard normal density at 0
@@ -317,6 +318,23 @@ class TestInversion:
         val = invert_density_at(cf, [0.0], allow_unknown_integrability=True)
         assert val == pytest.approx(1.0 / (1.732 * math.sqrt(2.0)), abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "spec, z, expected",
+        [
+            (cm.Product(factors=(cm.Gaussian(mean=[0.0], cov=[[1.0]]),) * 2), [0.3, -0.7],
+             gaussian_density(0.3) * gaussian_density(-0.7)),
+            (cm.StandardizedIIDSum(base=cm.Gaussian(mean=[0.0], cov=[[1.0]]), n=4), [0.0],
+             INV_SQRT_2PI),
+            (cm.AffineMap(matrix=[[2.0]], shift=[0.5], inner=cm.Gaussian(mean=[0.0], cov=[[1.0]])),
+             [1.3], gaussian_density(1.3, mean=0.5, var=4.0)),
+        ],
+        ids=["product", "iid_sum", "affine_map"],
+    )
+    def test_derived_integrable_laws_invert_without_override(self, spec, z, expected):
+        cf = make_cf(spec)
+        assert cf.integrable == "yes"
+        assert invert_density_at(cf, z) == pytest.approx(expected, abs=1e-6)
+
     def test_never_exceeds_l1_certificate(self, std_gaussian):
         for spec in (cm.Laplace1D(scale=1.0), std_gaussian):
             cf = make_cf(spec)
@@ -410,7 +428,7 @@ class TestPointwiseChecks:
             field = invert_density_grid(cf, grid, params)
         plan = mo._plan(cf, sigma, params)
         raw, _ = mo._scaled_transform(cf, plan, [np.array([z])])
-        assert -params.negativity_tol <= raw.real.item() < -1e-9
+        assert -NEGATIVITY_TOL <= raw.real.item() < -1e-9
         assert at == 0.0
         assert field.values[node] == 0.0
 
@@ -460,6 +478,9 @@ class TestParamsAndPolicies:
         for radius in (math.inf, math.nan):
             with pytest.raises(ValidationError, match="finite"):
                 MollificationParams(truncation_radius=radius)
+        # the negativity tolerance is part of the contract, not a setting
+        with pytest.raises(TypeError):
+            MollificationParams(negativity_tol=1e-6)
 
     def test_tail_tol_must_be_finite(self):
         with pytest.raises(ValidationError, match="finite"):
@@ -504,7 +525,7 @@ class TestParamsAndPolicies:
         params = MollificationParams()
         assert [params.nodes(d) for d in (1, 2, 3, 5)] == [512, 512, 64, 64]
         assert MollificationParams(nodes_per_axis=128).nodes(3) == 128
-        assert len(dataclasses.fields(MollificationParams)) == 4
+        assert len(dataclasses.fields(MollificationParams)) == 3
 
     def test_3d_params_without_nodes_match_the_default(self):
         # MollificationParams(tail_tol=1e-8) took 512 nodes per axis in 3-d
@@ -549,12 +570,12 @@ class TestParamsAndPolicies:
         assert calls == []
 
     def test_negativity_policy(self):
-        vals = np.array([0.5, -1e-8, 1e-3])
-        params = MollificationParams(negativity_tol=1e-6)
+        vals = np.array([0.5, -0.5 * NEGATIVITY_TOL, 1e-3])
+        params = MollificationParams()
         out = mo._certify(vals + 0j, 1.0, params)
         assert np.array_equal(out, [0.5, 0.0, 1e-3])
-        with pytest.raises(NumericFailure, match="below"):
-            mo._certify(np.array([0.5, -1e-3]) + 0j, 1.0, params)
+        with pytest.raises(NumericFailure, match="below -1e-06"):
+            mo._certify(np.array([0.5, -2.0 * NEGATIVITY_TOL]) + 0j, 1.0, params)
         with pytest.raises(NumericFailure, match="L1 certificate"):
             mo._certify(np.array([0.5, 0.4]) + 0j, 0.45, params)
 
