@@ -80,7 +80,14 @@ import numpy as np
 
 from .charfn import CharFn, cis, positive_sigma, whole_number
 from .errors import NumericFailure, ValidationError
-from .grids import DensityField, Grid, MollificationParams, NEGATIVITY_TOL, NORMALIZATION_WINDOW
+from .grids import (
+    DEFAULT_TAIL_TOL,
+    DensityField,
+    Grid,
+    MollificationParams,
+    NEGATIVITY_TOL,
+    NORMALIZATION_WINDOW,
+)
 
 # Alias period floor for automatic node selection (see module docstring).
 ALIAS_PERIOD = 64.0
@@ -451,13 +458,17 @@ def _certify(raw: np.ndarray, bound: float, params: MollificationParams) -> np.n
 
     The imaginary residue of a Hermitian-symmetric chi is rounding, so one
     above 100 (tail_tol + 1e-12 max(1, bound)) means a broken evaluator, as
-    does a value that is not finite.  A density is nonnegative, so ripple
-    in [-NEGATIVITY_TOL, 0) is clamped to zero and anything lower is a
-    quadrature failure.  No value may exceed ``bound``, the |chi| L1
-    quadrature mass on the same nodes, by more than ``BOUND_SLACK``; that
-    sum guards the arithmetic, not the quadrature error (ROADMAP item 3).
+    does a value that is not finite.  An explicit ``truncation_radius``
+    leaves ``params.tail_tol`` unread by the plan, so the limit then takes
+    ``DEFAULT_TAIL_TOL``: a setting that chose nothing cannot loosen it.
+    A density is nonnegative, so ripple in [-NEGATIVITY_TOL, 0) is clamped
+    to zero and anything lower is a quadrature failure.  No value may
+    exceed ``bound``, the |chi| L1 quadrature mass on the same nodes, by
+    more than ``BOUND_SLACK``; that sum guards the arithmetic, not the
+    quadrature error (ROADMAP item 3).
     """
-    limit = 100.0 * (params.tail_tol + 1e-12 * max(1.0, bound))
+    tail_tol = DEFAULT_TAIL_TOL if params.truncation_radius is not None else params.tail_tol
+    limit = 100.0 * (tail_tol + 1e-12 * max(1.0, bound))
     im_max = float(np.max(np.abs(raw.imag)))
     if im_max > limit:
         raise NumericFailure(

@@ -9,7 +9,15 @@ and identical (spec, n, seed) inputs reproduce bit-identical batches.
 Gaussian draws come from the generator's exact normal sampler (ziggurat),
 never an approximate inverse CDF, so the references are exact in
 distribution.  ``Empirical`` draws are ``Generator.choice``'s own inverse
-CDF on the same stream, computed without its per-draw binary search.
+CDF on the same stream, computed without its per-draw binary search.  A
+``StandardizedIIDSum`` over an ``Empirical`` base draws from the exact
+finite law of the sum (``StandardizedIIDSum.sum_law``: the distinct values
+of the count vectors' sums in ascending order, multinomial weights)
+through that inverse CDF, one uniform per draw on the parent stream,
+while there are at most 2^16 count vectors.  For the same seed its
+batches differ from those of versions that added n base draws from n
+child streams, as every other base, and a base over that cap, still
+does.
 
 ``mollified_histogram`` bins the draws in chunks by arithmetic: a guess
 from the edge spacing, corrected against the stored edges.  Its counts

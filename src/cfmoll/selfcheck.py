@@ -92,6 +92,27 @@ def check_empirical_cf(seed: int) -> CheckResult:
     )
 
 
+def check_sum_law(seed: int) -> CheckResult:
+    """The zoo's Rademacher-9 sum: its exact sum law against the atoms
+    (2c - 9) / 3 and the binomial probabilities C(9, c) / 2^9, and the
+    empirical CF of a seeded sample drawn from that law against the
+    closed-form CF within 5 / sqrt(n)."""
+    spec = next(s for s in _spec_zoo() if isinstance(s, sp.StandardizedIIDSum))
+    law = spec.sum_law()
+    c = np.arange(10)
+    if not np.array_equal(law.points[:, 0], (2.0 * c - 9.0) / 3.0):
+        return CheckResult("sum_law", False, f"atoms {law.points[:, 0]} are not (2c - 9) / 3")
+    binomial = np.array([math.comb(9, int(j)) for j in c]) / 2.0**9
+    weights = float(np.max(np.abs(law.weights / binomial - 1.0)))
+    n = 100_000
+    t = np.linspace(-4.0, 4.0, 65)
+    sampling = float(np.max(np.abs(empirical_cf(sample(spec, n, seed), t) - make_cf(spec)(t))))
+    ok = weights <= 1e-14 and sampling <= 5.0 / math.sqrt(n)
+    return CheckResult(
+        "sum_law", ok, f"max weight error {weights:.3g}, max |ecf - cf| {sampling:.3g}"
+    )
+
+
 def check_mollify_semigroup(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     cf = make_cf(sp.UniformBox(lo=[-1.0], hi=[1.0]))
@@ -198,6 +219,7 @@ def check_normalization(_: int) -> CheckResult:
 ALL_CHECKS = [
     check_cf_invariants,
     check_empirical_cf,
+    check_sum_law,
     check_mollify_semigroup,
     check_gaussian_closed_form,
     check_empirical_mixture,

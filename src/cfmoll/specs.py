@@ -21,6 +21,7 @@ and validates a file.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -47,6 +48,12 @@ _RESEED = 16
 # per cut; with more, a binary search is faster (crossover near 100 atoms
 # at 1e6 draws).
 CUT_ATOMS = 64
+
+# ``StandardizedIIDSum.sum_law`` builds the exact law of a sum over an
+# ``Empirical`` base only while it has at most this many count vectors,
+# C(n + k - 1, k - 1) for n terms over k atoms; its atoms are their
+# distinct sums.
+_SUM_LAW_CAP = 1 << 16
 
 # JSON ``type`` name -> constructor class, filled as the classes are defined
 SPEC_TYPES: dict[str, type[DistributionSpec]] = {}
@@ -222,6 +229,66 @@ def atom_sum(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndar
     np.divide(num.imag, total, out=num.imag)
     num[~pts.any(axis=1)] = 1.0
     return num
+
+
+def _running_products(factors) -> tuple[np.ndarray, np.ndarray]:
+    """1, f_1, f_1 f_2, ... for the positive ``factors``, as mantissas in
+    [0.5, 1) and exponents of two (``math.frexp``), so that no product
+    overflows or underflows.  A step rounds only when the product needs
+    more than 53 bits: factorials up to 22! and powers of 1/2 are exact."""
+    m, e = 0.5, 1
+    mant, expo = [m], [e]
+    for f in factors:
+        m, step = math.frexp(m * f)
+        e += step
+        mant.append(m)
+        expo.append(e)
+    return np.array(mant), np.array(expo)
+
+
+def _sum_law(x: np.ndarray, w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms sum_j c_j x_j and weights n!/prod_j c_j! prod_j w_j^c_j of the
+    sum of n i.i.d. draws from atoms x_j with weights w_j > 0, one per
+    count vector c (c_j >= 0, sum_j c_j = n).
+
+    The count vectors are built by convolving over the atoms: a partial
+    vector over atoms 0..j-1 that has used u < n terms takes each
+    c_j = 0..n-u (the last atom takes n - u), and a vector leaves the walk
+    once it has used all n terms.  So the work is the number of count
+    vectors, never the k^n ordered sequences.  The weights are kept in log
+    space base two: the numerator n! prod_j w_j^c_j and the denominator
+    prod_j c_j! as mantissas and exponents (``_running_products``), divided
+    once and normalized at the end.  No weight overflows at any n, and one
+    whose factors are exact is exact: C(n, c) / 2^n for a Rademacher sum
+    while n! needs at most 53 bits.
+    """
+    fact_m, fact_e = _running_products(range(1, n + 1))
+    # per partial count vector: terms used, sum_j c_j x_j, the numerator
+    # and denominator mantissas, and the exponent of their ratio
+    used, total = np.zeros(1, dtype=np.intp), np.zeros(1)
+    num, den, expo = fact_m[n:], np.ones(1), fact_e[n:]
+    done = []
+    for j, (xj, wj) in enumerate(zip(x.tolist(), w.tolist())):
+        pow_m, pow_e = _running_products(itertools.repeat(wj, n))
+        if j == len(x) - 1:
+            c = n - used
+        else:
+            reps = n - used + 1
+            parent = np.repeat(np.arange(len(used)), reps)
+            c = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
+            used, total, num, den, expo = (a[parent] for a in (used, total, num, den, expo))
+        used = used + c
+        total = total + c * xj
+        num, num_e = np.frexp(num * pow_m[c])
+        den, den_e = np.frexp(den * fact_m[c])
+        expo = expo + (pow_e[c] - fact_e[c]) + (num_e - den_e)
+        full = used == n
+        done.append((total[full], num[full] / den[full], expo[full]))
+        rest = ~full
+        used, total, num, den, expo = (a[rest] for a in (used, total, num, den, expo))
+    total, mant, expo = (np.concatenate(parts) for parts in zip(*done))
+    weights = np.ldexp(mant, expo - expo.max())
+    return total, weights / weights.sum()
 
 
 def philox(seq: np.random.SeedSequence) -> np.random.Generator:
@@ -575,6 +642,13 @@ class StandardizedIIDSum(DistributionSpec, type="standardized_iid_sum"):
     standardization is declared by the caller and is not inferred or
     checked; a wrong declaration silently shifts/scales the limit.  ``n``
     must be an integer (4 or 4.0, not 2.7).
+
+    Over an ``Empirical`` base with at most ``_SUM_LAW_CAP`` count vectors
+    the draws come from the exact finite law of the sum (``sum_law``: its
+    distinct values in ascending order), one uniform per draw on the
+    parent stream; for the same seed these batches differ from those of
+    versions that summed n base draws.  Any other base, or one over the
+    cap, still adds n base draws taken from n child streams.
     """
 
     base: DistributionSpec
@@ -601,7 +675,33 @@ class StandardizedIIDSum(DistributionSpec, type="standardized_iid_sum"):
         flag = "yes" if base.integrable == "yes" else "unknown"
         return CharFn(1, ev, flag, self.json_type)
 
+    def sum_law(self) -> Empirical | None:
+        """The exact law of the standardized sum when the base is an
+        ``Empirical`` whose nonzero-weight atoms give at most
+        ``_SUM_LAW_CAP`` count vectors (``_sum_law``; for n = 1 those
+        atoms themselves), else None.
+
+        Its atoms are the distinct values of the sum in ascending order,
+        count vectors with equal sums merged, so a draw is the quantile of
+        its uniform and the stream depends on the law alone, not on the
+        order in which the count vectors were built."""
+        base, n = self.base, self.n
+        if not isinstance(base, Empirical):
+            return None
+        keep = base.weights > 0
+        x, weights = base.points[keep, 0], base.weights[keep]
+        if math.comb(n + len(x) - 1, len(x) - 1) > _SUM_LAW_CAP:
+            return None
+        if n > 1:
+            total, weights = _sum_law(x, weights, n)
+            x = total / math.sqrt(n)
+        x, which = np.unique(x, return_inverse=True)
+        return Empirical(points=x[:, None], weights=np.bincount(which, weights=weights))
+
     def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
+        law = self.sum_law()
+        if law is not None:
+            return law.draw(n, seq)
         acc = np.zeros((n, 1))
         for child in seq.spawn(self.n):
             acc += self.base.draw(n, child)

@@ -156,6 +156,19 @@ class TestMollifiedDensityAt:
                 with pytest.raises(NumericFailure, match="imaginary residue"):
                     call()
 
+    def test_explicit_radius_ignores_tail_tol_in_the_residue_limit(self):
+        # with an explicit radius the plan reads no tail_tol, so a large one
+        # must not loosen the guard: this evaluator's residue is 0.07
+        cf = CharFn(
+            1, lambda pts: np.exp(-0.5 * pts[:, 0] ** 2) * (1 + 0.3j * np.cos(pts[:, 0])), "yes"
+        )
+        for tail_tol in (1e-8, 0.5):
+            params = MollificationParams(
+                truncation_radius=8.0, nodes_per_axis=128, tail_tol=tail_tol
+            )
+            with pytest.raises(NumericFailure, match="imaginary residue"):
+                invert_density_at(cf, [0.3], params)
+
 
 class TestMollifiedDensityGrid:
     def test_point_mass_grid_matches_normal(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -109,6 +110,104 @@ class TestSameStreamDraws:
     def test_zero_weight_atoms_never_drawn(self):
         spec = cm.Empirical(points=[[0.0], [1.0], [2.0], [3.0]], weights=[0.0, 0.5, 0.5, 0.0])
         assert set(np.unique(spec.draw(50_000, np.random.SeedSequence(1)))) == {1.0, 2.0}
+
+
+class TestSumLaw:
+    """A standardized sum over an ``Empirical`` base draws from the exact
+    finite law of the sum while it is under ``_SUM_LAW_CAP`` atoms."""
+
+    def test_rademacher_16_is_binomial(self, rademacher):
+        law = cm.StandardizedIIDSum(base=rademacher, n=16).sum_law()
+        c = np.arange(17)
+        assert np.array_equal(law.points[:, 0], (2.0 * c - 16.0) / 4.0)
+        want = np.array([math.comb(16, int(j)) for j in c]) / 2.0**16
+        assert np.max(np.abs(law.weights / want - 1.0)) <= 1e-15
+
+    def test_equal_sums_merge_into_ascending_atoms(self):
+        # X = (R_1 + R_2) / 2 on {-1, 0, 1}, so a sum of 4 is a sum of 8
+        # signs over 2: 15 count vectors, 9 distinct values
+        base = cm.Empirical(points=[[1.0], [0.0], [-1.0]], weights=[0.25, 0.5, 0.25])
+        law = cm.StandardizedIIDSum(base=base, n=4).sum_law()
+        c = np.arange(9)
+        assert np.array_equal(law.points[:, 0], (c - 4.0) / 2.0)
+        want = np.array([math.comb(8, int(j)) for j in c]) / 2.0**8
+        assert np.max(np.abs(law.weights / want - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_brute_force_convolution(self, n):
+        # every one of the k^n ordered sequences, the zero-weight atom
+        # included, folded onto its multiset of atoms; no two multisets of
+        # these atoms (n <= 6) have the same sum
+        x = [-1.1, 0.6, 0.35, 1.7]
+        w = [0.3, 0.0, 0.45, 0.25]
+        folded = {}
+        for seq in itertools.product(range(len(x)), repeat=n):
+            key = tuple(sorted(seq))
+            folded.setdefault(key, []).append(math.prod(w[i] for i in seq))
+        rows = sorted(
+            (math.fsum(x[i] for i in key) / math.sqrt(n), math.fsum(probs))
+            for key, probs in folded.items()
+            if math.fsum(probs) > 0.0
+        )
+        want_x, want_w = np.array(rows).T
+        base = cm.Empirical(points=np.array(x)[:, None], weights=w)
+        law = cm.StandardizedIIDSum(base=base, n=n).sum_law()
+        assert len(law.weights) == len(rows) == math.comb(n + 2, 2)
+        assert np.max(np.abs(law.points[:, 0] - want_x)) <= 1e-14
+        assert np.max(np.abs(law.weights / want_w - 1.0)) <= 1e-14
+
+    def test_draws_are_the_law_on_the_parent_stream(self, rademacher):
+        # one uniform per draw, through Generator.choice's inverse CDF
+        spec = cm.StandardizedIIDSum(base=rademacher, n=16)
+        law = spec.sum_law()
+        seq = np.random.SeedSequence(5)
+        idx = sp.philox(seq).choice(len(law.weights), size=4096, p=law.weights)
+        assert np.array_equal(spec.draw(4096, seq), law.points[idx])
+
+    @pytest.mark.parametrize("n_terms", [16, 64])
+    def test_short_batch_is_a_prefix(self, rademacher, n_terms):
+        spec = cm.StandardizedIIDSum(base=rademacher, n=n_terms)
+        for seed in (0, 7):
+            short, long = sample(spec, 10, seed), sample(spec, 1000, seed)
+            assert np.array_equal(short.points, long.points[:10])
+
+    def test_over_cap_and_non_empirical_bases_keep_the_n_pass_sum(self):
+        # 40 atoms and 16 terms make C(55, 16) count vectors, over the cap;
+        # such a sum, and one over a uniform base, still adds 16 base draws
+        # from 16 child streams, byte for byte
+        rng = np.random.default_rng(40)
+        w = rng.random(40)
+        wide = cm.Empirical(points=rng.normal(size=(40, 1)), weights=w / w.sum())
+        assert math.comb(55, 16) > sp._SUM_LAW_CAP
+        for base in (wide, cm.UniformBox(lo=[-math.sqrt(3.0)], hi=[math.sqrt(3.0)])):
+            spec = cm.StandardizedIIDSum(base=base, n=16)
+            assert spec.sum_law() is None
+            acc = np.zeros((5000, 1))
+            for child in np.random.SeedSequence(11).spawn(16):
+                acc += base.draw(5000, child)
+            want = acc / np.sqrt(16)
+            assert sample(spec, 5000, 11).points.tobytes() == want.tobytes()
+
+    def test_cap_counts_nonzero_atoms_only(self, rademacher):
+        # 361 atoms in 2 terms make 65341 count vectors, under the cap, and
+        # as many distinct sums; a 362nd atom of weight zero does not count
+        x = np.random.default_rng(361).normal(size=(362, 1))
+        w = np.r_[np.full(361, 1.0 / 361), 0.0]
+        law = cm.StandardizedIIDSum(base=cm.Empirical(points=x, weights=w), n=2).sum_law()
+        assert law is not None and len(law.weights) == math.comb(362, 2)
+        one = cm.StandardizedIIDSum(base=rademacher, n=1).sum_law()
+        assert np.array_equal(one.points, rademacher.points)
+        assert np.array_equal(one.weights, rademacher.weights)
+
+    def test_histogram_of_draws_is_binomial(self, rademacher):
+        n = 1_000_000
+        batch = sample(cm.StandardizedIIDSum(base=rademacher, n=16), n, 2024)
+        values, counts = np.unique(batch.points[:, 0], return_counts=True)
+        c = np.rint(values * 2.0 + 8.0).astype(int)
+        assert np.array_equal(values, (2.0 * c - 16.0) / 4.0)
+        p = np.array([math.comb(16, int(j)) for j in c]) / 2.0**16
+        assert np.all(np.abs(counts / n - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n))
+        assert counts.sum() == n and len(values) >= 15
 
 
 class TestEmpiricalCf:
@@ -318,8 +417,10 @@ class TestMollifiedHistogram:
         # 1e6 draws of a 16-term Rademacher sum on 512 bins: with
         # Generator.choice and histogramdd the peak was 23.9 MiB; the chunked
         # binning and an atom draw that frees its uniforms before the gather
-        # peak at 17.2 (the running sum, the uint8 atom indices and the
-        # gathered atoms).  Keeping the uniforms alive takes it to 23.8.
+        # peaked at 17.2 (the running sum, the uint8 atom indices and the
+        # gathered atoms), and keeping the uniforms alive took it to 23.8.
+        # Drawing from the 17-atom law of the sum, one uniform per draw,
+        # peaks at 15.3: the draws and the noise added to them.
         spec = cm.StandardizedIIDSum(base=rademacher, n=16)
         grid = cm.Grid(axes=((-8.0, 8.0, 512),))
         peak = traced_peak_mb(lambda: mollified_histogram(spec, 0.5, grid, 1_000_000, 3))
