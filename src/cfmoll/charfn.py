@@ -14,6 +14,13 @@ conservative: it is "yes" only where a closed-form argument guarantees it,
 "no" only for laws with atoms that force |chi| not to vanish at infinity,
 and "unknown" otherwise.  "unknown" is never upgraded heuristically.
 
+The evaluator returns float64 where its closed form is real (a zero-mean
+Gaussian, Laplace, a centred box, and products, convolutions,
+standardized sums and unshifted affine maps built only from such laws)
+and complex otherwise; an ``Empirical`` law is complex even when it is
+symmetric.  The operations here keep that dtype, so the quadrature in
+``cfmoll.mollify`` sees a real chi as real lattice weights.
+
 Constructed CFs satisfy chi(0) = 1 exactly, |chi(t)| <= 1 (+ rounding) and
 the Hermitian symmetry chi(-t) = conj(chi(t)).
 """
@@ -35,9 +42,10 @@ Integrability = Literal["yes", "no", "unknown"]
 class CharFn:
     """Evaluable characteristic function of a law on R^d.
 
-    ``batch_eval`` maps an (N, d) float array to an (N,) complex array.
-    Calling the CharFn accepts scalars (d=1), single points, or arrays of
-    points with the coordinate axis last, and returns matching shapes.
+    ``batch_eval`` maps an (N, d) float array to an (N,) array: complex,
+    or float64 where chi is real (a symmetric law).  Calling the CharFn
+    accepts scalars (d=1), single points, or arrays of points with the
+    coordinate axis last, and returns complex values of matching shapes.
     """
 
     d: int
@@ -80,7 +88,8 @@ def make_cf(spec) -> CharFn:
 
 
 def convolve(a: CharFn, b: CharFn) -> CharFn:
-    """CF of the sum of independent draws: pointwise product a(t) b(t).
+    """CF of the sum of independent draws: pointwise product a(t) b(t),
+    real when both factors are.
 
     The result is integrable whenever either factor is, since the other
     factor is bounded by 1.
@@ -126,7 +135,7 @@ def positive_sigma(sigma) -> float:
 
 def gaussian_mollify_cf(cf: CharFn, sigma: float) -> CharFn:
     """CF of the law smoothed by an independent N_d(0, sigma^2 I):
-    t -> chi(t) exp(-sigma^2 <t,t> / 2).
+    t -> chi(t) exp(-sigma^2 <t,t> / 2), real when chi is.
 
     The Gaussian factor dominates, so the result is always integrable.
     """

@@ -44,9 +44,18 @@ shape alone:
   below 4096 keeps the inner phases accurate on the 1.3M-node decay-scan
   lattices of slowly decaying CFs such as Laplace;
 - phase matrix: every other array, i.e. each axis of a 2-d or 3-d
-  lattice, multiplies by blocks of the matrix exp(-i z_a y_k).  On the
-  batched 3-d axes the matrix product dominates and the chirp-z form was
-  measured 4-5x slower.
+  lattice, multiplies by the matrix exp(-i z_a y_k).  Each axis's matrix
+  is built once per transform and shared by every slab (axis 0's sliced
+  to the slab's rows); one too large to hold is built in blocks per slab.
+  On the batched 3-d axes the matrix product dominates and the chirp-z
+  form was measured 4-5x slower.
+
+W has the dtype chi returns.  A real chi (a symmetric law's closed form)
+gives a real W: it is weighted and |W|-summed in real arithmetic, and
+its first contraction is one real matrix product with the phase matrix
+read as cos and -sin pairs, half the multiplies of a complex one.  The
+imaginary part of the sums still comes from those sine products, so the
+residue check below sees an evaluator that is real but not even.
 
 The form depends on the lattice dimension alone, never on the worker
 count.  Every density value, pointwise or on a grid, then passes the
@@ -62,7 +71,10 @@ worker count.  A 1-d lattice is one slab and runs on one thread.  chi
 fills each preallocated slab in blocks of ``_EVAL_BLOCK`` points built in
 one reused buffer, so no slab builds a meshgrid or a stacked point array,
 and an evaluator's temporaries (an ``Empirical`` law's atom chunks among
-them) are sized by the block, not the slab.
+them) are sized by the block, not the slab.  Each block is weighted with
+one product of its per-axis weights and |W|-summed as it is written.  A
+2-d or 3-d block is whole lattice rows, a layout ``cfmoll.specs`` reads
+to evaluate the closed forms once per row and once per row position.
 """
 
 from __future__ import annotations
@@ -101,8 +113,11 @@ _SCAN_PROBES = 33
 _SCAN_MAX_RADIUS = 2.0**26
 _PHASE_BLOCK = 1 << 22  # complex temporaries capped near 64 MiB
 # Lattice points per chi evaluation: each slab is filled block by block, so
-# the evaluator's temporaries stay small and warm in cache.
-_EVAL_BLOCK = 1 << 14
+# the evaluator's temporaries stay small (about 0.5 MiB each).  Row-factored
+# closed forms do little arithmetic per point, and at 2^14 points the
+# per-call work that holds the GIL (the row check, the small row arrays)
+# kept two slab workers from running side by side.
+_EVAL_BLOCK = 1 << 16
 # Slabs of a 2-d or 3-d lattice: at most this many nodes, and at least
 # _MIN_SLABS slabs where the rows allow, so a 512^2 lattice still spreads
 # over the workers.
@@ -301,59 +316,102 @@ def _slabs(shape: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, m0)) for lo in range(0, m0, rows)]
 
 
-def _weight_tensor(cf: CharFn, plan: QuadPlan, lo: int, hi: int) -> np.ndarray:
-    """W on rows [lo, hi) of the node lattice: chi times the plan's
-    per-axis weights, which carry the Gaussian damping when sigma > 0.
+def _lattice_blocks(
+    plan: QuadPlan, lo: int, hi: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(start, points, weights) for the blocks of about ``_EVAL_BLOCK``
+    points that fill rows [lo, hi) of the node lattice, in flat C order;
+    ``weights`` are the blocks' products of per-axis plan weights.
 
-    chi fills a preallocated slab in blocks of about ``_EVAL_BLOCK`` points.
     A 1-d block is a slice of the nodes.  Otherwise a block is whole rows
     along the last axis, written into one reused point buffer whose last
     coordinate is set once and whose leading coordinates are copied from
     the slab's meshgrid columns: row after row in C order, every row
     holding the same last-axis nodes in order and one fixed leading
-    coordinate tuple.  ``specs.atom_sum`` recognises that layout by exact
-    equality and factors an ``Empirical`` law's phases over it.
+    coordinate tuple.  ``specs`` recognises that layout by exact equality
+    (``_lattice_row_length``) and factors chi over it.  A block's weights
+    are its rows' products of leading weights times the last axis's, one
+    outer product.
     """
     nodes = (plan.nodes[0][lo:hi],) + plan.nodes[1:]
-    shape = tuple(len(y) for y in nodes)
-    w = np.empty(shape, dtype=complex)
-    flat = w.reshape(-1)
+    weights = (plan.weights[0][lo:hi],) + plan.weights[1:]
     if plan.d == 1:
         y = nodes[0][:, None]
         for a in range(0, len(y), _EVAL_BLOCK):
-            flat[a : a + _EVAL_BLOCK] = cf.batch_eval(y[a : a + _EVAL_BLOCK])
-    else:
-        last, rows = shape[-1], math.prod(shape[:-1])
-        step = max(1, _EVAL_BLOCK // last)
-        buf = np.empty((min(step, rows), last, plan.d))
-        buf[..., -1] = nodes[-1]
-        cols = [c.reshape(-1) for c in np.meshgrid(*nodes[:-1], indexing="ij")]
-        for r in range(0, rows, step):
-            n = min(step, rows - r)
-            for j, col in enumerate(cols):
-                buf[:n, :, j] = col[r : r + n, None]
-            flat[r * last : (r + n) * last] = cf.batch_eval(buf[:n].reshape(-1, plan.d))
-    for j, factor in enumerate(plan.weights):
-        if j == 0:
-            factor = factor[lo:hi]
-        w *= factor.reshape([-1 if a == j else 1 for a in range(plan.d)])
-    return w
+            yield a, y[a : a + _EVAL_BLOCK], weights[0][a : a + _EVAL_BLOCK]
+        return
+    last = len(nodes[-1])
+    cols = [c.reshape(-1) for c in np.meshgrid(*nodes[:-1], indexing="ij")]
+    lead = functools.reduce(np.multiply.outer, weights[:-1]).reshape(-1)
+    rows = len(lead)
+    step = max(1, _EVAL_BLOCK // last)
+    buf = np.empty((min(step, rows), last, plan.d))
+    buf[..., -1] = nodes[-1]
+    for r in range(0, rows, step):
+        n = min(step, rows - r)
+        for j, col in enumerate(cols):
+            buf[:n, :, j] = col[r : r + n, None]
+        weight = np.multiply.outer(lead[r : r + n], weights[-1]).reshape(-1)
+        yield r * last, buf[:n].reshape(-1, plan.d), weight
 
 
-def _contract_axis(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _weight_tensor(cf: CharFn, plan: QuadPlan, lo: int, hi: int) -> tuple[np.ndarray, float]:
+    """W on rows [lo, hi) of the node lattice, chi times the plan's
+    per-axis weights (which carry the Gaussian damping when sigma > 0),
+    and the sum of |W|.
+
+    chi fills the slab block by block (``_lattice_blocks``); each block is
+    weighted as it is written and its |W| summed while it is in cache, so
+    the sum needs no slab-size temporary.  W takes the dtype chi returns:
+    float64 for a real chi (a symmetric law), so the slab is weighted,
+    summed and first contracted in real arithmetic; a complex block turns
+    the slab complex from then on.
+    """
+    shape = (hi - lo,) + plan.shape[1:]
+    w, mass = None, 0.0
+    for a, pts, weight in _lattice_blocks(plan, lo, hi):
+        vals = cf.batch_eval(pts)
+        if w is None or (np.iscomplexobj(vals) and not np.iscomplexobj(w)):
+            dtype = complex if np.iscomplexobj(vals) else float
+            w = np.empty(shape, dtype=dtype) if w is None else w.astype(complex)
+        block = np.multiply(vals, weight, out=w.reshape(-1)[a : a + len(weight)])
+        mass += float(np.sum(np.abs(block)))
+    return w, mass
+
+
+def _phase_matrix(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """exp(-i z_a y_k) as an (m, n) C-ordered array, row k for node k."""
+    return cis(-np.outer(y, z))
+
+
+def _contract_axis(
+    t: np.ndarray, y: np.ndarray, z: np.ndarray, phases: np.ndarray | None = None
+) -> np.ndarray:
     """Contract axis 0 of ``t`` (length m) against phases exp(-i z_a y_k);
     the new z axis is appended last.  ``y`` and ``z`` are uniform axes.
     A vector (a 1-d lattice) takes the row split of ``_vector_contract``;
-    every other array multiplies by blocks of the phase matrix (see the
-    module docstring)."""
+    every other array multiplies by the phase matrix (see the module
+    docstring): ``phases`` when the caller built it
+    (``_phase_matrix(y, z)``), else blocks of it built here."""
     if t.ndim == 1:
         return _vector_contract(t, y, z)
-    out_blocks = []
+    if phases is not None:
+        return _apply_phases(t, phases)
     step = max(1, _PHASE_BLOCK // len(y))
-    for lo in range(0, len(z), step):
-        phases = cis(-np.outer(z[lo : lo + step], y))
-        out_blocks.append(np.tensordot(t, phases, axes=([0], [1])))
+    out_blocks = [
+        _apply_phases(t, _phase_matrix(y, z[lo : lo + step])) for lo in range(0, len(z), step)
+    ]
     return np.concatenate(out_blocks, axis=-1) if len(out_blocks) > 1 else out_blocks[0]
+
+
+def _apply_phases(t: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """sum_k t[k, ...] phases[k, a].  A real ``t`` takes one real product
+    with the matrix read as float pairs, cos(z_a y_k) and -sin(z_a y_k),
+    whose result read as complex is the sum: half the multiplies of a
+    complex product, and the imaginary part still comes from the sines."""
+    if np.iscomplexobj(t):
+        return np.tensordot(t, phases, axes=([0], [0]))
+    return np.tensordot(t, phases.view(float), axes=([0], [0])).view(complex)
 
 
 def _rows(t: np.ndarray, k: int, lo: int, hi: int) -> np.ndarray:
@@ -493,16 +551,25 @@ def _certify(raw: np.ndarray, bound: float, params: MollificationParams) -> np.n
 
 
 def _slab_transform(
-    cf: CharFn, plan: QuadPlan, z_axes: list[np.ndarray], lo: int, hi: int
+    cf: CharFn,
+    plan: QuadPlan,
+    z_axes: list[np.ndarray],
+    phases: list[np.ndarray | None],
+    lo: int,
+    hi: int,
 ) -> tuple[np.ndarray, float]:
     """Sum over rows [lo, hi) of W(y) exp(-i<z,y>) on the z lattice, plus the
     slab's sum of |W|.  Axes d-1 .. 1 are contracted first and the slab's
-    axis-0 nodes last, so the slabs together cost what one lattice would."""
-    t = _weight_tensor(cf, plan, lo, hi)
-    mass = float(np.sum(np.abs(t)))
+    axis-0 nodes last, so the slabs together cost what one lattice would.
+    ``phases`` holds each axis's phase matrix, or None where
+    ``_contract_axis`` builds it in blocks; axis 0's is sliced to the
+    slab's rows."""
+    t, mass = _weight_tensor(cf, plan, lo, hi)
     for j in reversed(range(plan.d)):
-        y = plan.nodes[j][lo:hi] if j == 0 else plan.nodes[j]
-        t = _contract_axis(np.moveaxis(t, j, 0), y, z_axes[j])
+        y, ph = plan.nodes[j], phases[j]
+        if j == 0:
+            y, ph = y[lo:hi], None if ph is None else ph[lo:hi]
+        t = _contract_axis(np.moveaxis(t, j, 0), y, z_axes[j], ph)
     return t.transpose(), mass
 
 
@@ -527,16 +594,27 @@ def _scaled_transform(
 
     The lattice is walked in the slabs of ``_slabs`` on up to ``workers``
     threads, and the partial sums are added in slab order.  A 1-d lattice
-    is one slab, so it runs on one thread.
+    is one slab, so it runs on one thread.  On a 2-d or 3-d lattice each
+    axis's phase matrix is built once here for all slabs, when it holds at
+    most ``_PHASE_BLOCK`` elements; a larger one is built in blocks per
+    slab, so memory stays bounded.
     """
     z_axes = [np.asarray(z, dtype=float) for z in z_axes]
+    phases = [
+        _phase_matrix(y, z) if plan.d > 1 and len(y) * len(z) <= _PHASE_BLOCK else None
+        for y, z in zip(plan.nodes, z_axes)
+    ]
     jobs = [
-        functools.partial(_slab_transform, cf, plan, z_axes, lo, hi)
+        functools.partial(_slab_transform, cf, plan, z_axes, phases, lo, hi)
         for lo, hi in _slabs(plan.shape)
     ]
     raw, mass = None, 0.0
     for part, slab_mass in _run_jobs(jobs, workers):
-        raw = part if raw is None else raw + part
+        # the first part is this call's own array, so later ones add in place
+        if raw is None:
+            raw = part
+        else:
+            raw += part
         mass += slab_mass
     scale = (2.0 * math.pi) ** (-cf.d)
     return raw * scale, scale * mass
@@ -685,5 +763,5 @@ def cf_l1_bound(
     """
     _require_integrable(cf, allow_unknown_integrability)
     plan = _plan(cf, 0.0, params or MollificationParams())
-    masses = [np.sum(np.abs(_weight_tensor(cf, plan, lo, hi))) for lo, hi in _slabs(plan.shape)]
+    masses = [_weight_tensor(cf, plan, lo, hi)[1] for lo, hi in _slabs(plan.shape)]
     return (2.0 * math.pi) ** (-cf.d) * float(sum(masses))

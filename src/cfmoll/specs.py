@@ -153,38 +153,131 @@ def _lattice_row_length(pts: np.ndarray) -> int | None:
     None: L >= 2 points per row, the leading coordinates constant within a
     row and the last coordinates the same L values in every row, all by
     exact equality (the block layout of ``mollify._weight_tensor``).  NaN
-    probes fail."""
+    probes fail.  ``atom_sum``, ``Gaussian``, ``UniformBox`` and ``Product``
+    read this layout (``_lattice_split``).
+
+    L is the first point whose leading coordinates differ from the first
+    point's, searched in growing prefixes.  The checks then compare the
+    flat probes with themselves shifted by one row (the last coordinates)
+    and by one point (the leading ones), so every comparison runs over
+    contiguous memory: numpy compares a strided column several times
+    slower."""
     n, d = pts.shape
     if d < 2 or n < 2:
         return None
-    lead = pts[:, :-1]
-    moved = np.flatnonzero((lead != lead[0]).any(axis=1))
-    length = int(moved[0]) if len(moved) else n
+    span = 256
+    while not (moved := np.flatnonzero(pts[:span, :-1] != pts[0, :-1])).size and span < n:
+        span *= 4
+    length = int(moved[0]) // (d - 1) if moved.size else n
     if length < 2 or n % length:
         return None
-    rows = pts.reshape(n // length, length, d)
-    if not (rows[:, :, -1] == rows[0, :, -1]).all():
+    flat = np.ascontiguousarray(pts).reshape(-1)
+    rows = flat.reshape(n // length, length * d)
+    is_last = np.zeros((length, d), dtype=bool)
+    is_last[:, -1] = True
+    is_last = is_last.reshape(-1)
+    # row 0 holds no NaN, and every row repeats its last coordinates
+    if not (rows[0] == rows[0]).all() or not ((rows[1:] == rows[:-1]) | ~is_last).all():
         return None
-    if not (rows[:, :, :-1] == rows[:, :1, :-1]).all():
+    # each point's leading coordinates equal the next point's in its row;
+    # a row's last point faces the next row's first, so it is not compared
+    same = np.ones(n * d, dtype=bool)
+    np.equal(flat[d:], flat[:-d], out=same[:-d])
+    is_last[-d:] = True
+    if not (same.reshape(rows.shape) | is_last).all():
         return None
     return length
 
 
-def _lattice_sums(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray, length: int) -> np.ndarray:
-    """sum_j w_j exp(i<t, x_j>) on whole lattice rows of ``length`` points
-    (``_lattice_row_length``), as one complex matrix product per atom
-    chunk: [w_j exp(i<t_lead,r, x_j,lead>)] (rows x atoms) times
-    [exp(i t_last,l x_j,last)] (atoms x length).  Chunks keep both factors
-    within ``ATOM_BLOCK`` elements."""
-    lead, last = pts[::length, :-1], pts[:length, -1]
-    out = np.zeros((len(lead), length), dtype=complex)
-    step = max(1, ATOM_BLOCK // max(len(lead), length))
+def _lattice_split(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(lead, last) when the probes are whole lattice rows
+    (``_lattice_row_length``): each row's leading coordinates, (rows, d - 1),
+    and the last coordinates every row shares, (L,).  Probe r L + l is then
+    (lead[r], last[l]).  Else None."""
+    length = _lattice_row_length(pts)
+    if length is None:
+        return None
+    return pts[::length, :-1], pts[:length, -1]
+
+
+def _lattice_sums(
+    atoms: np.ndarray, weights: np.ndarray, lead: np.ndarray, last: np.ndarray
+) -> np.ndarray:
+    """sum_j w_j exp(i<t, x_j>) on whole lattice rows (``_lattice_split``),
+    as one complex matrix product per atom chunk:
+    [w_j exp(i<t_lead,r, x_j,lead>)] (rows x atoms) times
+    [exp(i t_last,l x_j,last)] (atoms x row length).  Chunks keep both
+    factors within ``ATOM_BLOCK`` elements."""
+    out = np.zeros((len(lead), len(last)), dtype=complex)
+    step = max(1, ATOM_BLOCK // max(len(lead), len(last)))
     for lo in range(0, len(atoms), step):
         xs = atoms[lo : lo + step]
         rows = cis(lead @ xs[:, :-1].T)
         rows *= weights[lo : lo + step]
         out += rows @ cis(np.multiply.outer(xs[:, -1], last))
     return out.reshape(-1)
+
+
+def _axis_product(factors, pts: np.ndarray) -> np.ndarray:
+    """prod_j f_j(t_j) for each row t of ``pts``, with ``factors[j]``
+    mapping a 1-d array of axis-j coordinates to values (float or complex).
+
+    On whole lattice rows (``_lattice_split``) the leading factors are
+    taken once per row and the last once per row position, and one outer
+    product combines them: the same multiplications in the same order as
+    point by point, so the values are bit-equal to it."""
+    split = _lattice_split(pts)
+    cols = pts if split is None else split[0]
+    vals = factors[0](cols[:, 0])
+    for j in range(1, cols.shape[1]):
+        vals = vals * factors[j](cols[:, j])
+    if split is None:
+        return vals
+    return np.multiply.outer(vals, factors[-1](split[1])).reshape(-1)
+
+
+def _box_axis(half: float, center: float, t: np.ndarray) -> np.ndarray:
+    """exp(i t c) sin(t w)/(t w) for one axis of a box with centre c and
+    half-width w; real where c = 0."""
+    x = t * half
+    # sin(x)/x rounds to exactly 1 wherever x is tiny, so only x = 0 needs
+    # its limit
+    ratio = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    return ratio * cis(t * center) if center != 0.0 else ratio
+
+
+def _gaussian_modulus(cov: np.ndarray, uncoupled: bool, pts: np.ndarray) -> np.ndarray:
+    """exp(-<t, C t> / 2) for each row t of ``pts``, the quadratic form
+    clamped at 0 so the modulus stays <= 1 under the PSD tolerance.
+
+    On whole lattice rows (``_lattice_split``) with leading coordinates a
+    and last coordinate s, <t, C t> = a'C_aa a + 2 s c'a + C_ss s^2 with
+    c = C[:-1, -1]: the row terms are taken once per row and the powers of
+    s once per row position.  ``uncoupled`` (c = 0) makes the modulus the
+    outer product of exp(-a'C_aa a / 2) and exp(-C_ss s^2 / 2), each
+    clamped; otherwise each row's quadratic in s is one broadcast."""
+    split = _lattice_split(pts)
+    if split is None:
+        quad = np.einsum("ni,ni->n", pts @ cov, pts)
+        np.maximum(quad, 0.0, out=quad)
+        quad *= -0.5
+        return np.exp(quad, out=quad)
+    lead, s = split
+    head = np.einsum("ni,ni->n", lead @ cov[:-1, :-1], lead)
+    tail = -0.5 * cov[-1, -1] * s
+    if uncoupled:
+        np.maximum(head, 0.0, out=head)
+        head *= -0.5
+        tail *= s
+        np.minimum(tail, 0.0, out=tail)
+        return np.multiply.outer(np.exp(head, out=head), np.exp(tail, out=tail)).reshape(-1)
+    # -<t, C t> / 2 = (-C_ss s / 2 - c'a) s - a'C_aa a / 2, clamped at 0
+    quad = np.add.outer(-(lead @ cov[:-1, -1]), tail)
+    quad *= s
+    head *= -0.5
+    quad += head[:, None]
+    np.minimum(quad, 0.0, out=quad)
+    return np.exp(quad, out=quad).reshape(-1)
 
 
 def atom_sum(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -199,13 +292,15 @@ def atom_sum(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndar
     eps |x_j| max|t|, the size of the rounding of x_j t itself.
 
     d >= 2 probes that are whole rows of a tensor lattice
-    (``_lattice_row_length``: one set of last-axis coordinates shared by
-    every row, the leading coordinates constant within a row, as
+    (``_lattice_split``: one set of last-axis coordinates shared by every
+    row, the leading coordinates constant within a row, as
     ``mollify._weight_tensor`` lays out its blocks) factor as
     exp(i<t_lead, x_lead>) exp(i t_last x_last): cos/sin of the rows' and
     of the row's phases separately, then one complex matrix product per
     atom chunk (``_lattice_sums``), so the trig work is atoms x
-    (rows + row length) instead of atoms x rows x row length.  Every other
+    (rows + row length) instead of atoms x rows x row length.  The
+    closed forms of ``Gaussian``, ``UniformBox`` and ``Product`` read the
+    same layout (``_gaussian_modulus``, ``_axis_product``).  Every other
     probe set takes cos and sin of every phase (``_trig_sums``).
 
     Every branch takes the atoms in chunks whose phase arrays hold about
@@ -220,8 +315,8 @@ def atom_sum(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndar
         num = np.empty(len(pts), dtype=complex)
         num[first:] = _recurrence_sums(atoms[:, 0], weights, pts[first:, 0], dt)
         np.conj(num[::-1][:first], out=num[:first])
-    elif (length := _lattice_row_length(pts)) is not None:
-        num = _lattice_sums(atoms, weights, pts, length)
+    elif (split := _lattice_split(pts)) is not None:
+        num = _lattice_sums(atoms, weights, *split)
     else:
         num = _trig_sums(atoms, weights, pts)
     total = weights.sum()
@@ -366,20 +461,16 @@ class Gaussian(DistributionSpec, type="gaussian"):
         return bool(eigs.min() > COV_EIG_TOL * max(float(np.trace(self.cov)), 1e-300))
 
     def cf(self) -> CharFn:
-        """exp(i<a,t> - <t,Ct>/2); integrable when C is positive definite."""
+        """exp(i<a,t> - <t,Ct>/2); integrable when C is positive definite.
+        A zero mean has no phase, and chi is then real (float64)."""
         mean, cov = self.mean, self.cov
         centred = not mean.any()
+        uncoupled = not cov[-1, :-1].any()
 
         def ev(pts: np.ndarray) -> np.ndarray:
-            # PSD tolerance can leave slightly negative quadratic forms; clamp
-            # so |chi| <= 1 holds.  The modulus is a real exp; a zero mean
-            # has no phase.
-            quad = np.einsum("ni,ni->n", pts @ cov, pts)
-            np.maximum(quad, 0.0, out=quad)
-            quad *= -0.5
-            modulus = np.exp(quad, out=quad)
+            modulus = _gaussian_modulus(cov, uncoupled, pts)
             if centred:
-                return modulus.astype(complex)
+                return modulus
             vals = cis(pts @ mean)
             vals *= modulus
             return vals
@@ -447,24 +538,12 @@ class UniformBox(DistributionSpec, type="uniform_box"):
 
     def cf(self) -> CharFn:
         """Product over axes of exp(i t c_j) sin(t w_j)/(t w_j), with c the
-        box centre and w its half-widths; the phase is skipped where c_j = 0."""
+        box centre and w its half-widths (``_axis_product``); the phase is
+        skipped where c_j = 0, so a centred box has a real chi (float64)."""
         center = 0.5 * (self.lo + self.hi)
         half = 0.5 * (self.hi - self.lo)
-
-        def ev(pts: np.ndarray) -> np.ndarray:
-            vals = np.ones(pts.shape[0], dtype=complex)
-            for j in range(half.size):
-                tj = pts[:, j]
-                x = tj * half[j]
-                # sin(x)/x rounds to exactly 1 wherever x is tiny, so only
-                # x = 0 needs its limit
-                ratio = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
-                if center[j] != 0.0:
-                    ratio = ratio * cis(tj * center[j])
-                vals *= ratio
-            return vals
-
-        return CharFn(self.dim, ev, "unknown", self.json_type)
+        factors = [functools.partial(_box_axis, h, c) for h, c in zip(half, center)]
+        return CharFn(self.dim, lambda pts: _axis_product(factors, pts), "unknown", self.json_type)
 
     def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
         return philox(seq).uniform(self.lo, self.hi, size=(n, self.dim))
@@ -487,12 +566,12 @@ class Laplace1D(DistributionSpec, type="laplace"):
         return 1
 
     def cf(self) -> CharFn:
-        """1/(1 + b^2 t^2), integrable."""
+        """1/(1 + b^2 t^2), real (float64) and integrable."""
         scale = self.scale
 
         def ev(pts: np.ndarray) -> np.ndarray:
             t = pts[:, 0]
-            return (1.0 / (1.0 + (scale * t) ** 2)).astype(complex)
+            return 1.0 / (1.0 + (scale * t) ** 2)
 
         return CharFn(1, ev, "yes", self.json_type)
 
@@ -679,12 +758,17 @@ class StandardizedIIDSum(DistributionSpec, type="standardized_iid_sum"):
         """The exact law of the standardized sum when the base is an
         ``Empirical`` whose nonzero-weight atoms give at most
         ``_SUM_LAW_CAP`` count vectors (``_sum_law``; for n = 1 those
-        atoms themselves), else None.
+        atoms themselves), else None.  It is built on the first call and
+        kept on the spec, so repeated draws do not rebuild it.
 
         Its atoms are the distinct values of the sum in ascending order,
         count vectors with equal sums merged, so a draw is the quantile of
         its uniform and the stream depends on the law alone, not on the
         order in which the count vectors were built."""
+        return self._law
+
+    @functools.cached_property
+    def _law(self) -> Empirical | None:
         base, n = self.base, self.n
         if not isinstance(base, Empirical):
             return None
@@ -728,18 +812,12 @@ class Product(DistributionSpec, type="product"):
         return len(self.factors)
 
     def cf(self) -> CharFn:
-        """Product over axes of the factor CFs; integrable when every
-        factor is (Fubini)."""
+        """Product over axes of the factor CFs (``_axis_product``), real
+        when every factor's is; integrable when every factor is (Fubini)."""
         factors = [f.cf() for f in self.factors]
-
-        def ev(pts: np.ndarray) -> np.ndarray:
-            vals = np.ones(pts.shape[0], dtype=complex)
-            for j, f in enumerate(factors):
-                vals *= f.batch_eval(pts[:, j : j + 1])
-            return vals
-
+        evals = [lambda t, f=f: f.batch_eval(t[:, None]) for f in factors]
         flag = "yes" if all(f.integrable == "yes" for f in factors) else "unknown"
-        return CharFn(self.dim, ev, flag, self.json_type)
+        return CharFn(self.dim, lambda pts: _axis_product(evals, pts), flag, self.json_type)
 
     def draw(self, n: int, seq: np.random.SeedSequence) -> np.ndarray:
         children = seq.spawn(len(self.factors))

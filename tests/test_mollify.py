@@ -155,6 +155,29 @@ class TestMollifiedDensityAt:
             ):
                 with pytest.raises(NumericFailure, match="imaginary residue"):
                     call()
+        # a real-valued evaluator that is not even, along the first axis or
+        # along the last (the one a real slab contracts first): its slabs
+        # take the real path, and the sine products still carry the
+        # imaginary residue
+        for d, axis in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 2)):
+            cf = CharFn(
+                d,
+                lambda pts, axis=axis: np.exp(-0.5 * np.einsum("ni,ni->n", pts, pts))
+                * (1.0 + 0.3 * np.sin(pts[:, axis])),
+                "yes",
+            )
+            assert cf.batch_eval(np.ones((2, d))).dtype == np.float64
+            grid = cm.Grid(axes=((-6.0, 6.0, 9),) * d)
+            point = [0.7] * d
+            params = MollificationParams(truncation_radius=8.0, nodes_per_axis=48)
+            for call in (
+                lambda: mollified_density_at(cf, 1.0, point, params),
+                lambda: mollified_density_grid(cf, 1.0, grid, params),
+                lambda: invert_density_at(cf, point, params),
+                lambda: invert_density_grid(cf, grid, params),
+            ):
+                with pytest.raises(NumericFailure, match="imaginary residue"):
+                    call()
 
     def test_explicit_radius_ignores_tail_tol_in_the_residue_limit(self):
         # with an explicit radius the plan reads no tail_tol, so a large one
@@ -712,8 +735,8 @@ class TestContractAxis:
         plan = mo._plan(cf, 0.0, MollificationParams())
         y = plan.nodes[0]
         assert len(y) > 4096  # more than one 4096-node row
-        t = mo._weight_tensor(cf, plan, 0, len(y))
-        abs_sum = float(np.sum(np.abs(t)))
+        t, abs_sum = mo._weight_tensor(cf, plan, 0, len(y))
+        assert abs_sum == pytest.approx(float(np.sum(np.abs(t))), rel=1e-14, abs=0)
         return y, t, abs_sum
 
     def test_long_laplace_axis_matches_extended_precision(self, laplace_axis):
@@ -845,6 +868,14 @@ def _small_3d_case():
     return make_cf(spec), params, grid
 
 
+def _real_3d_product():
+    return cm.Product(factors=(
+        cm.UniformBox(lo=[-1.0], hi=[1.0]),
+        cm.Laplace1D(scale=0.7),
+        cm.Gaussian(mean=[0.0], cov=[[1.0]]),
+    ))
+
+
 def _empirical_2d(atoms):
     rng = np.random.default_rng(2024)
     pts = rng.uniform(-2.0, 2.0, size=(atoms, 2))
@@ -856,6 +887,14 @@ class TestSlabs:
     def test_3d_grid_bytes_identical_across_workers(self):
         cf, params, grid = _small_3d_case()
         assert len(mo._slabs(mo._plan(cf, 1.0, params).shape)) > 1
+        fields = [mollified_density_grid(cf, 1.0, grid, params, workers=w) for w in (1, 2, 3)]
+        for f in fields[1:]:
+            assert f.values.tobytes() == fields[0].values.tobytes()
+
+    def test_3d_real_grid_bytes_identical_across_workers(self):
+        # a real chi: real slabs and row-factored closed forms
+        _, params, grid = _small_3d_case()
+        cf = make_cf(_real_3d_product())
         fields = [mollified_density_grid(cf, 1.0, grid, params, workers=w) for w in (1, 2, 3)]
         for f in fields[1:]:
             assert f.values.tobytes() == fields[0].values.tobytes()
@@ -994,9 +1033,10 @@ class TestBlockedEvaluation:
         cf = self.CFS[len(shape)]
         ref = _one_shot_weights(cf, plan, lo, hi)
         monkeypatch.setattr(mo, "_EVAL_BLOCK", block)
-        w = mo._weight_tensor(cf, plan, lo, hi)
+        w, mass = mo._weight_tensor(cf, plan, lo, hi)
         assert w.shape == ref.shape
         assert np.max(np.abs(w - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert mass == pytest.approx(float(np.sum(np.abs(ref))), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_size_leaves_values_alone(self, d, monkeypatch):
@@ -1050,3 +1090,42 @@ class TestWorkers:
             mollified_density_grid(cf, 0.5, grid, workers=workers)
         with pytest.raises(ValidationError):
             invert_density_grid(cf, grid, workers=workers)
+
+
+class TestRealSlabs:
+    """A real chi gives a real W, weighted and first contracted in real
+    arithmetic; a complex block turns the slab complex."""
+
+    @staticmethod
+    def _flipping(cf, first):
+        """chi as float on every other block and complex on the rest,
+        complex first when ``first`` is 1."""
+        calls = itertools.count(first)
+
+        def ev(pts):
+            vals = cf.batch_eval(pts)
+            return vals.astype(complex) if next(calls) % 2 else vals
+
+        return CharFn(cf.d, ev, cf.integrable)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mixed_blocks_match_complex_blocks(self, d, monkeypatch):
+        spec = cm.Product(factors=(cm.Laplace1D(scale=0.7), cm.UniformBox(lo=[-1.0], hi=[1.0]),
+                                   cm.Gaussian(mean=[0.0], cov=[[1.0]]))[:d])
+        cf = make_cf(spec)
+        complex_cf = CharFn(d, lambda pts: cf.batch_eval(pts).astype(complex), "yes")
+        plan = mo._plan(cf, 0.7, MollificationParams(truncation_radius=8.0, nodes_per_axis=40))
+        monkeypatch.setattr(mo, "_EVAL_BLOCK", 16)  # several blocks per slab
+        z_axes = [np.linspace(-4.0, 4.0, 11)] * d
+        lo, hi = mo._slabs(plan.shape)[0]
+        real, real_mass = mo._weight_tensor(cf, plan, lo, hi)
+        assert real.dtype == np.float64
+        for first in (0, 1):
+            mixed, mass = mo._weight_tensor(self._flipping(cf, first), plan, lo, hi)
+            assert mixed.dtype == np.complex128
+            assert np.array_equal(mixed, real) and mass == real_mass
+        want, want_mass = mo._scaled_transform(complex_cf, plan, z_axes)
+        for ev in (cf, self._flipping(cf, 0), self._flipping(cf, 1)):
+            got, mass = mo._scaled_transform(ev, plan, z_axes)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            assert mass == want_mass

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -515,3 +516,19 @@ class TestBatchExport:
         cm.write_batch_csv(batch, csv_path)
         lines = ["x1,x2"] + [",".join(format(c, ".17g") for c in row) for row in points]
         assert csv_path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_sum_law_is_built_once_per_spec(monkeypatch):
+    # 361 atoms in 2 terms: 65341 count vectors, built on the first draw
+    # only; the draws keep their bytes
+    calls = []
+    build = sp._sum_law
+    monkeypatch.setattr(sp, "_sum_law", lambda *a: calls.append(1) or build(*a))
+    x = np.random.default_rng(361).normal(size=(361, 1))
+    spec = cm.StandardizedIIDSum(base=cm.Empirical(points=x, weights=np.full(361, 1.0 / 361)), n=2)
+    first = spec.draw(1000, np.random.SeedSequence(9))
+    again = spec.draw(1000, np.random.SeedSequence(9))
+    assert len(calls) == 1
+    assert first.tobytes() == again.tobytes()
+    digest = hashlib.sha256(first.tobytes()).hexdigest()
+    assert digest == "b33e2cc10b2918cf70651721065a638d72b5bbec18f105e4ed11730c60cdb2de"

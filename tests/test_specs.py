@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cfmoll as cm
+import cfmoll.mollify as mo
 import cfmoll.specs as sp
 from cfmoll import DistributionSpec, ValidationError, spec_from_dict, spec_to_dict
 from cfmoll.specs import SPEC_TYPES
@@ -470,3 +471,139 @@ class TestLatticeRows:
         parent = cm.mollified_density_grid(spec.cf(), 0.5, grid, params)
         assert calls["_trig_sums"] > 0
         assert np.max(np.abs(field.values - parent.values)) <= 1e-15
+
+
+def test_symmetric_laws_have_real_chi(spec_zoo):
+    # a law built from real-chi parts (zero-mean Gaussian, Laplace, centred
+    # box) evaluates in float64; a shift anywhere, an atom or an Empirical
+    # part keeps it complex
+    real = {"laplace", "convolution", "product"}
+    t = np.random.default_rng(4).uniform(-5.0, 5.0, (40, 2))
+    for spec in spec_zoo:
+        vals = spec.cf().batch_eval(t[:, : spec.dim])
+        assert vals.dtype == (np.float64 if spec.json_type in real else np.complex128), spec
+    centred = [
+        cm.Gaussian(mean=[0.0, 0.0], cov=[[1.0, 0.4], [0.4, 2.0]]),
+        cm.UniformBox(lo=[-1.0, -2.0], hi=[1.0, 2.0]),
+        cm.AffineMap(matrix=[[0.5], [1.0]], shift=[0.0, 0.0], inner=cm.Laplace1D(scale=1.0)),
+        cm.StandardizedIIDSum(base=cm.UniformBox(lo=[-1.0], hi=[1.0]), n=3),
+    ]
+    for spec in centred:
+        assert spec.cf().batch_eval(t[:, : spec.dim]).dtype == np.float64, spec
+    shifted = [
+        cm.Gaussian(mean=[0.0, 0.1], cov=[[1.0, 0.0], [0.0, 1.0]]),
+        cm.UniformBox(lo=[-1.0, -2.0], hi=[1.0, 3.0]),
+        cm.AffineMap(matrix=[[0.5], [1.0]], shift=[0.0, 0.2], inner=cm.Laplace1D(scale=1.0)),
+        cm.Product(factors=(cm.Laplace1D(scale=1.0), cm.PointMass(location=[0.3]))),
+    ]
+    for spec in shifted:
+        assert spec.cf().batch_eval(t[:, : spec.dim]).dtype == np.complex128, spec
+    gauss = cm.Gaussian(mean=[0.0], cov=[[1.0]]).cf()
+    assert cm.gaussian_mollify_cf(gauss, 0.5).batch_eval(t[:, :1]).dtype == np.float64
+
+
+def _random_cov(rng, d):
+    a = rng.normal(size=(d, d))
+    return a @ a.T + 0.3 * np.eye(d)
+
+
+class TestClosedFormRows:
+    """``Gaussian``, ``UniformBox`` and ``Product`` on whole lattice rows:
+    each row's leading coordinates and the shared row positions once."""
+
+    @staticmethod
+    def _laws(rng, d):
+        diagonal = cm.Gaussian(mean=[0.0] * d, cov=np.diag(rng.uniform(0.3, 2.0, d)))
+        correlated = cm.Gaussian(mean=[0.0] * d, cov=_random_cov(rng, d))
+        shifted = cm.Gaussian(mean=rng.uniform(-1.0, 1.0, d), cov=_random_cov(rng, d))
+        factors = [
+            cm.UniformBox(lo=[-1.0], hi=[1.0]),
+            cm.Laplace1D(scale=0.7),
+            cm.Gaussian(mean=[0.0], cov=[[1.3]]),
+            cm.UniformBox(lo=[-0.5], hi=[1.5]),
+        ]
+        product = cm.Product(factors=tuple(factors[j % 4] for j in range(d)))
+        box = cm.UniformBox(lo=-rng.uniform(0.5, 2.0, d), hi=rng.uniform(0.5, 2.0, d))
+        return [diagonal, correlated, shifted, product, box]
+
+    @staticmethod
+    def _per_point(cf, pts):
+        """chi one probe at a time, which never reads a row layout."""
+        return np.concatenate([cf.batch_eval(p[None, :]) for p in pts])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple),
+        length=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        zero=st.booleans(),
+    )
+    def test_rows_match_per_point(self, shape, length, seed, zero):
+        rng = np.random.default_rng(seed)
+        axes = [np.sort(rng.uniform(-4.0, 4.0, m)) for m in shape + (length,)]
+        if zero:  # put t = 0 on the lattice
+            for y in axes:
+                y[0] = 0.0
+        pts = _lattice_block(*axes)
+        assert sp._lattice_row_length(pts) == length
+        for spec in self._laws(rng, pts.shape[1]):
+            got = spec.cf().batch_eval(pts)
+            ref = self._per_point(spec.cf(), pts)
+            assert got.dtype == ref.dtype
+            # to 1e-15 of chi's largest value, chi(0) = 1
+            assert np.max(np.abs(got - ref)) <= 1e-15
+            assert np.all(got[~pts.any(axis=1)] == 1.0)
+            if not isinstance(spec, cm.Gaussian):
+                # the outer product repeats the per-point multiplications
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["shuffled", "ragged", "last-axis-differs", "lead-varies-in-row", "one-per-row", "nan"],
+    )
+    def test_other_blocks_take_the_per_point_path(self, monkeypatch, case):
+        pts = _lattice_block(np.linspace(-3.0, 3.0, 5), np.linspace(-2.0, 2.0, 7))
+        if case == "shuffled":
+            pts = np.random.default_rng(3).permutation(pts)
+        elif case == "ragged":
+            pts = pts[:-3]
+        elif case == "last-axis-differs":
+            pts[9, 1] += 1e-12
+        elif case == "lead-varies-in-row":
+            pts[10, 0] = np.nextafter(pts[10, 0], 5.0)
+        elif case == "one-per-row":
+            pts = _lattice_block(np.linspace(-3.0, 3.0, 5), [0.4])
+        else:
+            pts[0, 0] = np.nan
+        assert sp._lattice_row_length(pts) is None
+        cfs = [spec.cf() for spec in self._laws(np.random.default_rng(5), 2)]
+        got = [cf.batch_eval(pts) for cf in cfs]
+        monkeypatch.setattr(sp, "_lattice_split", lambda pts: None)
+        for cf, vals in zip(cfs, got):
+            assert vals.tobytes() == cf.batch_eval(pts).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lattice_blocks_take_the_rows(self, monkeypatch, d):
+        # every chi block of a 2-d or 3-d lattice is whole rows; the factored
+        # closed forms move the density by rounding only
+        rng = np.random.default_rng(d)
+        z_axes = [np.linspace(-4.0, 4.0, 17)] * d
+        params = cm.MollificationParams(truncation_radius=12.0, nodes_per_axis=64)
+        split = sp._lattice_split
+        for spec in self._laws(rng, d):
+            cf = spec.cf()
+            plan = mo._plan(cf, 0.5, params)
+            seen = []
+
+            def recorded(pts):
+                out = split(pts)
+                if pts.shape[1] == d:  # a Product's factors see 1-d columns
+                    seen.append(out is not None)
+                return out
+
+            monkeypatch.setattr(sp, "_lattice_split", recorded)
+            rows, _ = mo._scaled_transform(cf, plan, z_axes)
+            assert seen and all(seen)
+            monkeypatch.setattr(sp, "_lattice_split", lambda pts: None)
+            points, _ = mo._scaled_transform(cf, plan, z_axes)
+            assert np.max(np.abs(rows - points)) <= 1e-15 * np.max(np.abs(points))
