@@ -37,25 +37,27 @@ shape alone:
 
 - row split: a vector (a 1-d lattice) is cut into rows of
   K = min(m, 4096) nodes, k = q K + s.  The inner sums over s for all rows
-  are one matrix-vector product on a one-point z axis, and otherwise one
-  batched Bluestein chirp-z transform, an FFT convolution of length
-  K + n - 1 instead of an (n x m) matrix of complex exponentials.  The
+  are one matrix product with the phase row on a one-point z axis, and
+  otherwise one batched Bluestein chirp-z transform, an FFT convolution of
+  length K + n - 1 instead of an (n x m) matrix of complex exponentials.  The
   rows are then added with their phases exp(-i z_a y_{qK}).  Keeping s
   below 4096 keeps the inner phases accurate on the 1.3M-node decay-scan
   lattices of slowly decaying CFs such as Laplace;
 - phase matrix: every other array, i.e. each axis of a 2-d or 3-d
-  lattice, multiplies by the matrix exp(-i z_a y_k).  Each axis's matrix
-  is built once per transform and shared by every slab (axis 0's sliced
-  to the slab's rows); one too large to hold is built in blocks per slab.
-  On the batched 3-d axes the matrix product dominates and the chirp-z
-  form was measured 4-5x slower.
+  lattice, multiplies by the matrix exp(-i z_a y_k), in matrix products
+  on views written into preallocated outputs.  Each axis's matrix is
+  built once per transform and shared by every slab (axis 0's sliced to
+  each row group); one too large to hold is built in blocks.  On the
+  batched 3-d axes the matrix product dominates and the chirp-z form was
+  measured 4-5x slower.
 
 W has the dtype chi returns.  A real chi (a symmetric law's closed form)
 gives a real W: it is weighted and |W|-summed in real arithmetic, and
 its first contraction is one real matrix product with the phase matrix
-read as cos and -sin pairs, half the multiplies of a complex one.  The
-imaginary part of the sums still comes from those sine products, so the
-residue check below sees an evaluator that is real but not even.
+read as cos and -sin pairs, half the multiplies of a complex one; a
+real 1-d W meets a one-point phase row the same way.  The imaginary part
+of the sums still comes from those sine products, so the residue check
+below sees an evaluator that is real but not even.
 
 The form depends on the lattice dimension alone, never on the worker
 count.  Every density value, pointwise or on a grid, then passes the
@@ -64,17 +66,25 @@ residue, finiteness, the negativity floor and the |chi| L1 sum.
 
 The lattice is walked in slabs of axis-0 rows whose bounds depend on the
 lattice shape alone, so a 2-d or 3-d lattice is never held whole.  Each
-slab is evaluated, weighted and contracted by itself, and the partial
-sums are added in slab order; the checks run on the summed result.  Grid
-workers take slabs from a thread pool, so values are the same on any
-worker count.  A 1-d lattice is one slab and runs on one thread.  chi
-fills each preallocated slab in blocks of ``_EVAL_BLOCK`` points built in
-one reused buffer, so no slab builds a meshgrid or a stacked point array,
-and an evaluator's temporaries (an ``Empirical`` law's atom chunks among
-them) are sized by the block, not the slab.  Each block is weighted with
-one product of its per-axis weights and |W|-summed as it is written.  A
-2-d or 3-d block is whole lattice rows, a layout ``cfmoll.specs`` reads
-to evaluate the closed forms once per row and once per row position.
+slab is evaluated, weighted and contracted along axes d-1 .. 1 by
+itself, and writes the result at its own axis-0 positions in a row
+buffer.  Axis 0 is then contracted by one matrix product per row group,
+a run of slabs whose rows hold at most ``_ROW_GROUP`` complex values,
+and the groups' products are added in order; the checks run on the sum.
+Group bounds depend on shapes alone as well, so the values are the same
+on any worker count.  Grid workers take slabs from a thread pool.  Each
+worker holds one set of buffers for the call (its point block, W, |W|
+scratch and inner contraction outputs) and reuses it from slab to slab,
+so no slab allocates, or page-faults in, memory of its own.  A 1-d
+lattice is one slab and runs on one thread.  chi fills each slab in
+blocks of ``_EVAL_BLOCK`` points built in the point buffer, so no slab
+builds a meshgrid or a stacked point array, and an evaluator's
+temporaries (an ``Empirical`` law's atom chunks among them) are sized by
+the block, not the slab.  Each block is weighted as it is written, by
+the last axis's weights along its rows and then by each row's leading
+weights, and |W|-summed.  A 2-d or 3-d block is whole lattice rows, a
+layout ``cfmoll.specs`` reads to evaluate the closed forms once per row
+and once per row position.
 """
 
 from __future__ import annotations
@@ -123,6 +133,10 @@ _EVAL_BLOCK = 1 << 16
 # over the workers.
 _SLAB_NODES = 1 << 18
 _MIN_SLABS = 8
+# Complex values in the row buffer that collects the slabs' contracted rows
+# for one axis-0 product (16 MiB): a window that is thin along axis 0 takes
+# several row groups, and a 238-row lattice onto 48^2 points takes one.
+_ROW_GROUP = 1 << 20
 _NORMAL = NormalDist()
 
 
@@ -316,66 +330,109 @@ def _slabs(shape: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, m0)) for lo in range(0, m0, rows)]
 
 
+def _row_groups(slabs: list[tuple[int, int]], row_size: int) -> list[list[tuple[int, int]]]:
+    """Runs of consecutive slabs whose contracted rows, ``row_size`` complex
+    values each, fill at most ``_ROW_GROUP`` values of the row buffer; a
+    slab larger than that is a group by itself.  The runs depend on shapes
+    alone, like the slabs."""
+    groups = [[slabs[0]]]
+    for lo, hi in slabs[1:]:
+        if (hi - groups[-1][0][0]) * row_size > _ROW_GROUP:
+            groups.append([])
+        groups[-1].append((lo, hi))
+    return groups
+
+
+class _Buffers:
+    """One slab worker's arrays for one call, reused from slab to slab so
+    that no slab allocates (or page-faults in) its own W, point block or
+    contraction outputs.  Nothing outlives the call that made it."""
+
+    def __init__(self):
+        self._flat: dict = {}
+
+    def take(self, name: str | int, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        """An uninitialised array of ``shape``: a view of the buffer kept
+        under (name, dtype), allocated on first use and again only when
+        too small (the first slab is the largest)."""
+        size = math.prod(shape)
+        key = (name, np.dtype(dtype))
+        buf = self._flat.get(key)
+        if buf is None or len(buf) < size:
+            buf = self._flat[key] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
 def _lattice_blocks(
-    plan: QuadPlan, lo: int, hi: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(start, points, weights) for the blocks of about ``_EVAL_BLOCK``
-    points that fill rows [lo, hi) of the node lattice, in flat C order;
-    ``weights`` are the blocks' products of per-axis plan weights.
+    plan: QuadPlan, lo: int, hi: int, bufs: _Buffers
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None, np.ndarray]]:
+    """(start, points, lead, last) for the blocks of about ``_EVAL_BLOCK``
+    points that fill rows [lo, hi) of the node lattice, in flat C order.
+    A block is rows of ``len(last)`` points; its weights are the per-axis
+    plan weights ``last`` along each row times the row's product of
+    leading weights in ``lead`` (None for a 1-d block, which is one row).
 
     A 1-d block is a slice of the nodes.  Otherwise a block is whole rows
-    along the last axis, written into one reused point buffer whose last
-    coordinate is set once and whose leading coordinates are copied from
-    the slab's meshgrid columns: row after row in C order, every row
-    holding the same last-axis nodes in order and one fixed leading
-    coordinate tuple.  ``specs`` recognises that layout by exact equality
-    (``_lattice_row_length``) and factors chi over it.  A block's weights
-    are its rows' products of leading weights times the last axis's, one
-    outer product.
+    along the last axis, written into the worker's point buffer, whose
+    last coordinate is set once per slab and whose leading coordinates are
+    copied from the slab's meshgrid columns: row after row in C order,
+    every row holding the same last-axis nodes in order and one fixed
+    leading coordinate tuple.  ``specs`` recognises that layout by exact
+    equality (``_lattice_row_length``) and factors chi over it.
     """
     nodes = (plan.nodes[0][lo:hi],) + plan.nodes[1:]
     weights = (plan.weights[0][lo:hi],) + plan.weights[1:]
     if plan.d == 1:
         y = nodes[0][:, None]
         for a in range(0, len(y), _EVAL_BLOCK):
-            yield a, y[a : a + _EVAL_BLOCK], weights[0][a : a + _EVAL_BLOCK]
+            yield a, y[a : a + _EVAL_BLOCK], None, weights[0][a : a + _EVAL_BLOCK]
         return
     last = len(nodes[-1])
     cols = [c.reshape(-1) for c in np.meshgrid(*nodes[:-1], indexing="ij")]
     lead = functools.reduce(np.multiply.outer, weights[:-1]).reshape(-1)
     rows = len(lead)
     step = max(1, _EVAL_BLOCK // last)
-    buf = np.empty((min(step, rows), last, plan.d))
+    buf = bufs.take("points", (min(step, rows), last, plan.d))
     buf[..., -1] = nodes[-1]
     for r in range(0, rows, step):
         n = min(step, rows - r)
         for j, col in enumerate(cols):
             buf[:n, :, j] = col[r : r + n, None]
-        weight = np.multiply.outer(lead[r : r + n], weights[-1]).reshape(-1)
-        yield r * last, buf[:n].reshape(-1, plan.d), weight
+        yield r * last, buf[:n].reshape(-1, plan.d), lead[r : r + n], weights[-1]
 
 
-def _weight_tensor(cf: CharFn, plan: QuadPlan, lo: int, hi: int) -> tuple[np.ndarray, float]:
+def _weight_tensor(
+    cf: CharFn, plan: QuadPlan, lo: int, hi: int, bufs: _Buffers | None = None
+) -> tuple[np.ndarray, float]:
     """W on rows [lo, hi) of the node lattice, chi times the plan's
     per-axis weights (which carry the Gaussian damping when sigma > 0),
-    and the sum of |W|.
+    and the sum of |W|.  W and the block arrays live in ``bufs`` (fresh
+    ones when None), so W is valid until the next slab taken from them.
 
     chi fills the slab block by block (``_lattice_blocks``); each block is
-    weighted as it is written and its |W| summed while it is in cache, so
-    the sum needs no slab-size temporary.  W takes the dtype chi returns:
+    weighted as it is written, by the last axis's weights and then by its
+    rows' leading weights, and its |W| is summed while it is in cache, so
+    no slab-size temporary is made.  W takes the dtype chi returns:
     float64 for a real chi (a symmetric law), so the slab is weighted,
     summed and first contracted in real arithmetic; a complex block turns
     the slab complex from then on.
     """
+    bufs = bufs or _Buffers()
     shape = (hi - lo,) + plan.shape[1:]
     w, mass = None, 0.0
-    for a, pts, weight in _lattice_blocks(plan, lo, hi):
+    for a, pts, lead, last in _lattice_blocks(plan, lo, hi, bufs):
         vals = cf.batch_eval(pts)
         if w is None or (np.iscomplexobj(vals) and not np.iscomplexobj(w)):
-            dtype = complex if np.iscomplexobj(vals) else float
-            w = np.empty(shape, dtype=dtype) if w is None else w.astype(complex)
-        block = np.multiply(vals, weight, out=w.reshape(-1)[a : a + len(weight)])
-        mass += float(np.sum(np.abs(block)))
+            real = w
+            w = bufs.take("W", shape, complex if np.iscomplexobj(vals) else float)
+            if real is not None:
+                w.reshape(-1)[:a] = real.reshape(-1)[:a]
+        block = w.reshape(-1)[a : a + len(pts)]
+        rows = block.reshape(-1, len(last))
+        np.multiply(vals.reshape(rows.shape), last, out=rows)
+        if lead is not None:
+            rows *= lead[:, None]
+        mass += float(np.sum(np.abs(block, out=bufs.take("abs", block.shape))))
     return w, mass
 
 
@@ -384,34 +441,43 @@ def _phase_matrix(y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return cis(-np.outer(y, z))
 
 
-def _contract_axis(
-    t: np.ndarray, y: np.ndarray, z: np.ndarray, phases: np.ndarray | None = None
-) -> np.ndarray:
+def _phase_product(
+    t: np.ndarray, y: np.ndarray, z: np.ndarray, phases: np.ndarray | None, out: np.ndarray
+) -> None:
+    """out[b, a, c] = sum_k exp(-i z_a y_k) t[b, k, c] for a (B, m, C) ``t``
+    and a complex (B, n, C) ``out``, written in place by matrix products
+    on views, so no operand is copied.  ``phases`` is the phase matrix when
+    the caller built it; else it is built here in blocks of at most
+    ``_PHASE_BLOCK`` elements.  With C > 1 each b is one product with the
+    transposed phase matrix.  With C = 1 (the last lattice axis) all of
+    ``t`` is one product; a real ``t`` then takes one real product with
+    the phases read as float pairs, cos(z_a y_k) and -sin(z_a y_k), whose
+    result read as complex is the sum: half the multiplies of a complex
+    product, and the imaginary part still comes from the sines."""
+    step = len(z) if phases is not None else max(1, _PHASE_BLOCK // len(y))
+    for lo in range(0, len(z), step):
+        ph = phases if phases is not None else _phase_matrix(y, z[lo : lo + step])
+        o = out[:, lo : lo + step]
+        if t.shape[2] > 1:
+            np.matmul(ph.T, t, out=o)
+        elif np.iscomplexobj(t):
+            np.matmul(t[:, :, 0], ph, out=o[:, :, 0])
+        else:
+            np.matmul(t[:, :, 0], ph.view(float), out=o[:, :, 0].view(float))
+
+
+def _contract_axis(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Contract axis 0 of ``t`` (length m) against phases exp(-i z_a y_k);
     the new z axis is appended last.  ``y`` and ``z`` are uniform axes.
     A vector (a 1-d lattice) takes the row split of ``_vector_contract``;
-    every other array multiplies by the phase matrix (see the module
-    docstring): ``phases`` when the caller built it
-    (``_phase_matrix(y, z)``), else blocks of it built here."""
+    every other array multiplies by the phase matrix, built in blocks
+    when large (``_phase_product``)."""
     if t.ndim == 1:
         return _vector_contract(t, y, z)
-    if phases is not None:
-        return _apply_phases(t, phases)
-    step = max(1, _PHASE_BLOCK // len(y))
-    out_blocks = [
-        _apply_phases(t, _phase_matrix(y, z[lo : lo + step])) for lo in range(0, len(z), step)
-    ]
-    return np.concatenate(out_blocks, axis=-1) if len(out_blocks) > 1 else out_blocks[0]
-
-
-def _apply_phases(t: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """sum_k t[k, ...] phases[k, a].  A real ``t`` takes one real product
-    with the matrix read as float pairs, cos(z_a y_k) and -sin(z_a y_k),
-    whose result read as complex is the sum: half the multiplies of a
-    complex product, and the imaginary part still comes from the sines."""
-    if np.iscomplexobj(t):
-        return np.tensordot(t, phases, axes=([0], [0]))
-    return np.tensordot(t, phases.view(float), axes=([0], [0])).view(complex)
+    batch = t.reshape(len(y), -1).T
+    out = np.empty((len(batch), len(z)), dtype=complex)
+    _phase_product(batch[:, :, None], y, z, None, out[:, :, None])
+    return out.reshape(t.shape[1:] + (len(z),))
 
 
 def _rows(t: np.ndarray, k: int, lo: int, hi: int) -> np.ndarray:
@@ -466,9 +532,9 @@ def _vector_contract(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     y[1] - y[0] is off by up to 1.5e-11, which s < 4096 and |z| ~ 6 turn
     into phase errors near 1e-7.
 
-    On one point the inner sums are one matrix-vector product with the
-    phase row exp(-i z_0 h s); whole rows are a view, and the last partial
-    row (if any) is padded alone.  On n > 1 points, with z_a = z_0 + a dz
+    On one point the inner sums are one matrix product with the phase row
+    exp(-i z_0 h s) (``_row_sums``); whole rows are a view, and the last
+    partial row (if any) is padded alone.  On n > 1 points, with z_a = z_0 + a dz
     and theta = h dz, the identity a s = (a^2 + s^2 - (a - s)^2) / 2 turns
     the inner sum into
         exp(-i theta a^2 / 2)
@@ -486,7 +552,7 @@ def _vector_contract(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     inner_ph = cis(-z[0] * h * np.arange(k))
     if n == 1:
         pieces = (_rows(t, k, 0, m // k), _rows(t, k, m // k, q))
-        inner = np.concatenate([p @ inner_ph for p in pieces])
+        inner = np.concatenate([_row_sums(p, inner_ph) for p in pieces])
         return _outer_sum(inner[:, None], starts, z)
     chirp = _chirp(h * (z[-1] - z[0]) / (n - 1), max(k, n))
     size = _fft_size(k + n - 1)
@@ -502,6 +568,15 @@ def _vector_contract(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         spec *= kernel
         out += _outer_sum(np.fft.ifft(spec)[:, :n], starts[lo : lo + rows], z)
     return out * chirp[:n].conj()
+
+
+def _row_sums(rows: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """rows @ phases for complex ``phases``.  Real rows take one real
+    product with the phases read as (k, 2) floats, cos and -sin, as in
+    ``_phase_product``, so they are never cast to complex."""
+    if np.iscomplexobj(rows):
+        return rows @ phases
+    return (rows @ phases.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
 def _outer_sum(inner: np.ndarray, starts: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -557,32 +632,27 @@ def _slab_transform(
     phases: list[np.ndarray | None],
     lo: int,
     hi: int,
-) -> tuple[np.ndarray, float]:
-    """Sum over rows [lo, hi) of W(y) exp(-i<z,y>) on the z lattice, plus the
-    slab's sum of |W|.  Axes d-1 .. 1 are contracted first and the slab's
-    axis-0 nodes last, so the slabs together cost what one lattice would.
-    ``phases`` holds each axis's phase matrix, or None where
-    ``_contract_axis`` builds it in blocks; axis 0's is sliced to the
-    slab's rows."""
-    t, mass = _weight_tensor(cf, plan, lo, hi)
-    for j in reversed(range(plan.d)):
-        y, ph = plan.nodes[j], phases[j]
-        if j == 0:
-            y, ph = y[lo:hi], None if ph is None else ph[lo:hi]
-        t = _contract_axis(np.moveaxis(t, j, 0), y, z_axes[j], ph)
-    return t.transpose(), mass
-
-
-def _run_jobs(jobs: list, workers: int) -> Iterator:
-    """Results of ``jobs`` in order, computed on at most ``workers`` threads.
-    They are yielded as they complete, so a caller that folds them holds
-    only the few that are done but not yet consumed."""
-    n = min(workers, len(jobs))
-    if n == 1:
-        yield from (job() for job in jobs)
-        return
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        yield from pool.map(lambda job: job(), jobs)
+    rows: np.ndarray,
+    bufs: _Buffers,
+) -> float:
+    """Contract rows [lo, hi) of the lattice along axes d-1 .. 1 into
+    ``rows``, the slab's part of the row buffer, shape (hi - lo, n_1, ..,
+    n_{d-1}), and return the slab's sum of |W|.  W and the outputs of the
+    inner axes are the worker's ``bufs``.  ``phases`` holds each axis's
+    phase matrix, or None where ``_phase_product`` builds it in blocks."""
+    t, mass = _weight_tensor(cf, plan, lo, hi, bufs)
+    shape = list(t.shape)
+    for j in reversed(range(1, plan.d)):
+        m, after = shape[j], math.prod(shape[j + 1 :])
+        shape[j] = len(z_axes[j])
+        out = rows if j == 1 else bufs.take(j, tuple(shape), complex)
+        before = math.prod(shape[:j])
+        _phase_product(
+            t.reshape(before, m, after), plan.nodes[j], z_axes[j], phases[j],
+            out.reshape(before, shape[j], after),
+        )
+        t = out
+    return mass
 
 
 def _scaled_transform(
@@ -592,32 +662,71 @@ def _scaled_transform(
     plus the |chi| L1 quadrature mass; ``_certify`` checks them.
     Pointwise calls pass one-point axes.
 
-    The lattice is walked in the slabs of ``_slabs`` on up to ``workers``
-    threads, and the partial sums are added in slab order.  A 1-d lattice
-    is one slab, so it runs on one thread.  On a 2-d or 3-d lattice each
-    axis's phase matrix is built once here for all slabs, when it holds at
-    most ``_PHASE_BLOCK`` elements; a larger one is built in blocks per
-    slab, so memory stays bounded.
+    A 1-d lattice is one slab, contracted on one thread.  A 2-d or 3-d
+    lattice is walked in the slabs of ``_slabs`` on up to ``workers``
+    threads, each holding one set of ``_Buffers`` for the call.  A slab
+    contracts axes d-1 .. 1 and writes its rows at their own axis-0
+    positions in the row buffer.  Each run of slabs from ``_row_groups``
+    is then contracted along axis 0 by one matrix product, and the runs'
+    products are added in order; the runs depend on shapes alone, so the
+    values do not depend on the worker count.  Each axis's phase matrix
+    is built once here when it holds at most ``_PHASE_BLOCK`` elements; a
+    larger one is built in blocks, so memory stays bounded.
     """
     z_axes = [np.asarray(z, dtype=float) for z in z_axes]
+    scale = (2.0 * math.pi) ** (-cf.d)
+    if plan.d == 1:
+        t, mass = _weight_tensor(cf, plan, 0, plan.shape[0])
+        raw = _contract_axis(t, plan.nodes[0], z_axes[0])
+        raw *= scale
+        return raw, scale * mass
     phases = [
-        _phase_matrix(y, z) if plan.d > 1 and len(y) * len(z) <= _PHASE_BLOCK else None
+        _phase_matrix(y, z) if len(y) * len(z) <= _PHASE_BLOCK else None
         for y, z in zip(plan.nodes, z_axes)
     ]
-    jobs = [
-        functools.partial(_slab_transform, cf, plan, z_axes, phases, lo, hi)
-        for lo, hi in _slabs(plan.shape)
-    ]
-    raw, mass = None, 0.0
-    for part, slab_mass in _run_jobs(jobs, workers):
-        # the first part is this call's own array, so later ones add in place
-        if raw is None:
-            raw = part
-        else:
-            raw += part
-        mass += slab_mass
-    scale = (2.0 * math.pi) ** (-cf.d)
-    return raw * scale, scale * mass
+    slabs = _slabs(plan.shape)
+    row_shape = tuple(len(z) for z in z_axes[1:])
+    groups = _row_groups(slabs, math.prod(row_shape))
+    row_buffer = np.empty((max(g[-1][1] - g[0][0] for g in groups),) + row_shape, dtype=complex)
+    raw = np.empty((len(z_axes[0]),) + row_shape, dtype=complex)
+    part = np.empty_like(raw) if len(groups) > 1 else raw
+    n = min(workers, len(slabs))
+    free = [_Buffers() for _ in range(n)]
+    masses: list[float] = []
+
+    def slab(top: int, bounds: tuple[int, int]) -> float:
+        # at most n slabs run at once, so a set is always free; list pop
+        # and append are atomic
+        bufs = free.pop()
+        try:
+            lo, hi = bounds
+            rows = row_buffer[lo - top : hi - top]
+            return _slab_transform(cf, plan, z_axes, phases, lo, hi, rows, bufs)
+        finally:
+            free.append(bufs)
+
+    def walk(run) -> None:
+        for i, group in enumerate(groups):
+            top, end = group[0][0], group[-1][1]
+            masses.extend(run(functools.partial(slab, top), group))
+            out = raw if i == 0 else part
+            _phase_product(
+                row_buffer[: end - top].reshape(1, end - top, -1),
+                plan.nodes[0][top:end],
+                z_axes[0],
+                None if phases[0] is None else phases[0][top:end],
+                out.reshape(1, len(z_axes[0]), -1),
+            )
+            if i:
+                np.add(raw, part, out=raw)
+
+    if n == 1:
+        walk(map)
+    else:
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            walk(pool.map)
+    raw *= scale
+    return raw, scale * sum(masses)
 
 
 def _density(
@@ -763,5 +872,6 @@ def cf_l1_bound(
     """
     _require_integrable(cf, allow_unknown_integrability)
     plan = _plan(cf, 0.0, params or MollificationParams())
-    masses = [_weight_tensor(cf, plan, lo, hi)[1] for lo, hi in _slabs(plan.shape)]
+    bufs = _Buffers()
+    masses = [_weight_tensor(cf, plan, lo, hi, bufs)[1] for lo, hi in _slabs(plan.shape)]
     return (2.0 * math.pi) ** (-cf.d) * float(sum(masses))

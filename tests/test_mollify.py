@@ -777,6 +777,26 @@ class TestContractAxis:
         # copy of the 21 MB input took 25 MB (86 MB uncapped)
         assert peak < 8.0
 
+    def test_one_point_laplace_is_not_cast_to_complex(self):
+        # the real W of the 1.3M-node Laplace(1) lattice meets the one-point
+        # phase row read as (k, 2) floats; casting W to complex for the
+        # product (20 MiB) took the peak to 51 MiB
+        cf = make_cf(cm.Laplace1D(scale=1.0))
+        peak = traced_peak_mb(lambda: invert_density_at(cf, [0.3]))
+        assert peak < 40.0
+
+    @pytest.mark.parametrize("m", [16, 4096, 5000])
+    def test_real_rows_onto_one_point_match_complex(self, m):
+        # whole rows, one partial row, and both; real rows take the real
+        # product and move the sums by rounding only
+        rng = np.random.default_rng(m)
+        y = np.linspace(-40.0, 40.0, m)
+        t = rng.standard_normal(m)
+        z = np.array([1.7])
+        real = mo._contract_axis(t, y, z)
+        cast = mo._contract_axis(t.astype(complex), y, z)
+        assert np.max(np.abs(real - cast)) <= 1e-14 * np.sum(np.abs(t))
+
     @pytest.mark.parametrize("m", [16, 652])
     @pytest.mark.parametrize("n_z", [1, 2, 3, 513, 2049])
     @pytest.mark.parametrize("window", [(-8.0, 8.0), (-9.5, 10.5), (3.0, 40.0)])
@@ -1129,3 +1149,103 @@ class TestRealSlabs:
             got, mass = mo._scaled_transform(ev, plan, z_axes)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
             assert mass == want_mass
+
+
+class TestSlabWalk:
+    """Per-worker buffers reused from slab to slab, inner axes contracted
+    into a row buffer, and one axis-0 product per row group."""
+
+    # the middle axis has one point
+    Z_AXES = [np.linspace(-3.0, 2.0, 5), np.array([0.4]), np.linspace(-2.5, 3.5, 7)]
+
+    @staticmethod
+    def _dense(cf, plan, z_axes):
+        """The scaled sums and |W| mass from the whole lattice at once."""
+        mesh = np.meshgrid(*plan.nodes, indexing="ij")
+        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        weights = functools.reduce(np.multiply.outer, plan.weights)
+        w = cf.batch_eval(pts).reshape(plan.shape) * weights
+        phases = [np.exp(-1j * np.outer(y, z)) for y, z in zip(plan.nodes, z_axes)]
+        scale = (2.0 * math.pi) ** -3
+        return scale * np.einsum("ijk,ia,jb,kc->abc", w, *phases), scale * float(np.sum(np.abs(w)))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("row_group, phase_block", [(None, None), (50, None), (50, 60)])
+    def test_matches_dense_reference(self, kind, row_group, phase_block, monkeypatch):
+        # 7 slabs of 3 rows and a last one of 2; optionally several row
+        # groups, and phase matrices built in blocks on axes 0 and 2
+        plan = _plan(20, 22, 26)
+        slabs = mo._slabs(plan.shape)
+        assert len(slabs) == 7 and slabs[-1] == (18, 20)
+        if row_group is not None:
+            monkeypatch.setattr(mo, "_ROW_GROUP", row_group)
+            assert len(mo._row_groups(slabs, 7)) == 4
+        if phase_block is not None:
+            monkeypatch.setattr(mo, "_PHASE_BLOCK", phase_block)
+        cf = make_cf(_real_3d_product()) if kind == "real" else TestBlockedEvaluation.CFS[3]
+        assert np.iscomplexobj(cf.batch_eval(np.zeros((1, 3)))) == (kind == "complex")
+        want, want_mass = self._dense(cf, plan, self.Z_AXES)
+        runs = [mo._scaled_transform(cf, plan, self.Z_AXES, workers) for workers in (1, 2, 3)]
+        for got, mass in runs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert mass == pytest.approx(want_mass, rel=1e-13, abs=0)
+            assert got.tobytes() == runs[0][0].tobytes() and mass == runs[0][1]
+
+    def test_buffer_sets_under_thread_switching(self, monkeypatch):
+        # more workers than cores, one-row slabs and a short switch
+        # interval: two slabs sharing a buffer set would corrupt the sums
+        plan = _plan(20, 22, 26)
+        monkeypatch.setattr(mo, "_SLAB_NODES", 22 * 26)
+        assert len(mo._slabs(plan.shape)) == 20
+        cf = TestBlockedEvaluation.CFS[3]
+        serial, _ = mo._scaled_transform(cf, plan, self.Z_AXES, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                threaded, _ = mo._scaled_transform(cf, plan, self.Z_AXES, 6)
+                assert threaded.tobytes() == serial.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_thin_window_memory_follows_the_row_group(self, workers):
+        # a 2 x 200 x 200 window over the 238^3 lattice: its 238 contracted
+        # rows take 145 MiB in one buffer, and row groups hold them to
+        # _ROW_GROUP complex values (16 MiB); the output and one group's
+        # product take 2.5 MiB, and each worker's W, inner-axis output,
+        # point block and chi's block temporaries about 8 MiB
+        cf = make_cf(cm.Gaussian(mean=[0.0] * 3, cov=np.eye(3).tolist()))
+        plan = mo._plan(cf, 0.5, MollificationParams())
+        assert plan.shape == (238,) * 3
+        z_axes = [np.linspace(-0.5, 0.5, 2)] + [np.linspace(-6.0, 6.0, 200)] * 2
+        assert len(mo._row_groups(mo._slabs(plan.shape), 200 * 200)) > 1
+        peak = traced_peak_mb(lambda: mo._scaled_transform(cf, plan, z_axes, workers))
+        assert peak < mo._ROW_GROUP * 16 / 2.0**20 + 2.5 + 10.0 * workers
+
+    def test_buffers_do_not_grow_with_the_slab_count(self, monkeypatch):
+        # the 238^3 lattice in 8 slabs and in 60: the same buffers serve
+        # every slab of a call
+        cf = make_cf(cm.Gaussian(mean=[0.0] * 3, cov=np.eye(3).tolist()))
+        plan = mo._plan(cf, 0.5, MollificationParams())
+        z_axes = [np.linspace(-6.0, 6.0, 8)] * 3
+        take = mo._Buffers.take
+
+        def allocated(slab_nodes):
+            made = {}
+
+            def recording(self, *args):
+                out = take(self, *args)
+                made[id(out.base)] = out.base
+                return out
+
+            monkeypatch.setattr(mo._Buffers, "take", recording)
+            monkeypatch.setattr(mo, "_SLAB_NODES", slab_nodes)
+            mo._scaled_transform(cf, plan, z_axes, 1)
+            return len(mo._slabs(plan.shape)), len(made)
+
+        few, many = allocated(30 * 238**2), allocated(1 << 18)
+        assert (few[0], many[0]) == (8, 60)
+        # the point block, W, its |W| scratch and the last axis's output
+        assert few[1] == many[1] == 4
