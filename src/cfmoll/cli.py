@@ -23,9 +23,9 @@ import sys
 from pathlib import Path
 
 from .charfn import make_cf
-from .converge import convergence_certificate
+from .converge import ConvergenceReport, convergence_certificate
 from .errors import NumericFailure, ValidationError
-from .grids import Grid, MollificationParams, write_density_csv
+from .grids import DensityField, Grid, MollificationParams, write_density_csv
 from .mollify import invert_density_grid, mollified_density_grid
 from .selfcheck import run_selfcheck
 from .specs import Empirical, Gaussian, StandardizedIIDSum, load_spec
@@ -158,6 +158,22 @@ def _threads(cfg: dict) -> int:
     return int(_default(cfg, "threads", 1))
 
 
+def _write_field(field: DensityField, cfg: dict, params: MollificationParams, default: str) -> int:
+    """Write the field and its sidecar to --out (else ``default``); print its mass."""
+    out = Path(cfg.get("out") or default)
+    write_density_csv(field, out, params)
+    print(f"wrote {out} ({field.grid.size} lattice points, mass {field.riemann_sum:.6f})")
+    return EXIT_OK
+
+
+def _write_report(report: ConvergenceReport, cfg: dict, default: str) -> Path:
+    """Write the report's JSON to --out (else ``default``) and its CSV beside it."""
+    out = Path(cfg.get("out") or default)
+    report.write_json(out)
+    report.write_csv(out.with_suffix(".csv"))
+    return out
+
+
 def _cmd_invert(cfg: dict) -> int:
     cf = make_cf(_load_single_spec(cfg, "invert"))
     grid = Grid.parse(_require(cfg, "grid", "invert"))
@@ -169,10 +185,7 @@ def _cmd_invert(cfg: dict) -> int:
         allow_unknown_integrability=bool(cfg.get("allow_unknown_integrability", False)),
         workers=_threads(cfg),
     )
-    out = Path(cfg.get("out") or "inverted_density.csv")
-    write_density_csv(field, out, params)
-    print(f"wrote {out} ({grid.size} lattice points, mass {field.riemann_sum:.6f})")
-    return EXIT_OK
+    return _write_field(field, cfg, params, "inverted_density.csv")
 
 
 def _cmd_mollify(cfg: dict) -> int:
@@ -181,10 +194,7 @@ def _cmd_mollify(cfg: dict) -> int:
     sigma = float(_require(cfg, "sigma", "mollify"))
     params = _params_from(cfg)
     field = mollified_density_grid(cf, sigma, grid, params, workers=_threads(cfg))
-    out = Path(cfg.get("out") or "mollified_density.csv")
-    write_density_csv(field, out, params)
-    print(f"wrote {out} ({grid.size} lattice points, mass {field.riemann_sum:.6f})")
-    return EXIT_OK
+    return _write_field(field, cfg, params, "mollified_density.csv")
 
 
 def _cmd_converge(cfg: dict) -> int:
@@ -212,9 +222,7 @@ def _cmd_converge(cfg: dict) -> int:
         params=_params_from(cfg),
         workers=_threads(cfg),
     )
-    out = Path(cfg.get("out") or "convergence_report.json")
-    report.write_json(out)
-    report.write_csv(out.with_suffix(".csv"))
+    out = _write_report(report, cfg, "convergence_report.json")
     print(f"wrote {out} and {out.with_suffix('.csv')} (final L1 {report.final_l1:.6g})")
     return EXIT_OK
 
@@ -237,9 +245,7 @@ def _cmd_clt_demo(cfg: dict) -> int:
         seq_labels=ns,
         workers=_threads(cfg),
     )
-    out = Path(cfg.get("out") or "clt_demo_report.json")
-    report.write_json(out)
-    report.write_csv(out.with_suffix(".csv"))
+    out = _write_report(report, cfg, "clt_demo_report.json")
     l1s = [row[0] for row in report.l1_mollified]
     print(f"wrote {out}; L1 at n={ns}: " + ", ".join(f"{v:.6g}" for v in l1s))
     return EXIT_OK

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -114,24 +114,36 @@ class ConvergenceReport:
     ``l1_mollified[i][j]`` is the L1 distance between the smoothed
     densities of sequence member i and the target at scale
     ``sigma_schedule[j]`` = 1/k_j; ``smoothing_remainder[j]`` is
-    P(||Z||_inf > k_j * epsilon).  ``monotone_flags[j]`` records whether
-    the L1 column is nonincreasing along the sequence.
+    P(||Z||_inf > k_j * epsilon).  ``sigma_schedule``, ``monotone_flags``
+    (whether each L1 column is nonincreasing along the sequence) and
+    ``final_l1`` are read off the stored fields; ``to_dict`` writes them
+    too, and ``from_dict`` ignores them.
     """
+
+    SCHEMA_VERSION = 1  # not annotated, so a class constant, not a field
 
     seq_labels: tuple[int, ...]
     k_schedule: tuple[int, ...]
-    sigma_schedule: tuple[float, ...]
     epsilon: float
     cf_sup_error: tuple[float, ...]
     l1_mollified: tuple[tuple[float, ...], ...]
     smoothing_remainder: tuple[float, ...]
-    monotone_flags: tuple[bool, ...]
-    final_l1: float
-    schema_version: int = field(default=1)
+
+    @property
+    def sigma_schedule(self) -> tuple[float, ...]:
+        return tuple(1.0 / k for k in self.k_schedule)
+
+    @property
+    def monotone_flags(self) -> tuple[bool, ...]:
+        return tuple(all(b <= a for a, b in zip(c, c[1:])) for c in zip(*self.l1_mollified))
+
+    @property
+    def final_l1(self) -> float:
+        return self.l1_mollified[-1][-1]
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": self.SCHEMA_VERSION,
             "seq_labels": list(self.seq_labels),
             "k_schedule": list(self.k_schedule),
             "sigma_schedule": list(self.sigma_schedule),
@@ -145,18 +157,27 @@ class ConvergenceReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConvergenceReport":
-        return cls(
-            seq_labels=tuple(d["seq_labels"]),
-            k_schedule=tuple(d["k_schedule"]),
-            sigma_schedule=tuple(d["sigma_schedule"]),
-            epsilon=float(d["epsilon"]),
-            cf_sup_error=tuple(d["cf_sup_error"]),
-            l1_mollified=tuple(tuple(row) for row in d["l1_mollified"]),
-            smoothing_remainder=tuple(d["smoothing_remainder"]),
-            monotone_flags=tuple(bool(x) for x in d["monotone_flags"]),
-            final_l1=float(d["final_l1"]),
-            schema_version=int(d.get("schema_version", 1)),
-        )
+        """Rebuild a report from ``to_dict`` output, reading only the stored
+        keys.  A missing ``schema_version`` reads as 1; another version, a
+        missing key or a malformed value raises ValidationError."""
+        try:
+            version = d.get("schema_version", cls.SCHEMA_VERSION)
+            if version != cls.SCHEMA_VERSION:
+                raise ValidationError(f"unsupported report schema_version {version!r}")
+            report = cls(
+                seq_labels=tuple(d["seq_labels"]),
+                k_schedule=tuple(whole_number(k, "k_schedule entry", 1) for k in d["k_schedule"]),
+                epsilon=float(d["epsilon"]),
+                cf_sup_error=tuple(d["cf_sup_error"]),
+                l1_mollified=tuple(tuple(row) for row in d["l1_mollified"]),
+                smoothing_remainder=tuple(d["smoothing_remainder"]),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed convergence report: {exc!r}") from exc
+        n, m = len(report.seq_labels), len(report.k_schedule)
+        if n * m == 0 or [len(row) for row in report.l1_mollified] != [m] * n:
+            raise ValidationError(f"report's l1_mollified is not a {n} x {m} table")
+        return report
 
     def write_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -218,16 +239,12 @@ def convergence_certificate(
             fld = mollified_density_grid(cf, s, grid, params, workers)
             l1[i, j] = l1_distance(fld, target_fields[j])
     remainders = [gaussian_tail_prob(k, epsilon, grid.d) for k in ks]
-    monotone = [bool(np.all(np.diff(l1[:, j]) <= 0.0)) for j in range(len(ks))]
 
     return ConvergenceReport(
         seq_labels=tuple(labels),
         k_schedule=tuple(ks),
-        sigma_schedule=tuple(sigmas),
         epsilon=epsilon,
         cf_sup_error=tuple(float(x) for x in sup_errors),
         l1_mollified=tuple(tuple(float(x) for x in row) for row in l1),
         smoothing_remainder=tuple(float(r) for r in remainders),
-        monotone_flags=tuple(monotone),
-        final_l1=float(l1[-1, -1]),
     )

@@ -2,8 +2,8 @@
 
 A Grid is a tensor product of uniform 1-d lattices including both
 endpoints.  A DensityField holds real density samples over a grid in
-row-major axis order together with a normalization claim and the
-smoothing scale it was computed at.  Riemann sums use the plain
+row-major axis order and the smoothing scale they were computed at;
+their normalization is read off them.  Riemann sums use the plain
 cell-volume rule: sum(values) * prod(h_j).
 """
 
@@ -103,14 +103,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class DensityField:
-    """Real density samples over a grid, row-major, plus a normalization
-    claim.  ``sigma`` is the smoothing scale the values were computed at:
-    the scale for a smoothed density, 0.0 for an inverted one, None when
-    unknown (a field built by hand)."""
+    """Real density samples over a grid, row-major.  ``sigma`` is the
+    smoothing scale the values were computed at: the scale for a smoothed
+    density, 0.0 for an inverted one, None when unknown (a field built by
+    hand)."""
 
     grid: Grid
     values: np.ndarray
-    normalized: bool
     sigma: float | None = None
 
     def __post_init__(self):
@@ -131,15 +130,16 @@ class DensityField:
     def riemann_sum(self) -> float:
         return float(np.sum(self.values) * self.grid.cell_volume)
 
+    @property
+    def normalized(self) -> bool:
+        """Whether the Riemann sum is within ``NORMALIZATION_WINDOW`` of 1."""
+        return abs(self.riemann_sum - 1.0) <= NORMALIZATION_WINDOW
+
     def check_invariants(self) -> None:
-        """Raise ValidationError if the field violates its own claims."""
+        """Raise ValidationError if a value is below -NEGATIVITY_TOL."""
         if float(self.values.min(initial=0.0)) < -NEGATIVITY_TOL:
             raise ValidationError(
                 f"density has values below -{NEGATIVITY_TOL:g}: min {self.values.min():g}"
-            )
-        if self.normalized and abs(self.riemann_sum - 1.0) > NORMALIZATION_WINDOW:
-            raise ValidationError(
-                f"field claims normalization but Riemann sum is {self.riemann_sum!r}"
             )
 
 
@@ -193,7 +193,7 @@ def write_density_csv(
 ) -> Path:
     """Write "z1,...,zd,density" rows (17 significant digits, row-major)
     and a sidecar <stem>.meta.json with grid, params, the field's sigma
-    and the normalization residual.  Returns the sidecar path."""
+    and its normalization residual and flag.  Returns the sidecar path."""
     csv_path = Path(csv_path)
     grid = field.grid
     header = ",".join(f"z{j + 1}" for j in range(grid.d)) + ",density"
@@ -220,22 +220,23 @@ def read_density_csv(csv_path: str | Path) -> DensityField:
 
     The grid and sigma are reconstructed from the sidecar (a sidecar
     without sigma reads as None); lattice coordinates in the CSV are
-    cross-checked against the grid.
+    cross-checked against the grid, and a malformed pair raises
+    ValidationError.  The field derives ``normalized`` from the values.
     """
     csv_path = Path(csv_path)
     sidecar = csv_path.with_suffix(".meta.json")
     if not csv_path.exists() or not sidecar.exists():
         raise ValidationError(f"missing density CSV or sidecar for {csv_path}")
-    meta = json.loads(sidecar.read_text())
-    grid = Grid.from_dict(meta["grid"])
-
-    raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    try:  # invalid JSON, no "grid" or a cell that is not a number
+        meta = json.loads(sidecar.read_text())
+        grid = Grid.from_dict(meta["grid"])
+        raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed density CSV or sidecar for {csv_path}: {exc!r}") from exc
     if raw.shape != (grid.size, grid.d + 1):
         raise ValidationError(
             f"CSV shape {raw.shape} does not match grid ({grid.size} x {grid.d + 1})"
         )
     if not np.allclose(raw[:, : grid.d], grid.points(), rtol=0, atol=1e-12):
         raise ValidationError("CSV lattice coordinates disagree with sidecar grid")
-    return DensityField(
-        grid=grid, values=raw[:, -1], normalized=bool(meta["normalized"]), sigma=meta.get("sigma")
-    )
+    return DensityField(grid=grid, values=raw[:, -1], sigma=meta.get("sigma"))

@@ -186,11 +186,11 @@ def truncation_radius(sigma: float, tail_tol: float, d: int) -> float:
 
 @dataclass(frozen=True)
 class QuadPlan:
-    """Per-axis trapezoid nodes and weights on [-R_j, R_j].  At sigma > 0
-    the weights carry the Gaussian damping exp(-sigma^2 y^2 / 2), so the
-    plan is the whole quadrature rule and W = chi times the weights."""
+    """Per-axis trapezoid nodes and weights on [-R_j, R_j], so R_j is
+    ``nodes[j][-1]``.  At sigma > 0 the weights carry the Gaussian damping
+    exp(-sigma^2 y^2 / 2), so the plan is the whole quadrature rule and
+    W = chi times the weights."""
 
-    radii: tuple[float, ...]
     nodes: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
 
@@ -240,11 +240,7 @@ def _build_plan(radii: list[float], m: int, sigma: float, auto: bool) -> QuadPla
     rules = [_axis_rule(r, m) for r, m in zip(radii, ms)]
     if sigma > 0.0:
         rules = [(y, w * np.exp(-0.5 * sigma * sigma * y**2)) for y, w in rules]
-    return QuadPlan(
-        radii=tuple(radii),
-        nodes=tuple(y for y, _ in rules),
-        weights=tuple(w for _, w in rules),
-    )
+    return QuadPlan(nodes=tuple(y for y, _ in rules), weights=tuple(w for _, w in rules))
 
 
 def _scan_directions(d: int) -> list[np.ndarray]:
@@ -466,20 +462,6 @@ def _phase_product(
             np.matmul(t[:, :, 0], ph.view(float), out=o[:, :, 0].view(float))
 
 
-def _contract_axis(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Contract axis 0 of ``t`` (length m) against phases exp(-i z_a y_k);
-    the new z axis is appended last.  ``y`` and ``z`` are uniform axes.
-    A vector (a 1-d lattice) takes the row split of ``_vector_contract``;
-    every other array multiplies by the phase matrix, built in blocks
-    when large (``_phase_product``)."""
-    if t.ndim == 1:
-        return _vector_contract(t, y, z)
-    batch = t.reshape(len(y), -1).T
-    out = np.empty((len(batch), len(z)), dtype=complex)
-    _phase_product(batch[:, :, None], y, z, None, out[:, :, None])
-    return out.reshape(t.shape[1:] + (len(z),))
-
-
 def _rows(t: np.ndarray, k: int, lo: int, hi: int) -> np.ndarray:
     """Rows [lo, hi) of axis 0 of ``t`` cut into rows of k nodes, shape
     (hi - lo, k, rest...): a view when they are whole, else a copy of these
@@ -523,7 +505,8 @@ def _fft_size(n: int) -> int:
 
 
 def _vector_contract(t: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``_contract_axis`` for a vector ``t``.  The axis is cut into rows of
+    """sum_k t_k exp(-i z_a y_k) for a vector ``t`` (a 1-d lattice) on
+    uniform axes ``y`` and ``z``.  The axis is cut into rows of
     K = min(m, 4096) nodes, k = q K + s, so the phase of node k is
     z_a y_{qK} + z_a h s and
         sum_k t_k exp(-i z_a y_k) = sum_q exp(-i z_a y_{qK}) sum_s t[q K + s] exp(-i z_a h s).
@@ -677,7 +660,7 @@ def _scaled_transform(
     scale = (2.0 * math.pi) ** (-cf.d)
     if plan.d == 1:
         t, mass = _weight_tensor(cf, plan, 0, plan.shape[0])
-        raw = _contract_axis(t, plan.nodes[0], z_axes[0])
+        raw = _vector_contract(t, plan.nodes[0], z_axes[0])
         raw *= scale
         return raw, scale * mass
     phases = [
@@ -791,13 +774,13 @@ def mollified_density_grid(
     """
     sigma = positive_sigma(sigma)
     vals = _density(cf, sigma, [grid.axis_points(j) for j in range(grid.d)], params, workers)
-    total = float(np.sum(vals) * grid.cell_volume)
-    if abs(total - 1.0) > NORMALIZATION_WINDOW:
+    field = DensityField(grid=grid, values=vals, sigma=sigma)
+    if not field.normalized:
         raise NumericFailure(
-            f"grid Riemann sum {total:.6g} outside 1 +- {NORMALIZATION_WINDOW:g}; "
+            f"grid Riemann sum {field.riemann_sum:.6g} outside 1 +- {NORMALIZATION_WINDOW:g}; "
             "enlarge the grid window, the truncation radius, or nodes_per_axis"
         )
-    return DensityField(grid=grid, values=vals, normalized=True, sigma=sigma)
+    return field
 
 
 def _require_integrable(cf: CharFn, allow_unknown: bool) -> None:
@@ -845,17 +828,13 @@ def invert_density_grid(
     ``invert_density_at``).
 
     Unlike the smoothed grid, no mass window is enforced: a deliberately
-    partial window is legitimate here, so the normalization claim is
-    simply recorded as observed.  ``workers`` (at least 1) caps the
-    threads, which may call ``cf.batch_eval`` concurrently; the values
-    do not depend on it.
+    partial window is legitimate here, and the field's ``normalized``
+    reads False.  ``workers`` (at least 1) caps the threads, which may
+    call ``cf.batch_eval`` concurrently; the values do not depend on it.
     """
     _require_integrable(cf, allow_unknown_integrability)
     vals = _density(cf, 0.0, [grid.axis_points(j) for j in range(grid.d)], params, workers)
-    total = float(np.sum(vals) * grid.cell_volume)
-    return DensityField(
-        grid=grid, values=vals, normalized=abs(total - 1.0) <= NORMALIZATION_WINDOW, sigma=0.0
-    )
+    return DensityField(grid=grid, values=vals, sigma=0.0)
 
 
 def cf_l1_bound(

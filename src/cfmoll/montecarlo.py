@@ -45,7 +45,7 @@ import numpy as np
 
 from .charfn import CharFn, positive_sigma, whole_number
 from .errors import ValidationError
-from .grids import DensityField, Grid, NORMALIZATION_WINDOW
+from .grids import DensityField, Grid
 from . import specs as sp
 
 
@@ -203,11 +203,7 @@ def mollified_histogram(
     pts = pts + sigma * sp.philox(noise_seq).standard_normal(pts.shape)
 
     values = _bin_counts(pts, grid) / (n * grid.cell_volume)
-    total = float(np.sum(values) * grid.cell_volume)
-    return DensityField(
-        grid=grid, values=values, normalized=abs(total - 1.0) <= NORMALIZATION_WINDOW,
-        sigma=sigma,
-    )
+    return DensityField(grid=grid, values=values, sigma=sigma)
 
 
 def write_batch_csv(batch: SampleBatch, csv_path: str | Path) -> Path:

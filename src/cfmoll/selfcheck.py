@@ -177,7 +177,7 @@ def check_l1_metric(seed: int) -> CheckResult:
     fields = []
     for _ in range(3):
         raw = rng.uniform(0.0, 1.0, grid.size)
-        fields.append(DensityField(grid, raw / (raw.sum() * grid.cell_volume), True))
+        fields.append(DensityField(grid, raw / (raw.sum() * grid.cell_volume)))
     a, b, c = fields
     sym = abs(l1_distance(a, b) - l1_distance(b, a))
     tri = l1_distance(a, c) - (l1_distance(a, b) + l1_distance(b, c))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -31,9 +33,7 @@ CLT_L1_ORACLE = {4: 0.0490869598522, 16: 0.00956575667281, 64: 0.00234792630229}
 
 
 def closed_form_field(grid, var=1.0, mean=0.0):
-    return cm.DensityField(
-        grid, gaussian_density(grid.axis_points(0), mean=mean, var=var), True
-    )
+    return cm.DensityField(grid, gaussian_density(grid.axis_points(0), mean=mean, var=var))
 
 
 class TestDistances:
@@ -45,8 +45,8 @@ class TestDistances:
 
     def test_disjoint_supports(self):
         grid = cm.Grid(axes=((0.0, 3.0, 4),))  # spacing 1
-        a = cm.DensityField(grid, np.array([1.0, 0.0, 0.0, 0.0]), True)
-        b = cm.DensityField(grid, np.array([0.0, 0.0, 1.0, 0.0]), True)
+        a = cm.DensityField(grid, np.array([1.0, 0.0, 0.0, 0.0]))
+        b = cm.DensityField(grid, np.array([0.0, 0.0, 1.0, 0.0]))
         assert l1_distance(a, b) == 2.0
         assert tv_distance(a, b) == 1.0
 
@@ -63,7 +63,7 @@ class TestDistances:
         fields = []
         for _ in range(6):
             raw = rng.uniform(0.0, 1.0, grid.size)
-            fields.append(cm.DensityField(grid, raw / (raw.sum() * grid.cell_volume), True))
+            fields.append(cm.DensityField(grid, raw / (raw.sum() * grid.cell_volume)))
         for a, b, c in zip(fields, fields[1:], fields[2:]):
             assert l1_distance(a, b) == l1_distance(b, a)
             assert l1_distance(a, c) <= l1_distance(a, b) + l1_distance(b, c) + 1e-12
@@ -190,13 +190,13 @@ class TestMassInBox:
         # the per-axis block sums the same values in the same order as
         # masking the point list
         grid = cm.Grid(axes=((-3.0, 4.0, 29), (-5.0, 5.0, 20)))
-        field = cm.DensityField(grid, np.random.default_rng(3).uniform(0, 1, grid.size), False)
+        field = cm.DensityField(grid, np.random.default_rng(3).uniform(0, 1, grid.size))
         for radius in (1.5, 3.0):
             inside = np.all(np.abs(grid.points()) <= radius, axis=1)
             expected = float(np.sum(field.values[inside]) * grid.cell_volume)
             assert mass_in_box(field, radius) == expected
         square = cm.Grid(axes=((-4.0, 4.0, 17), (-4.0, 4.0, 9)))
-        full = cm.DensityField(square, np.random.default_rng(4).uniform(0, 1, square.size), False)
+        full = cm.DensityField(square, np.random.default_rng(4).uniform(0, 1, square.size))
         assert mass_in_box(full, 4.0) == full.riemann_sum
 
 
@@ -301,3 +301,84 @@ class TestCertificate:
             convergence_certificate(
                 [make_cf(cm.PointMass(location=[0.0, 0.0]))], target, [1], grid, 0.1
             )
+
+
+def _report(l1, ks=(1, 2)):
+    return ConvergenceReport(
+        seq_labels=tuple(range(1, len(l1) + 1)),
+        k_schedule=tuple(ks),
+        epsilon=0.1,
+        cf_sup_error=(0.0,) * len(l1),
+        l1_mollified=tuple(tuple(row) for row in l1),
+        smoothing_remainder=tuple(gaussian_tail_prob(k, 0.1, 1) for k in ks),
+    )
+
+
+class TestReportRecord:
+    def test_derived_values_are_read_off_the_table(self):
+        rep = _report([[0.3, 0.2], [0.3, 0.25], [0.1, 0.05]], ks=(2, 5))
+        assert rep.sigma_schedule == (0.5, 0.2)
+        assert rep.monotone_flags == (True, False)  # a tie is nonincreasing
+        assert all(type(flag) is bool for flag in rep.monotone_flags)
+        assert rep.final_l1 == 0.05
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "seq_labels", "k_schedule", "epsilon", "cf_sup_error", "l1_mollified",
+            "smoothing_remainder",
+        ]
+        assert list(rep.to_dict()) == [
+            "schema_version", "seq_labels", "k_schedule", "sigma_schedule", "epsilon",
+            "cf_sup_error", "l1_mollified", "smoothing_remainder", "monotone_flags", "final_l1",
+        ]
+        assert rep.to_dict()["schema_version"] == ConvergenceReport.SCHEMA_VERSION == 1
+
+    def test_monotone_flags_match_the_column_differences(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            l1 = rng.integers(0, 4, size=(int(rng.integers(1, 5)), 3)) / 4.0
+            rep = _report(l1.tolist(), ks=(1, 2, 3))
+            assert rep.monotone_flags == tuple(
+                bool(np.all(np.diff(l1[:, j]) <= 0.0)) for j in range(3)
+            )
+
+    def test_from_dict_reads_stored_fields_only(self):
+        rep = _report([[0.3, 0.2], [0.1, 0.3]])
+        d = rep.to_dict()
+        # derived keys are written and ignored on read; a missing version is 1
+        stale = {**d, "sigma_schedule": [9.0, 9.0], "monotone_flags": [False, True],
+                 "final_l1": -1.0}
+        del stale["schema_version"]
+        for data in (d, stale, {k: d[k] for k in d if k in {
+                "seq_labels", "k_schedule", "epsilon", "cf_sup_error", "l1_mollified",
+                "smoothing_remainder"}}):
+            again = ConvergenceReport.from_dict(data)
+            assert again == rep and again.to_dict() == d
+
+    @pytest.mark.parametrize("edit", [
+        {"schema_version": 2},
+        {"schema_version": "1"},
+        {"seq_labels": None},
+        {"k_schedule": None},
+        {"epsilon": None},
+        {"cf_sup_error": None},
+        {"l1_mollified": None},
+        {"smoothing_remainder": None},
+        {"epsilon": "small"},
+        {"k_schedule": [0, 2]},
+        {"k_schedule": [1.5, 2]},
+        {"l1_mollified": 3},
+        {"l1_mollified": [[0.3, 0.2], [0.1]]},
+        {"l1_mollified": [[0.3, 0.2]]},
+        {"seq_labels": [], "l1_mollified": []},
+    ], ids=["version_2", "version_text", "no_seq_labels", "no_k_schedule", "no_epsilon",
+            "no_cf_sup_error", "no_l1_mollified", "no_smoothing_remainder", "epsilon_text",
+            "k_zero", "k_fraction", "l1_not_a_table", "l1_ragged", "l1_short", "l1_empty"])
+    def test_from_dict_rejects_malformed_reports(self, edit):
+        d = _report([[0.3, 0.2], [0.1, 0.3]]).to_dict()
+        d.update(edit)
+        d = {k: v for k, v in d.items() if v is not None}
+        with pytest.raises(ValidationError):
+            ConvergenceReport.from_dict(d)
+
+    def test_from_dict_rejects_a_non_object(self):
+        with pytest.raises(ValidationError):
+            ConvergenceReport.from_dict([1, 2])

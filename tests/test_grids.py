@@ -48,28 +48,34 @@ def test_grid_dict_round_trip():
 def test_density_field_validation():
     g = Grid(axes=((0.0, 1.0, 3),))
     with pytest.raises(ValidationError):
-        cm.DensityField(g, np.ones(4), False)  # wrong length
+        cm.DensityField(g, np.ones(4))  # wrong length
     with pytest.raises(ValidationError):
-        cm.DensityField(g, np.array([1.0, np.inf, 0.0]), False)
+        cm.DensityField(g, np.array([1.0, np.inf, 0.0]))
     with pytest.raises(ValidationError, match="sigma"):
-        cm.DensityField(g, np.ones(3), False, sigma=True)
-    field = cm.DensityField(g, np.array([1.0, -1e-7, 1.0]), False)
+        cm.DensityField(g, np.ones(3), sigma=True)
+    field = cm.DensityField(g, np.array([1.0, -1e-7, 1.0]))
     field.check_invariants()  # tiny ripple is allowed
     with pytest.raises(ValidationError):
-        cm.DensityField(g, np.array([1.0, -1e-3, 1.0]), False).check_invariants()
+        cm.DensityField(g, np.array([1.0, -1e-3, 1.0])).check_invariants()
     # the negativity tolerance is the contract's constant, not an argument
     with pytest.raises(TypeError):
         field.check_invariants(1e-2)
-    # normalization claim is checked against the Riemann sum
-    with pytest.raises(ValidationError):
-        cm.DensityField(g, np.array([9.0, 9.0, 9.0]), True).check_invariants()
+    # normalization is read off the values, not claimed: the cell volume is
+    # 0.5, so a Riemann sum of 1 +- 1e-3 reads True and any other False
+    for values, normalized in [([9.0, 9.0, 9.0], False), ([0.5, 1.0, 0.5], True),
+                               ([0.5, 1.0, 0.5019], True), ([0.5, 1.0, 0.5021], False)]:
+        field = cm.DensityField(g, np.array(values))
+        assert field.normalized is normalized
+        field.check_invariants()  # the flag is no claim to check
+    with pytest.raises(TypeError):
+        cm.DensityField(g, np.ones(3), normalized=True)
 
 
 def test_density_csv_round_trip(tmp_path):
     g = Grid(axes=((-1.0, 1.0, 9), (0.0, 2.0, 5)))
     rng = np.random.default_rng(0)
     raw = rng.uniform(0.1, 1.0, g.size)
-    field = cm.DensityField(g, raw / (raw.sum() * g.cell_volume), True)
+    field = cm.DensityField(g, raw / (raw.sum() * g.cell_volume))
     path = tmp_path / "field.csv"
     sidecar = cm.write_density_csv(field, path, MollificationParams())
     again = cm.read_density_csv(path)
@@ -89,7 +95,7 @@ def test_density_csv_sigma_round_trip(tmp_path):
         "smoothed": (cm.mollified_density_grid(cf, 0.5, grid), 0.5),
         "inverted": (cm.invert_density_grid(cf, grid), 0.0),
         "histogram": (cm.mollified_histogram(spec, 0.7, grid, 1000, 3), 0.7),
-        "by_hand": (cm.DensityField(grid, np.ones(65) / 16.0, False), None),
+        "by_hand": (cm.DensityField(grid, np.ones(65) / 16.0), None),
     }
     for name, (field, sigma) in fields.items():
         assert field.sigma == sigma
@@ -130,7 +136,69 @@ def _reference_density_csv(field) -> str:
 def test_density_csv_matches_row_formatter(tmp_path, axes):
     grid = Grid(axes=axes)
     values = np.resize(AWKWARD, grid.size) * np.where(np.arange(grid.size) % 3 == 2, -1.0, 1.0)
-    field = cm.DensityField(grid=grid, values=values, normalized=False)
+    field = cm.DensityField(grid=grid, values=values)
     path = tmp_path / "f.csv"
     cm.write_density_csv(field, path)
     assert path.read_text() == _reference_density_csv(field)
+
+
+def _window_test(field) -> bool:
+    return abs(float(np.sum(field.values)) * field.grid.cell_volume - 1.0) <= 1e-3
+
+
+def test_normalized_is_derived_from_the_values(tmp_path):
+    # every producer's flag is the window test on its own values, a bool
+    spec = cm.Laplace1D(scale=1.0)
+    cf = cm.make_cf(spec)
+    fields = {
+        "smoothed": cm.mollified_density_grid(cf, 0.5, Grid.parse("-12:12:241")),
+        "partial_inversion": cm.invert_density_grid(cf, Grid.parse("-1:1:41")),
+        "histogram": cm.mollified_histogram(spec, 0.5, Grid.parse("-12:12:97"), 2000, 5),
+        "histogram_partial": cm.mollified_histogram(spec, 0.5, Grid.parse("-1:1:9"), 2000, 5),
+    }
+    for name, field in fields.items():
+        assert type(field.normalized) is bool
+        assert field.normalized is _window_test(field), name
+        path = tmp_path / f"{name}.csv"
+        cm.write_density_csv(field, path)
+        assert json.loads(path.with_suffix(".meta.json").read_text())["normalized"] is field.normalized
+        again = cm.read_density_csv(path)
+        assert again.normalized is _window_test(again) is field.normalized, name
+    assert not fields["partial_inversion"].normalized and not fields["histogram_partial"].normalized
+    assert fields["smoothed"].normalized and fields["histogram"].normalized
+
+
+def test_read_density_csv_ignores_the_sidecar_flag(tmp_path):
+    # a sidecar whose "normalized" disagrees with the values, or lacks it,
+    # reads as the values say
+    grid = Grid.parse("0:1:3")
+    path = tmp_path / "f.csv"
+    sidecar = cm.write_density_csv(cm.DensityField(grid, np.array([0.5, 1.0, 0.5])), path)
+    meta = json.loads(sidecar.read_text())
+    for stored in (False, "yes", None):
+        sidecar.write_text(json.dumps({**meta, "normalized": stored}))
+        assert cm.read_density_csv(path).normalized is True
+    meta.pop("normalized")
+    sidecar.write_text(json.dumps(meta))
+    assert cm.read_density_csv(path).normalized is True
+
+
+@pytest.mark.parametrize("sidecar_text, csv_edit", [
+    ("{not json", None),
+    ("[1, 2]", None),
+    ('{"sigma": null}', None),
+    ('{"grid": 3}', None),
+    ('{"grid": {"axes": 3}}', None),
+    ('{"grid": {"axes": [[0.0, 1.0, 3]]}}', ("0.5", "abc")),
+    ('{"grid": {"axes": [[0.0, 1.0, 3]]}}', ("0.5,", "0.5,1,")),
+    ('{"grid": {"axes": [[0.0, 1.0, 4]]}}', None),
+], ids=["bad_json", "not_an_object", "no_grid", "grid_not_a_dict", "axes_not_a_list",
+        "bad_cell", "extra_column", "wrong_size"])
+def test_read_density_csv_rejects_malformed_files(tmp_path, sidecar_text, csv_edit):
+    path = tmp_path / "f.csv"
+    sidecar = cm.write_density_csv(cm.DensityField(Grid.parse("0:1:3"), np.array([0.5, 1.0, 0.5])), path)
+    sidecar.write_text(sidecar_text)
+    if csv_edit is not None:
+        path.write_text(path.read_text().replace(*csv_edit, 1))
+    with pytest.raises(ValidationError):
+        cm.read_density_csv(path)

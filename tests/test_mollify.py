@@ -705,6 +705,16 @@ def test_shared_density_preconditions(call, message):
         call()
 
 
+def _phase_contract(t, y, z):
+    """Contract axis 0 of an (m, B) ``t`` against exp(-i z_a y_k) by
+    ``_phase_product``, the phase matrix built in blocks, with the B
+    columns as its batch (the lattice's last axis); shape (B, n)."""
+    batch = t.T
+    out = np.empty((len(batch), len(z)), dtype=complex)
+    mo._phase_product(batch[:, :, None], y, z, None, out[:, :, None])
+    return out
+
+
 class TestContractAxis:
     def test_long_axis_matches_direct(self):
         # a vector splits k = q*K + s (20000 is not a multiple of K); the
@@ -712,8 +722,6 @@ class TestContractAxis:
         # chirp-z onto several) and the blocked phase matrix of a batched
         # axis must agree with the plain phase matrix on uniform z axes,
         # also off-centre
-        from cfmoll.mollify import _contract_axis
-
         rng = np.random.default_rng(0)
         m = 20000
         y = np.linspace(-30.0, 30.0, m)
@@ -721,7 +729,8 @@ class TestContractAxis:
         for (shape, n_z), window in itertools.product(cases, [(-3.0, 3.0), (-2.5, 9.5)]):
             z = np.linspace(*window, n_z) if n_z > 1 else np.array([window[1]])
             t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            fact = _contract_axis(t, y, z)
+            contract = mo._vector_contract if len(shape) == 1 else _phase_contract
+            fact = contract(t, y, z)
             assert fact.shape == shape[1:] + (n_z,)
             picks = np.unique(np.r_[np.arange(0, n_z, 37), n_z - 1])
             direct = np.tensordot(t, np.exp(-1j * np.outer(z[picks], y)), axes=([0], [1]))
@@ -746,8 +755,8 @@ class TestContractAxis:
         y, t, abs_sum = laplace_axis
         z = np.linspace(-3.7, 8.3, 1201)
         picks = [0, 517, 1200]
-        grid = mo._contract_axis(t, y, z)[picks]
-        points = [mo._contract_axis(t, y, z[i : i + 1])[0] for i in picks]
+        grid = mo._vector_contract(t, y, z)[picks]
+        points = [mo._vector_contract(t, y, z[i : i + 1])[0] for i in picks]
         yl = y.astype(np.longdouble)
         re, im = t.real.astype(np.longdouble), t.imag.astype(np.longdouble)
         for g, p, za in zip(grid, points, z[picks].astype(np.longdouble)):
@@ -763,13 +772,13 @@ class TestContractAxis:
         # must leave the values alone and keep the peak near the input size
         y, t, _ = laplace_axis
         z = np.linspace(-3.7, 8.3, 1201)
-        whole = mo._contract_axis(t, y, z)
+        whole = mo._vector_contract(t, y, z)
         monkeypatch.setattr(mo, "_PHASE_BLOCK", 1 << 16)
         capped = None
 
         def run():
             nonlocal capped
-            capped = mo._contract_axis(t, y, z)
+            capped = mo._vector_contract(t, y, z)
 
         peak = traced_peak_mb(run)
         assert np.max(np.abs(capped - whole)) <= 1e-13 * np.max(np.abs(whole))
@@ -793,8 +802,8 @@ class TestContractAxis:
         y = np.linspace(-40.0, 40.0, m)
         t = rng.standard_normal(m)
         z = np.array([1.7])
-        real = mo._contract_axis(t, y, z)
-        cast = mo._contract_axis(t.astype(complex), y, z)
+        real = mo._vector_contract(t, y, z)
+        cast = mo._vector_contract(t.astype(complex), y, z)
         assert np.max(np.abs(real - cast)) <= 1e-14 * np.sum(np.abs(t))
 
     @pytest.mark.parametrize("m", [16, 652])
@@ -804,14 +813,12 @@ class TestContractAxis:
         # a vector takes the row split, its inner sums a matrix-vector
         # product onto one point and the chirp-z form onto more; both must
         # agree with the explicit phase matrix, also on off-centre windows
-        from cfmoll.mollify import _contract_axis
-
         rng = np.random.default_rng(m + n_z)
         y = np.linspace(-17.3, 17.3, m)
         z = np.linspace(*window, n_z)
         t = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         direct = np.tensordot(t, np.exp(-1j * np.outer(z, y)), axes=([0], [1]))
-        chirp = _contract_axis(t, y, z)
+        chirp = mo._vector_contract(t, y, z)
         assert chirp.shape == direct.shape
         assert np.max(np.abs(chirp - direct)) <= 1e-12 * np.max(np.abs(direct))
 
@@ -820,15 +827,13 @@ class TestContractAxis:
         # batched axes of 2-d/3-d lattices run the blocked phase matrix,
         # also when the z axis outnumbers the batch (a 2-d grid whose first
         # axis a worker split into 21-point chunks)
-        from cfmoll.mollify import _contract_axis
-
         rng = np.random.default_rng(1)
         m = 652
         y = np.linspace(-17.3, 17.3, m)
         z = np.linspace(-9.5, 10.5, n_z)
         t = rng.standard_normal((m, batch)) + 1j * rng.standard_normal((m, batch))
         direct = np.tensordot(t, np.exp(-1j * np.outer(z, y)), axes=([0], [1]))
-        out = _contract_axis(t, y, z)
+        out = _phase_contract(t, y, z)
         assert out.shape == (batch, n_z)
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
 
@@ -1025,7 +1030,6 @@ def _plan(*ms):
     node sits at 0.3 with undamped weight 1."""
     rules = [mo._axis_rule(4.0, m) if m > 1 else (np.array([0.3]), np.array([1.0])) for m in ms]
     return mo.QuadPlan(
-        radii=(4.0,) * len(ms),
         nodes=tuple(y for y, _ in rules),
         weights=tuple(w * np.exp(-0.125 * y**2) for y, w in rules),
     )
