@@ -243,7 +243,6 @@ def _cmd_clt_demo(cfg: dict) -> int:
         0.1,
         params=_params_from(cfg),
         seq_labels=ns,
-        workers=_threads(cfg),
     )
     out = _write_report(report, cfg, "clt_demo_report.json")
     l1s = [row[0] for row in report.l1_mollified]
@@ -277,7 +276,11 @@ _COMMANDS = {
         _cmd_converge, "convergence certificate for a CF sequence",
         ("spec", "target", "k_schedule", "epsilon") + _GRID_KEYS,
     ),
-    "clt-demo": (_cmd_clt_demo, "built-in Bernoulli CLT certificate", _GRID_KEYS),
+    # the demo's grid is 1-d, and a 1-d grid always runs on one thread
+    "clt-demo": (
+        _cmd_clt_demo, "built-in Bernoulli CLT certificate",
+        tuple(key for key in _GRID_KEYS if key != "threads"),
+    ),
     "selfcheck": (_cmd_selfcheck, "run the closed-form invariant suite", ("seed",)),
 }
 

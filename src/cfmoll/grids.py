@@ -227,10 +227,13 @@ def read_density_csv(csv_path: str | Path) -> DensityField:
     sidecar = csv_path.with_suffix(".meta.json")
     if not csv_path.exists() or not sidecar.exists():
         raise ValidationError(f"missing density CSV or sidecar for {csv_path}")
-    try:  # invalid JSON, no "grid" or a cell that is not a number
+    try:  # invalid JSON, no "grid", no data rows or a cell that is not a number
         meta = json.loads(sidecar.read_text())
         grid = Grid.from_dict(meta["grid"])
-        raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        rows = csv_path.read_text().splitlines()[1:]
+        if not any(rows):  # np.loadtxt would only warn
+            raise ValueError("no data rows")
+        raw = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed density CSV or sidecar for {csv_path}: {exc!r}") from exc
     if raw.shape != (grid.size, grid.d + 1):

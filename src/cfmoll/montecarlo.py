@@ -19,10 +19,15 @@ batches differ from those of versions that added n base draws from n
 child streams, as every other base, and a base over that cap, still
 does.
 
-``mollified_histogram`` bins the draws in chunks by arithmetic: a guess
-from the edge spacing, corrected against the stored edges.  Its counts
-are those of ``np.histogramdd`` on the same edges, and its temporaries
-are bounded by the chunk.
+``mollified_histogram`` counts the draws with ``np.histogram`` (1-d) or
+``np.histogramdd`` (d >= 2) on the cell edges ``axis +- h/2``.  The 1-d
+count sorts the draws in blocks of 2^16 and searches the edges in each
+block, so its speed is numpy's sort: on numpy 2.4 it bins 1e6 draws on
+512 cells in 7 ms against 15 ms for the hand-written binner it replaced,
+and older numpy sorts more slowly.  In 2-d numpy is slower and needs
+more memory: a 1e6-draw histogram on 64 x 33 cells took 166 ms against
+113 and peaked at 39.1 MiB against 30.5 (best of 5, ``tracemalloc``;
+one vCPU, one BLAS thread).
 
 ``empirical_cf`` first merges repeated draws into (value, count) pairs, so
 a discrete law pays for its distinct values, not its draws.  It then sums
@@ -47,12 +52,6 @@ from .charfn import CharFn, positive_sigma, whole_number
 from .errors import ValidationError
 from .grids import DensityField, Grid
 from . import specs as sp
-
-
-# Draws binned per pass of ``mollified_histogram``; a pass over a larger
-# grid takes as many draws as the grid has cells, so the per-pass
-# ``bincount`` never costs more than the binning itself.
-HIST_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -125,58 +124,17 @@ def mc_tail_prob(spec: sp.DistributionSpec, radius: float, n: int, seed: int) ->
     return float(np.mean(outside))
 
 
-def _axis_bins(x: np.ndarray, e: np.ndarray, h: float | None) -> np.ndarray:
-    """Bin of each x among the edges ``e`` as ``np.histogramdd`` assigns
-    it: b where e[b] <= x < e[b+1], the last bin for x == e[-1], and -1 or
-    len(e) - 1 outside [e[0], e[-1]] and for NaN.
-
-    With a spacing h, the guess floor((x - e[0]) / h) must be within one
-    bin of the answer; two steps past the edges at or below x then fix it.
-    Without one, a binary search bins x, as histogramdd does.
-    """
-    m = len(e) - 1
-    if h is None:
-        b = np.searchsorted(e, x, side="right") - 1
-    else:
-        q = x - e[0]
-        q /= h
-        np.floor(q, out=q)
-        np.fmin(np.fmax(q, 0.0, out=q), m - 1, out=q)  # fmax sends NaN to 0
-        b = q.astype(np.intp)
-        b -= 1
-        b += x >= e[b + 1]  # false for NaN, which stays at -1
-        b += x >= e[b + 1]
-    np.putmask(b, x == e[-1], m - 1)
-    return b
-
-
 def _bin_counts(pts: np.ndarray, grid: Grid) -> np.ndarray:
-    """Counts of ``pts`` in the cells centered on the grid lattice, row-major;
-    equal to ``np.histogramdd(pts, bins=edges)[0].ravel()`` as integers."""
-    edges, spacings = [], []
+    """Integer counts of ``pts`` in the cells centered on the grid lattice,
+    row-major: bins are half-open, the last one closed, and NaN and +-inf
+    are dropped."""
+    edges = []
     for j, h in enumerate(grid.spacings):
         axis = grid.axis_points(j)
-        e = np.concatenate([axis - 0.5 * h, [axis[-1] + 0.5 * h]])
-        # rounding in (x - e[0]) / h moves the guess by about m 2^-52 bins,
-        # so it stays within one bin unless an edge is far off e[0] + i h
-        off = np.max(np.abs(e - e[0] - h * np.arange(len(e))))
-        edges.append(e)
-        spacings.append(h if off < 0.25 * h else None)
-    shape, size = grid.shape, grid.size
-    counts = np.zeros(size, dtype=np.intp)
-    step = max(HIST_CHUNK, size)
-    for lo in range(0, len(pts), step):
-        chunk = pts[lo : lo + step]
-        flat = np.zeros(len(chunk), dtype=np.intp)
-        outside = np.zeros(len(chunk), dtype=bool)
-        for j, (e, h) in enumerate(zip(edges, spacings)):
-            b = _axis_bins(chunk[:, j], e, h)
-            outside |= b.view(np.uintp) >= shape[j]  # -1 wraps to the top
-            flat *= shape[j]
-            flat += b
-        np.putmask(flat, outside, size)
-        counts += np.bincount(flat, minlength=size + 1)[:size]
-    return counts
+        edges.append(np.concatenate([axis - 0.5 * h, [axis[-1] + 0.5 * h]]))
+    if grid.d == 1:
+        return np.histogram(pts[:, 0], bins=edges[0])[0]
+    return np.histogramdd(pts, bins=edges)[0].astype(np.intp).reshape(-1)
 
 
 def mollified_histogram(

@@ -321,7 +321,8 @@ def test_clt_demo_empty_grid_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["invert", "--seed", "1"], ["mollify", "--seed", "1"], ["converge", "--seed", "1"],
-     ["clt-demo", "--seed", "1"], ["clt-demo", "--spec", "x.json"]],
+     ["clt-demo", "--seed", "1"], ["clt-demo", "--spec", "x.json"],
+     ["clt-demo", "--threads", "2"]],
 )
 def test_flags_no_command_reads_are_rejected(argv, capsys):
     # argparse rejects an unknown flag with exit status 2
@@ -394,7 +395,7 @@ def test_vacuous_tail_tol_exits_2(tmp_path, spec_files, capsys, command, tol):
     "command, key, value",
     [("invert", "seed", 3), ("invert", "sigma", 0.5), ("mollify", "epsilon", 0.1),
      ("selfcheck", "grid", "-8:8:64"), ("clt-demo", "spec", "a.json"),
-     ("clt-demo", "epsilon", 0.2)],
+     ("clt-demo", "epsilon", 0.2), ("clt-demo", "threads", 2)],
 )
 def test_config_keys_outside_the_command_exit_2(tmp_path, spec_files, command, key, value, capsys):
     # a config file may set only what the command's flags may set, so a key

@@ -192,8 +192,9 @@ def test_read_density_csv_ignores_the_sidecar_flag(tmp_path):
     ('{"grid": {"axes": [[0.0, 1.0, 3]]}}', ("0.5", "abc")),
     ('{"grid": {"axes": [[0.0, 1.0, 3]]}}', ("0.5,", "0.5,1,")),
     ('{"grid": {"axes": [[0.0, 1.0, 4]]}}', None),
+    ('{"grid": {"axes": [[0.0, 1.0, 3]]}}', ("0,0.5\n0.5,1\n1,0.5\n", "")),
 ], ids=["bad_json", "not_an_object", "no_grid", "grid_not_a_dict", "axes_not_a_list",
-        "bad_cell", "extra_column", "wrong_size"])
+        "bad_cell", "extra_column", "wrong_size", "header_only"])
 def test_read_density_csv_rejects_malformed_files(tmp_path, sidecar_text, csv_edit):
     path = tmp_path / "f.csv"
     sidecar = cm.write_density_csv(cm.DensityField(Grid.parse("0:1:3"), np.array([0.5, 1.0, 0.5])), path)

@@ -416,12 +416,11 @@ class TestMollifiedHistogram:
 
     def test_peak_memory_stays_under_the_histogramdd_version(self, rademacher):
         # 1e6 draws of a 16-term Rademacher sum on 512 bins: with
-        # Generator.choice and histogramdd the peak was 23.9 MiB; the chunked
-        # binning and an atom draw that frees its uniforms before the gather
-        # peaked at 17.2 (the running sum, the uint8 atom indices and the
-        # gathered atoms), and keeping the uniforms alive took it to 23.8.
-        # Drawing from the 17-atom law of the sum, one uniform per draw,
-        # peaks at 15.3: the draws and the noise added to them.
+        # Generator.choice and histogramdd the peak was 23.9 MiB.  Drawing
+        # from the 17-atom law of the sum, one uniform per draw, peaks at
+        # 15.9, mostly the draws and the noise added to them.  np.histogram
+        # counts after the noise is freed and sorts 2^16 draws at a time,
+        # about 1 MiB more than the draws.
         spec = cm.StandardizedIIDSum(base=rademacher, n=16)
         grid = cm.Grid(axes=((-8.0, 8.0, 512),))
         peak = traced_peak_mb(lambda: mollified_histogram(spec, 0.5, grid, 1_000_000, 3))
@@ -430,7 +429,8 @@ class TestMollifiedHistogram:
     def test_gaussian_draws_peak_at_two_arrays(self, std_gaussian):
         # 1e6 1-d normal draws: with z, z @ A.T and mean + z @ A.T alive at
         # once the peak was 22.9 MiB; adding the mean in place after
-        # freeing z peaks at 15.3
+        # freeing z peaks at 15.3, the draws and the noise.  The count runs
+        # after the noise is freed and needs about 1 MiB more than the draws.
         grid = cm.Grid(axes=((-8.0, 8.0, 512),))
         peak = traced_peak_mb(lambda: mollified_histogram(std_gaussian, 0.5, grid, 1_000_000, 3))
         assert peak < 18.0
@@ -459,14 +459,12 @@ class TestExactBinning:
     AXES = [(-8.0, 8.0, 512), (-1.3, 2.9, 7), (0.1, 0.7, 2)]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("chunk", [7, 1 << 16])
-    def test_counts_equal_histogramdd(self, monkeypatch, d, chunk):
-        monkeypatch.setattr(mc, "HIST_CHUNK", chunk)
+    def test_counts_equal_histogramdd(self, d):
         rng = np.random.default_rng(d)
         grid = cm.Grid(axes=tuple(self.AXES[:d]))
         edges = _edges(grid)
         cols = [_adversarial(e, rng, 70_000) for e in edges]
-        n = max(len(c) for c in cols) + 3  # not a multiple of either chunk
+        n = max(len(c) for c in cols) + 3  # not a multiple of np.histogram's 2^16 block
         pts = np.stack([rng.choice(c, n) for c in cols], axis=1)
         if d == 1:
             pts[: len(cols[0]), 0] = cols[0]
@@ -474,13 +472,20 @@ class TestExactBinning:
         got = mc._bin_counts(pts, grid)
         assert got.dtype.kind == "i" and np.array_equal(got, want)
 
-    def test_fine_axis_far_from_zero_falls_back_to_search(self):
-        # the spacing is near the rounding step of the edges, so the
-        # arithmetic guess is off by more than one bin; a search bins it
-        grid = cm.Grid(axes=((1e10, 1e10 + 1e-4, 64),))
-        e = _edges(grid)[0]
-        pts = _adversarial(e, np.random.default_rng(5), 10_000)[:, None]
-        want = np.histogramdd(pts, bins=[e])[0]
+    @pytest.mark.parametrize("axes", [
+        ((1e10, 1e10 + 1e-4, 64),),
+        ((1e10, 1e10 + 1e-4, 64), (-1.3, 2.9, 7)),
+    ], ids=["1d", "2d"])
+    def test_fine_axis_far_from_zero(self, axes):
+        # the spacing is near the rounding step of the edges, so the edges
+        # are far from e[0] + i h; the counts still follow the stored edges
+        grid = cm.Grid(axes=axes)
+        edges = _edges(grid)
+        rng = np.random.default_rng(5)
+        cols = [_adversarial(e, rng, 10_000) for e in edges]
+        n = max(len(c) for c in cols)
+        pts = np.stack([c if len(c) == n else rng.choice(c, n) for c in cols], axis=1)
+        want = np.histogramdd(pts, bins=edges)[0].reshape(-1)
         assert np.array_equal(mc._bin_counts(pts, grid), want)
 
     def test_histogram_values_are_binned_draws(self):
