@@ -3,9 +3,10 @@
 Each spec class builds its own CharFn (``DistributionSpec.cf`` in
 ``cfmoll.specs``); this module holds the CharFn type, ``make_cf``, the
 operations on CFs (``convolve``, ``gaussian_mollify_cf``) and the helpers
-every other module shares (``cis`` for complex phases, ``whole_number``
-and ``positive_sigma`` for checked counts and scales), and knows nothing
-of specs.
+every other module shares (``cis`` for complex phases, ``LatticeRows``
+for probe blocks that are whole lattice rows, ``whole_number`` and
+``positive_sigma`` for checked counts and scales), and knows nothing of
+specs.
 
 A CharFn wraps a vectorized evaluator chi: R^d -> C together with its
 dimension and an integrability flag for integral(|chi|) < infinity.  The
@@ -102,6 +103,27 @@ def convolve(a: CharFn, b: CharFn) -> CharFn:
         return a.batch_eval(pts) * b.batch_eval(pts)
 
     return CharFn(a.d, ev, flag, "convolution")
+
+
+class LatticeRows(np.ndarray):
+    """(N, d) probes, d >= 2, that are whole rows of a tensor lattice, as
+    ``cfmoll.mollify`` fills its blocks: ``lattice`` is (lead, last), each
+    row's leading coordinates, (rows, d - 1), and the last-axis nodes
+    every row shares, (L,), so probe r L + l is (lead[r], last[l]).  The
+    evaluators in ``cfmoll.specs`` factor chi over that layout.
+
+    Only the constructor makes the claim, and its caller vouches for it.
+    Any view, copy or arithmetic result of a block has ``lattice`` None
+    (``__array_finalize__``), and a plain array has no ``lattice`` at
+    all, so both take the per-point path."""
+
+    def __new__(cls, pts: np.ndarray, lead: np.ndarray, last: np.ndarray):
+        block = pts.view(cls)
+        block.lattice = (lead, last)
+        return block
+
+    def __array_finalize__(self, obj):
+        self.lattice = None
 
 
 def cis(arg: np.ndarray) -> np.ndarray:

@@ -68,7 +68,9 @@ _OPTIONS = {
     "out": (_is_text, "a path", "output path", {}),
     "seed": (_is_int, "an integer", "probe seed (default 20240)", {"type": int}),
     "threads": (_is_int, "an integer", "worker threads for grid evaluation (>= 1): 2-d and "
-                "3-d lattices are split into slabs; 1-d grids always run on one thread",
+                "3-d lattices are split into slabs; 1-d grids always run on one thread. "
+                "Above 1, set OPENBLAS_NUM_THREADS=1: BLAS threads started by each "
+                "worker can make a default OpenBLAS install slower than 1 thread",
                 {"type": int}),
     "tail_tol": (_is_real, "a number", "truncation tail tolerance", {"type": float}),
     "nodes": (_is_int, "an integer", "quadrature nodes per axis (even, >= 16; default 512 "

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .charfn import CharFn, whole_number
+from .charfn import CharFn, LatticeRows, whole_number
 from .errors import ValidationError
 from .grids import DensityField, Grid, MollificationParams
 from .mollify import mollified_density_grid
@@ -52,20 +52,23 @@ def tv_distance(a: DensityField, b: DensityField) -> float:
 def default_probes(d: int) -> np.ndarray:
     """Tensor probe lattice, uniform on [-5, 5]^d: the largest n <= 129
     points per axis with n^d <= 2^16, so 129 up to d = 2, 40 in 3-d and
-    16 in 4-d."""
+    16 in 4-d.  In d >= 2 it is a ``charfn.LatticeRows`` block, so the
+    closed forms evaluate it once per row and once per row position."""
     n = PROBES_PER_AXIS
     while n**d > PROBE_BUDGET:
         n -= 1
-    return Grid(axes=((-PROBE_HALF_WIDTH, PROBE_HALF_WIDTH, n),) * d).points()
+    pts = Grid(axes=((-PROBE_HALF_WIDTH, PROBE_HALF_WIDTH, n),) * d).points()
+    return pts if d == 1 else LatticeRows(pts, pts[::n, :-1], pts[:n, -1])
 
 
 def cf_sup_error(cf_n: CharFn, cf_target: CharFn, probes=None) -> float:
-    """max over probes of |chi_n(t) - chi_target(t)|."""
+    """max over probes of |chi_n(t) - chi_target(t)|.  A
+    ``charfn.LatticeRows`` probe block keeps its type and row layout."""
     if cf_n.d != cf_target.d:
         raise ValidationError(f"dimension mismatch: {cf_n.d} != {cf_target.d}")
     if probes is None:
         probes = default_probes(cf_n.d)
-    pts = np.asarray(probes, dtype=float)
+    pts = probes if isinstance(probes, LatticeRows) else np.asarray(probes, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.shape[0] == 0:

@@ -78,13 +78,14 @@ scratch and inner contraction outputs) and reuses it from slab to slab,
 so no slab allocates, or page-faults in, memory of its own.  A 1-d
 lattice is one slab and runs on one thread.  chi fills each slab in
 blocks of ``_EVAL_BLOCK`` points built in the point buffer, so no slab
-builds a meshgrid or a stacked point array, and an evaluator's
+builds a meshgrid or a stacked array of all its points, and an evaluator's
 temporaries (an ``Empirical`` law's atom chunks among them) are sized by
 the block, not the slab.  Each block is weighted as it is written, by
 the last axis's weights along its rows and then by each row's leading
-weights, and |W|-summed.  A 2-d or 3-d block is whole lattice rows, a
-layout ``cfmoll.specs`` reads to evaluate the closed forms once per row
-and once per row position.
+weights, and |W|-summed.  A 2-d or 3-d block is whole lattice rows and
+says so: it is a ``charfn.LatticeRows`` carrying its rows' leading
+coordinates and the shared last-axis nodes, which ``cfmoll.specs`` reads
+to evaluate the closed forms once per row and once per row position.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .charfn import CharFn, cis, positive_sigma, whole_number
+from .charfn import CharFn, LatticeRows, cis, positive_sigma, whole_number
 from .errors import NumericFailure, ValidationError
 from .grids import (
     DEFAULT_TAIL_TOL,
@@ -125,8 +126,8 @@ _PHASE_BLOCK = 1 << 22  # complex temporaries capped near 64 MiB
 # Lattice points per chi evaluation: each slab is filled block by block, so
 # the evaluator's temporaries stay small (about 0.5 MiB each).  Row-factored
 # closed forms do little arithmetic per point, and at 2^14 points the
-# per-call work that holds the GIL (the row check, the small row arrays)
-# kept two slab workers from running side by side.
+# per-call work that holds the GIL (the small row arrays) kept two slab
+# workers from running side by side.
 _EVAL_BLOCK = 1 << 16
 # Slabs of a 2-d or 3-d lattice: at most this many nodes, and at least
 # _MIN_SLABS slabs where the rows allow, so a 512^2 lattice still spreads
@@ -201,10 +202,6 @@ class QuadPlan:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(y) for y in self.nodes)
-
-    @property
-    def total_nodes(self) -> int:
-        return int(np.prod(self.shape))
 
 
 def _even_ceil(x: float) -> int:
@@ -368,13 +365,14 @@ def _lattice_blocks(
     plan weights ``last`` along each row times the row's product of
     leading weights in ``lead`` (None for a 1-d block, which is one row).
 
-    A 1-d block is a slice of the nodes.  Otherwise a block is whole rows
-    along the last axis, written into the worker's point buffer, whose
-    last coordinate is set once per slab and whose leading coordinates are
-    copied from the slab's meshgrid columns: row after row in C order,
-    every row holding the same last-axis nodes in order and one fixed
-    leading coordinate tuple.  ``specs`` recognises that layout by exact
-    equality (``_lattice_row_length``) and factors chi over it.
+    A 1-d block is a plain slice of the nodes.  Otherwise a block is whole
+    rows along the last axis, written into the worker's point buffer,
+    whose last coordinate is set once per slab and whose leading
+    coordinates are copied from the slab's stacked leading coordinates:
+    row after row in C order, every row holding the same last-axis nodes
+    in order and one fixed leading coordinate tuple.  The block is
+    yielded as a ``charfn.LatticeRows`` that states this layout, and
+    ``specs`` factors chi over it.
     """
     nodes = (plan.nodes[0][lo:hi],) + plan.nodes[1:]
     weights = (plan.weights[0][lo:hi],) + plan.weights[1:]
@@ -384,7 +382,7 @@ def _lattice_blocks(
             yield a, y[a : a + _EVAL_BLOCK], None, weights[0][a : a + _EVAL_BLOCK]
         return
     last = len(nodes[-1])
-    cols = [c.reshape(-1) for c in np.meshgrid(*nodes[:-1], indexing="ij")]
+    heads = np.stack(np.meshgrid(*nodes[:-1], indexing="ij"), axis=-1).reshape(-1, plan.d - 1)
     lead = functools.reduce(np.multiply.outer, weights[:-1]).reshape(-1)
     rows = len(lead)
     step = max(1, _EVAL_BLOCK // last)
@@ -392,9 +390,11 @@ def _lattice_blocks(
     buf[..., -1] = nodes[-1]
     for r in range(0, rows, step):
         n = min(step, rows - r)
-        for j, col in enumerate(cols):
-            buf[:n, :, j] = col[r : r + n, None]
-        yield r * last, buf[:n].reshape(-1, plan.d), lead[r : r + n], weights[-1]
+        # a column at a time: one 3-d broadcast iterates pairs, 4x slower
+        for j in range(plan.d - 1):
+            buf[:n, :, j] = heads[r : r + n, j, None]
+        pts = LatticeRows(buf[:n].reshape(-1, plan.d), heads[r : r + n], nodes[-1])
+        yield r * last, pts, lead[r : r + n], weights[-1]
 
 
 def _weight_tensor(

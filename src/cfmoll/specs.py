@@ -148,56 +148,10 @@ def _trig_sums(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.nd
     return num
 
 
-def _lattice_row_length(pts: np.ndarray) -> int | None:
-    """The row length L when d >= 2 probes are whole lattice rows, else
-    None: L >= 2 points per row, the leading coordinates constant within a
-    row and the last coordinates the same L values in every row, all by
-    exact equality (the block layout of ``mollify._weight_tensor``).  NaN
-    probes fail.  ``atom_sum``, ``Gaussian``, ``UniformBox`` and ``Product``
-    read this layout (``_lattice_split``).
-
-    L is the first point whose leading coordinates differ from the first
-    point's, searched in growing prefixes.  The checks then compare the
-    flat probes with themselves shifted by one row (the last coordinates)
-    and by one point (the leading ones), so every comparison runs over
-    contiguous memory: numpy compares a strided column several times
-    slower."""
-    n, d = pts.shape
-    if d < 2 or n < 2:
-        return None
-    span = 256
-    while not (moved := np.flatnonzero(pts[:span, :-1] != pts[0, :-1])).size and span < n:
-        span *= 4
-    length = int(moved[0]) // (d - 1) if moved.size else n
-    if length < 2 or n % length:
-        return None
-    flat = np.ascontiguousarray(pts).reshape(-1)
-    rows = flat.reshape(n // length, length * d)
-    is_last = np.zeros((length, d), dtype=bool)
-    is_last[:, -1] = True
-    is_last = is_last.reshape(-1)
-    # row 0 holds no NaN, and every row repeats its last coordinates
-    if not (rows[0] == rows[0]).all() or not ((rows[1:] == rows[:-1]) | ~is_last).all():
-        return None
-    # each point's leading coordinates equal the next point's in its row;
-    # a row's last point faces the next row's first, so it is not compared
-    same = np.ones(n * d, dtype=bool)
-    np.equal(flat[d:], flat[:-d], out=same[:-d])
-    is_last[-d:] = True
-    if not (same.reshape(rows.shape) | is_last).all():
-        return None
-    return length
-
-
 def _lattice_split(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(lead, last) when the probes are whole lattice rows
-    (``_lattice_row_length``): each row's leading coordinates, (rows, d - 1),
-    and the last coordinates every row shares, (L,).  Probe r L + l is then
-    (lead[r], last[l]).  Else None."""
-    length = _lattice_row_length(pts)
-    if length is None:
-        return None
-    return pts[::length, :-1], pts[:length, -1]
+    """The (lead, last) row layout a ``charfn.LatticeRows`` block states,
+    probe r L + l being (lead[r], last[l]); None for any other array."""
+    return getattr(pts, "lattice", None)
 
 
 def _lattice_sums(
@@ -222,10 +176,11 @@ def _axis_product(factors, pts: np.ndarray) -> np.ndarray:
     """prod_j f_j(t_j) for each row t of ``pts``, with ``factors[j]``
     mapping a 1-d array of axis-j coordinates to values (float or complex).
 
-    On whole lattice rows (``_lattice_split``) the leading factors are
-    taken once per row and the last once per row position, and one outer
-    product combines them: the same multiplications in the same order as
-    point by point, so the values are bit-equal to it."""
+    On a ``charfn.LatticeRows`` block (``_lattice_split``) the leading
+    factors are taken once per row and the last once per row position,
+    and one outer product combines them: the same multiplications in the
+    same order as point by point, so the values are bit-equal to it.  Any
+    other array is evaluated point by point."""
     split = _lattice_split(pts)
     cols = pts if split is None else split[0]
     vals = factors[0](cols[:, 0])
@@ -250,10 +205,11 @@ def _gaussian_modulus(cov: np.ndarray, uncoupled: bool, pts: np.ndarray) -> np.n
     """exp(-<t, C t> / 2) for each row t of ``pts``, the quadratic form
     clamped at 0 so the modulus stays <= 1 under the PSD tolerance.
 
-    On whole lattice rows (``_lattice_split``) with leading coordinates a
-    and last coordinate s, <t, C t> = a'C_aa a + 2 s c'a + C_ss s^2 with
-    c = C[:-1, -1]: the row terms are taken once per row and the powers of
-    s once per row position.  ``uncoupled`` (c = 0) makes the modulus the
+    On a ``charfn.LatticeRows`` block (``_lattice_split``) with leading
+    coordinates a and last coordinate s,
+    <t, C t> = a'C_aa a + 2 s c'a + C_ss s^2 with c = C[:-1, -1]: the row
+    terms are taken once per row and the powers of s once per row
+    position.  ``uncoupled`` (c = 0) makes the modulus the
     outer product of exp(-a'C_aa a / 2) and exp(-C_ss s^2 / 2), each
     clamped; otherwise each row's quadratic in s is one broadcast."""
     split = _lattice_split(pts)
@@ -291,17 +247,18 @@ def atom_sum(atoms: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndar
     The recurrence moves each phase by at most a small multiple of
     eps |x_j| max|t|, the size of the rounding of x_j t itself.
 
-    d >= 2 probes that are whole rows of a tensor lattice
-    (``_lattice_split``: one set of last-axis coordinates shared by every
-    row, the leading coordinates constant within a row, as
-    ``mollify._weight_tensor`` lays out its blocks) factor as
+    d >= 2 probes that are whole rows of a tensor lattice, the
+    ``charfn.LatticeRows`` blocks ``mollify`` fills (``_lattice_split``:
+    one set of last-axis coordinates shared by every row, the leading
+    coordinates constant within a row), factor as
     exp(i<t_lead, x_lead>) exp(i t_last x_last): cos/sin of the rows' and
     of the row's phases separately, then one complex matrix product per
     atom chunk (``_lattice_sums``), so the trig work is atoms x
     (rows + row length) instead of atoms x rows x row length.  The
     closed forms of ``Gaussian``, ``UniformBox`` and ``Product`` read the
     same layout (``_gaussian_modulus``, ``_axis_product``).  Every other
-    probe set takes cos and sin of every phase (``_trig_sums``).
+    probe set, an exact lattice passed as a plain array among them, takes
+    cos and sin of every phase (``_trig_sums``).
 
     Every branch takes the atoms in chunks whose phase arrays hold about
     ``ATOM_BLOCK`` elements, so memory does not grow with the atom count.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cfmoll as cm
+import cfmoll.specs as sp
 from cfmoll import (
     ConvergenceReport,
     MollificationParams,
@@ -119,6 +120,29 @@ class TestCfSupError:
         probes = default_probes(d)
         assert probes.shape == (per_axis**d, d)
         assert probes.min() == -5.0 and probes.max() == 5.0
+        if d == 1:
+            assert type(probes) is np.ndarray
+        else:
+            # probe r L + l is (lead[r], last[l])
+            lead, last = probes.lattice
+            rows = [np.repeat(lead, len(last), axis=0), np.tile(last, len(lead))[:, None]]
+            assert np.array_equal(probes, np.concatenate(rows, axis=1))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_default_probes_take_the_row_path(self, monkeypatch, d):
+        # an Empirical law is summed row by row on the default probes; the
+        # same probes as a plain array agree to rounding
+        rng = np.random.default_rng(d)
+        atoms = rng.uniform(-1.0, 1.0, (50, d))
+        emp = make_cf(cm.Empirical(points=atoms, weights=np.full(50, 0.02)))
+        target = make_cf(cm.Gaussian(mean=[0.0] * d, cov=np.eye(d)))
+        calls = []
+        rows = sp._lattice_sums
+        monkeypatch.setattr(sp, "_lattice_sums", lambda *a: calls.append(1) or rows(*a))
+        err = cf_sup_error(emp, target)
+        assert calls
+        plain = np.asarray(default_probes(d))
+        assert err == pytest.approx(cf_sup_error(emp, target, plain), abs=1e-15)
 
     def test_validation(self, std_gaussian):
         cf = make_cf(std_gaussian)

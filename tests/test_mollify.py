@@ -947,7 +947,7 @@ class TestSlabs:
         plan = mo._plan(cf, sigma, params)
         assert len(mo._slabs(plan.shape)) > 1
         vals, mass = mo._scaled_transform(cf, plan, z_axes)
-        monkeypatch.setattr(mo, "_SLAB_NODES", plan.total_nodes)
+        monkeypatch.setattr(mo, "_SLAB_NODES", math.prod(plan.shape))
         monkeypatch.setattr(mo, "_MIN_SLABS", 1)
         assert mo._slabs(plan.shape) == [(0, plan.shape[0])]
         whole, whole_mass = mo._scaled_transform(cf, plan, z_axes)

@@ -11,7 +11,9 @@ import cfmoll as cm
 import cfmoll.mollify as mo
 import cfmoll.specs as sp
 from cfmoll import DistributionSpec, ValidationError, spec_from_dict, spec_to_dict
+from cfmoll.charfn import CharFn, LatticeRows
 from cfmoll.specs import SPEC_TYPES
+from tests.conftest import gaussian_density
 
 
 def test_round_trip_every_constructor(spec_zoo):
@@ -346,9 +348,86 @@ class TestPhaseRecurrence:
 
 
 def _lattice_block(*axes):
-    """The probes of a lattice block laid out as ``mollify._weight_tensor``
-    lays them out: whole rows along the last axis, rows in C order."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    """A lattice block as ``mollify._lattice_blocks`` yields it: whole rows
+    along the last axis, rows in C order, typed with that layout."""
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    length = len(axes[-1])
+    return LatticeRows(pts, pts[::length, :-1], pts[:length, -1])
+
+
+def _derived_block(case):
+    """Near-lattice probes made from a typed 5 x 7 block by operations that
+    must drop its row claim: a fancy index, a slice, a ufunc, a matrix
+    product, a reshape and a copy."""
+    pts = _lattice_block(np.linspace(-3.0, 3.0, 5), np.linspace(-2.0, 2.0, 7))
+    if case == "shuffled":
+        out = pts[np.random.default_rng(3).permutation(len(pts))]
+    elif case == "ragged":
+        out = pts[:-3]
+    elif case == "last-axis-differs":
+        out = pts + np.where(np.arange(len(pts))[:, None] == 9, [0.0, 1e-12], 0.0)
+    elif case == "lead-varies-in-row":
+        out = pts @ np.array([[1.0, 0.0], [1e-12, 1.0]])
+    elif case == "one-per-row":
+        out = pts.reshape(5, 7, 2)[:, 3]
+    else:
+        out = pts.copy()
+        out[0, 0] = np.nan
+    assert type(out) is LatticeRows and sp._lattice_split(out) is None
+    return out
+
+
+DERIVED = ["shuffled", "ragged", "last-axis-differs", "lead-varies-in-row", "one-per-row", "nan"]
+
+
+class TestRowClaim:
+    """Only ``LatticeRows``' constructor claims a row layout."""
+
+    BLOCK = _lattice_block(np.linspace(-3.0, 3.0, 5), np.linspace(-2.0, 2.0, 7))
+
+    def test_plain_lattice_takes_the_per_point_path(self, monkeypatch):
+        # an exact lattice passed as a plain array: the closed forms take it
+        # probe by probe and ``atom_sum`` takes cos and sin of every phase
+        plain = np.asarray(self.BLOCK)
+        assert type(plain) is np.ndarray and sp._lattice_split(plain) is None
+        laws = TestClosedFormRows._laws(np.random.default_rng(5), 2)
+        # a shifted Gaussian's phase <a, t> is a matrix product, whose
+        # rounding depends on the probe count
+        for spec in [s for s in laws if not (isinstance(s, cm.Gaussian) and s.mean.any())]:
+            cf = spec.cf()
+            one_at_a_time = TestClosedFormRows._per_point(cf, plain)
+            assert cf.batch_eval(plain).tobytes() == one_at_a_time.tobytes()
+        monkeypatch.setattr(sp, "_lattice_sums", None)  # not callable
+        atoms, w = TestAtomSum._law(n=300)
+        got = sp.atom_sum(atoms, w, plain)
+        assert got.tobytes() == TestLatticeRows._parent(atoms, w, plain).tobytes()
+
+    def test_typed_points_give_plain_values(self):
+        block, plain = self.BLOCK, np.asarray(self.BLOCK)
+        typed = []
+
+        def ev(pts):
+            typed.append(sp._lattice_split(pts) is not None)
+            return np.exp(-0.5 * np.einsum("ni,ni->n", pts, pts))
+
+        # a hand-built evaluator computes on the block itself
+        hand = CharFn(2, ev, "yes")
+        vals = hand.batch_eval(block)
+        assert sp._lattice_split(vals) is None
+        assert np.asarray(vals).tobytes() == hand.batch_eval(plain).tobytes()
+        # and the lattice walk hands it typed blocks
+        typed.clear()
+        grid = cm.Grid(axes=((-4.0, 4.0, 17),) * 2)
+        field = cm.mollified_density_grid(hand, 0.5, grid)
+        assert typed and all(typed)
+        z = grid.points()
+        exact = gaussian_density(z[:, 0], var=1.25) * gaussian_density(z[:, 1], var=1.25)
+        assert type(field.values) is np.ndarray
+        assert np.max(np.abs(field.values - exact)) <= 1e-10
+        # calling a CharFn evaluates a plain array and returns one
+        gauss = cm.Gaussian(mean=[0.2, -0.1], cov=[[1.0, 0.3], [0.3, 0.5]]).cf()
+        called = gauss(block)
+        assert type(called) is np.ndarray and called.tobytes() == gauss(plain).tobytes()
 
 
 class TestLatticeRows:
@@ -386,7 +465,7 @@ class TestLatticeRows:
 
     @pytest.mark.parametrize("pts, length", BLOCKS, ids=["2-d", "3-d", "3-d-zero", "one-row", "one-row-3-d"])
     def test_matches_trig_sums_and_fsum(self, monkeypatch, pts, length):
-        assert sp._lattice_row_length(pts) == length
+        assert len(sp._lattice_split(pts)[1]) == length
         atoms, w = TestAtomSum._law(n=500, d=pts.shape[1])
         ref = self._fsum_mean(atoms, w, pts)
         zero = ~pts.any(axis=1)
@@ -405,25 +484,9 @@ class TestLatticeRows:
         assert zero == 17  # row 2, column 3
         assert sp.atom_sum(atoms, w, pts)[zero] == 1.0 + 0.0j
 
-    @pytest.mark.parametrize(
-        "case",
-        ["shuffled", "ragged", "last-axis-differs", "lead-varies-in-row", "one-per-row", "nan"],
-    )
+    @pytest.mark.parametrize("case", DERIVED)
     def test_other_blocks_take_cos_sin(self, case):
-        pts = _lattice_block(np.linspace(-3.0, 3.0, 5), np.linspace(-2.0, 2.0, 7))
-        if case == "shuffled":
-            pts = np.random.default_rng(3).permutation(pts)
-        elif case == "ragged":
-            pts = pts[:-3]
-        elif case == "last-axis-differs":
-            pts[9, 1] += 1e-12
-        elif case == "lead-varies-in-row":
-            pts[10, 0] = np.nextafter(pts[10, 0], 5.0)
-        elif case == "one-per-row":
-            pts = _lattice_block(np.linspace(-3.0, 3.0, 5), [0.4])
-        else:
-            pts[0, 0] = np.nan
-        assert sp._lattice_row_length(pts) is None
+        pts = _derived_block(case)
         atoms, w = TestAtomSum._law(n=300)
         got = sp.atom_sum(atoms, w, pts)
         assert got.tobytes() == self._parent(atoms, w, pts).tobytes()
@@ -444,7 +507,7 @@ class TestLatticeRows:
             for y in axes:
                 y[0] = 0.0
         pts = _lattice_block(*axes)
-        assert sp._lattice_row_length(pts) == length
+        assert len(sp._lattice_split(pts)[1]) == length
         atoms = rng.uniform(-3.0, 3.0, (n, pts.shape[1]))
         w = rng.uniform(0.0, 1.0, n) + 1e-3
         with mock.patch.object(sp, "ATOM_BLOCK", cap):
@@ -467,7 +530,7 @@ class TestLatticeRows:
         params = cm.MollificationParams(truncation_radius=12.0, nodes_per_axis=64)
         field = cm.mollified_density_grid(spec.cf(), 0.5, grid, params)
         assert calls["_lattice_sums"] > 0 and calls["_trig_sums"] == 0
-        monkeypatch.setattr(sp, "_lattice_row_length", lambda pts: None)
+        monkeypatch.setattr(sp, "_lattice_split", lambda pts: None)
         parent = cm.mollified_density_grid(spec.cf(), 0.5, grid, params)
         assert calls["_trig_sums"] > 0
         assert np.max(np.abs(field.values - parent.values)) <= 1e-15
@@ -545,7 +608,7 @@ class TestClosedFormRows:
             for y in axes:
                 y[0] = 0.0
         pts = _lattice_block(*axes)
-        assert sp._lattice_row_length(pts) == length
+        assert len(sp._lattice_split(pts)[1]) == length
         for spec in self._laws(rng, pts.shape[1]):
             got = spec.cf().batch_eval(pts)
             ref = self._per_point(spec.cf(), pts)
@@ -557,25 +620,9 @@ class TestClosedFormRows:
                 # the outer product repeats the per-point multiplications
                 assert got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize(
-        "case",
-        ["shuffled", "ragged", "last-axis-differs", "lead-varies-in-row", "one-per-row", "nan"],
-    )
+    @pytest.mark.parametrize("case", DERIVED)
     def test_other_blocks_take_the_per_point_path(self, monkeypatch, case):
-        pts = _lattice_block(np.linspace(-3.0, 3.0, 5), np.linspace(-2.0, 2.0, 7))
-        if case == "shuffled":
-            pts = np.random.default_rng(3).permutation(pts)
-        elif case == "ragged":
-            pts = pts[:-3]
-        elif case == "last-axis-differs":
-            pts[9, 1] += 1e-12
-        elif case == "lead-varies-in-row":
-            pts[10, 0] = np.nextafter(pts[10, 0], 5.0)
-        elif case == "one-per-row":
-            pts = _lattice_block(np.linspace(-3.0, 3.0, 5), [0.4])
-        else:
-            pts[0, 0] = np.nan
-        assert sp._lattice_row_length(pts) is None
+        pts = _derived_block(case)
         cfs = [spec.cf() for spec in self._laws(np.random.default_rng(5), 2)]
         got = [cf.batch_eval(pts) for cf in cfs]
         monkeypatch.setattr(sp, "_lattice_split", lambda pts: None)
