@@ -46,7 +46,8 @@ class CharFn:
     ``batch_eval`` maps an (N, d) float array to an (N,) array: complex,
     or float64 where chi is real (a symmetric law).  Calling the CharFn
     accepts scalars (d=1), single points, or arrays of points with the
-    coordinate axis last, and returns complex values of matching shapes.
+    coordinate axis last, and returns complex values of matching shapes;
+    an (N, d) ``LatticeRows`` block reaches ``batch_eval`` as it is.
     """
 
     d: int
@@ -61,6 +62,9 @@ class CharFn:
             raise ValidationError(f"bad integrability flag {self.integrable!r}")
 
     def __call__(self, t) -> complex | np.ndarray:
+        if getattr(t, "lattice", None) is not None and t.shape[1:] == (self.d,):
+            # a LatticeRows block keeps its row layout
+            return np.asarray(self.batch_eval(t), dtype=complex)
         arr = np.asarray(t, dtype=float)
         if self.d == 1:
             pts = arr.reshape(-1, 1)
@@ -112,7 +116,9 @@ class LatticeRows(np.ndarray):
     every row shares, (L,), so probe r L + l is (lead[r], last[l]).  The
     evaluators in ``cfmoll.specs`` factor chi over that layout.
 
-    Only the constructor makes the claim, and its caller vouches for it.
+    ``Grid.points`` returns one in d >= 2, and a ``CharFn`` call passes
+    one to its evaluator unchanged.  Only the constructor makes the claim,
+    and its caller vouches for it.
     Any view, copy or arithmetic result of a block has ``lattice`` None
     (``__array_finalize__``), and a plain array has no ``lattice`` at
     all, so both take the per-point path."""

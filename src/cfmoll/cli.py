@@ -73,8 +73,9 @@ _OPTIONS = {
                 "worker can make a default OpenBLAS install slower than 1 thread",
                 {"type": int}),
     "tail_tol": (_is_real, "a number", "truncation tail tolerance", {"type": float}),
-    "nodes": (_is_int, "an integer", "quadrature nodes per axis (even, >= 16; default 512 "
-              "up to 2-d, 64 from 3-d)", {"type": int}),
+    "nodes": (_is_int, "an integer", "floor on quadrature nodes per axis (even, >= 16); "
+              "default 512 up to 2-d and 64 from 3-d, and none when smoothing from 2-d, "
+              "whose alias period search sets the count", {"type": int}),
     "allow_unknown_integrability": (
         lambda val: isinstance(val, bool), "true or false",
         "invert even when integrability is not known", {"action": "store_true", "default": None},

@@ -52,13 +52,12 @@ def tv_distance(a: DensityField, b: DensityField) -> float:
 def default_probes(d: int) -> np.ndarray:
     """Tensor probe lattice, uniform on [-5, 5]^d: the largest n <= 129
     points per axis with n^d <= 2^16, so 129 up to d = 2, 40 in 3-d and
-    16 in 4-d.  In d >= 2 it is a ``charfn.LatticeRows`` block, so the
-    closed forms evaluate it once per row and once per row position."""
+    16 in 4-d.  In d >= 2 it is a ``charfn.LatticeRows`` block
+    (``Grid.points``)."""
     n = PROBES_PER_AXIS
     while n**d > PROBE_BUDGET:
         n -= 1
-    pts = Grid(axes=((-PROBE_HALF_WIDTH, PROBE_HALF_WIDTH, n),) * d).points()
-    return pts if d == 1 else LatticeRows(pts, pts[::n, :-1], pts[:n, -1])
+    return Grid(axes=((-PROBE_HALF_WIDTH, PROBE_HALF_WIDTH, n),) * d).points()
 
 
 def cf_sup_error(cf_n: CharFn, cf_target: CharFn, probes=None) -> float:

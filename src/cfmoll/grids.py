@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .charfn import whole_number
+from .charfn import LatticeRows, whole_number
 from .errors import ValidationError
 
 DEFAULT_TAIL_TOL = 1e-8
@@ -87,9 +87,16 @@ class Grid:
         return np.linspace(lo, hi, n)
 
     def points(self) -> np.ndarray:
-        """All lattice points, shape (size, d), row-major in axis order."""
+        """All lattice points, shape (size, d), row-major in axis order.  In
+        d >= 2 they are whole rows along the last axis and say so: a
+        ``charfn.LatticeRows`` block, which the closed forms evaluate once
+        per row and once per row position."""
         mesh = np.meshgrid(*(self.axis_points(j) for j in range(self.d)), indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        if self.d == 1:
+            return pts
+        last = self.axis_points(self.d - 1)
+        return LatticeRows(pts, pts[:: len(last), :-1], last)
 
     def to_dict(self) -> dict:
         return {"axes": [[lo, hi, n] for lo, hi, n in self.axes]}
@@ -149,10 +156,12 @@ class MollificationParams:
     scale is the call's own argument.
 
     When ``truncation_radius`` is None the integration box and the
-    effective node count are chosen automatically from the tail tolerance;
-    an explicit radius disables all auto-scaling and uses the node count
-    verbatim.  ``nodes_per_axis`` None means the dimension's default (see
-    ``nodes``).
+    effective node count are chosen automatically from the tail tolerance.
+    On 1-d and sigma = 0 lattices an explicit radius disables all
+    auto-scaling and uses the node count verbatim; d >= 2 smoothing
+    searches its node count with the radius as its box and the node count
+    as a floor (``cfmoll.mollify``).  ``nodes_per_axis`` None means the
+    default (see ``nodes``).
     """
 
     truncation_radius: float | None = None
@@ -170,16 +179,20 @@ class MollificationParams:
         if not (0 < self.tail_tol < math.inf):
             raise ValidationError(f"tail_tol must be positive and finite, got {self.tail_tol!r}")
 
-    def nodes(self, d: int) -> int:
-        """Nodes per axis in dimension d: ``nodes_per_axis``, or by default
-        512 up to d = 2 and 64 from d = 3 (the tensor cost grows as m^d)."""
+    def nodes(self, d: int, sigma: float = 0.0) -> int | None:
+        """The floor on nodes per axis in dimension d at scale sigma:
+        ``nodes_per_axis``, or by default 512 up to d = 2 and 64 from d = 3
+        (the tensor cost grows as m^d), and none (None) for d >= 2
+        smoothing, whose period search sets the count per call."""
         if self.nodes_per_axis is not None:
             return self.nodes_per_axis
+        if d >= 2 and sigma > 0:
+            return None
         return 512 if d <= 2 else 64
 
-    def to_dict(self, d: int) -> dict:
-        """The fields, with the node count used in dimension d."""
-        return {**asdict(self), "nodes_per_axis": self.nodes(d)}
+    def to_dict(self, d: int, sigma: float = 0.0) -> dict:
+        """The fields, with the node floor used in dimension d at scale sigma."""
+        return {**asdict(self), "nodes_per_axis": self.nodes(d, sigma)}
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +221,7 @@ def write_density_csv(
         "grid": field.grid.to_dict(),
         "normalized": field.normalized,
         "normalization_residual": field.riemann_sum - 1.0,
-        "params": params.to_dict(grid.d) if params is not None else None,
+        "params": params.to_dict(grid.d, field.sigma or 0.0) if params is not None else None,
         "sigma": field.sigma,
     }
     sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

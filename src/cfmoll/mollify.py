@@ -14,12 +14,58 @@ multiplied once when sigma > 0, so the transform is a pure weighted
 lattice sum that never sees sigma.  The only other difference is where
 the truncation box comes from: the Gaussian damping factor
 (``truncation_radius``) when sigma > 0, and a scan of the decay of |chi|
-itself when sigma = 0.  In automatic mode the per-axis node count is
-also scaled so the node spacing h keeps the spectral alias period
-2 pi / h at least ``ALIAS_PERIOD``; the recovered density then wraps
-around only at a distance where unit-scale laws carry negligible mass.
-Pointwise and grid evaluations share one quadrature plan, which is what
-makes them agree to far better than the documented 1e-10 contract.
+itself when sigma = 0.
+
+By Poisson summation a lattice of step h wraps the density onto the
+alias period P = 2 pi / h: it reads sum_n s_n g(z + n P) over n in Z^d.
+1-d lattices and sigma = 0 lattices keep one fixed period (``_plan``):
+in automatic mode each axis gets the nodes for P >= ``ALIAS_PERIOD``,
+where unit-scale laws carry negligible mass.  There a search would cost
+more than it saves: a 1-d transform's cost is set by its chirp-z output,
+not its node count, and a sigma = 0 lattice (Laplace on [-6, 6] needs
+P >= 32) would pay for failed smaller pairs on a 1.3M-node axis.
+
+Every other lattice, d >= 2 at sigma > 0, searches its period per call
+(``_searched_transform``).  For a period P it runs the transform twice:
+on the trapezoid lattice of m (even) nodes per axis, whose images carry
+the sign s_n = (-1)^(n_1 + .. + n_d), and on its midpoint lattice, every
+axis shifted by h / 2, whose images all carry +1.  Half the largest
+difference of the two sums is then the sum of the odd images (odd
+n_1 + .. + n_d), the lattice's alias error, and P grows by
+``_PERIOD_GROWTH`` until that estimate is at most ``ALIAS_TOL``.  The
+call returns the average of the accepted pair, the rule on the
+body-centred lattice of both node sets, whose images are the even ones:
+the nearest lie at sqrt(2) P.  The midpoint lattice is symmetric too, so
+a real chi stays real on it and its blocks are lattice rows.
+
+The first period is the window's extent plus ``_START_SIGMAS`` sigma, at
+most ``ALIAS_PERIOD``.  A grid's extent is its own, since its Riemann sum
+checks that it holds the law's mass.  A point says nothing about where
+the mass is, so its extent is that of the smallest origin-centred box
+holding it: a guess, under which a corner point of an origin-centred
+grid starts where its grid does.  The box is the damping radius for
+tail_tol / ``_SEARCH_TAIL``, as the half difference also holds the
+endpoint term (below), which on a chi that does not decay falls only as
+h^2.  An explicit ``truncation_radius`` is the box instead, and
+``nodes_per_axis`` a floor on m; a box too small for the law leaves an
+endpoint term that the search chases with more nodes.  Once a period's
+lattice is over the node budget, the last pair tried is the fixed plan's
+lattice (``_plan``: the box of tail_tol itself, P = ``ALIAS_PERIOD``),
+if its period is beyond those tried, so every call whose fixed-period
+lattice fits the budget still runs.  Past that the search raises
+NumericFailure: naming aliasing after a failed pair, and the node budget
+where no lattice fits.
+
+The estimate is blind to even images: both sums count them with the
+same sign.  Mass at z + P (1, 1) and none at the odd images reads into
+the value unseen.  For a grid whose extent is below P every image of a
+window point lies outside the window, so the 1e-10 contract holds where
+the smoothed density outside the window, at z + n P for even n, is
+below ``ALIAS_TOL``.  The Riemann check lets up to 1e-3 of the mass lie
+outside; such mass at an even image reads in with no message.  The
+estimate is a check, not a bound.  Grid and pointwise calls may search
+to different periods; each value is then within about ALIAS_TOL of the
+integral, which keeps them within the 1e-10 contract.
 
 Trapezoid on a symmetric lattice is the right rule here where the
 integrand, chi(y) times the damping, is negligible at the box ends +-R:
@@ -112,8 +158,23 @@ from .grids import (
     NORMALIZATION_WINDOW,
 )
 
-# Alias period floor for automatic node selection (see module docstring).
+# Alias period of the fixed-period plans (1-d and sigma = 0 lattices), and
+# the largest first period of the search.
 ALIAS_PERIOD = 64.0
+# The period search of d >= 2 smoothing (see module docstring) accepts a
+# lattice pair whose alias estimate is at most this: a tenth of the 1e-10
+# agreement of grid and pointwise values, which may sit on different periods.
+ALIAS_TOL = 1e-11
+# Its first period is the window's extent (for a point, the origin-centred
+# box holding it) plus this many sigma: the smoothed law's tails are
+# Gaussian and at least sigma wide, and exp(-7^2 / 2) is 2e-11, near
+# ALIAS_TOL.  Each failed pair grows its period by _PERIOD_GROWTH.
+_START_SIGMAS = 14.0
+_PERIOD_GROWTH = 1.2
+# Its box takes the damping radius for tail_tol / _SEARCH_TAIL, so that the
+# endpoint term in the estimate stays below ALIAS_TOL where |chi| does not
+# decay (atoms, a box factor).
+_SEARCH_TAIL = 100.0
 # Hard cap on total lattice nodes, the one size guard: beyond this the
 # tensor quadrature is hopeless and the caller must reconfigure.
 NODE_BUDGET = 1 << 24
@@ -187,8 +248,9 @@ def truncation_radius(sigma: float, tail_tol: float, d: int) -> float:
 
 @dataclass(frozen=True)
 class QuadPlan:
-    """Per-axis trapezoid nodes and weights on [-R_j, R_j], so R_j is
-    ``nodes[j][-1]``.  At sigma > 0 the weights carry the Gaussian damping
+    """Per-axis nodes and weights of a trapezoid rule on [-R_j, R_j] (R_j
+    is ``nodes[j][-1]``) or of its midpoint rule (R_j is ``nodes[j][-1]``
+    plus half a step).  At sigma > 0 the weights carry the Gaussian damping
     exp(-sigma^2 y^2 / 2), so the plan is the whole quadrature rule and
     W = chi times the weights."""
 
@@ -213,12 +275,15 @@ def _alias_nodes(radius: float) -> int:
     return _even_ceil(radius * ALIAS_PERIOD / math.pi)
 
 
-def _axis_rule(radius: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    y = np.linspace(-radius, radius, m)
+def _axis_rule(radius: float, m: int, midpoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoid rule on [-R, R] with m nodes and step h = 2R / (m - 1),
+    or its midpoint rule: the m - 1 nodes shifted by h / 2, weight h each."""
     h = 2.0 * radius / (m - 1)
+    if midpoint:
+        return np.linspace(0.5 * h - radius, radius - 0.5 * h, m - 1), np.full(m - 1, h)
     w = np.full(m, h)
     w[0] = w[-1] = 0.5 * h
-    return y, w
+    return np.linspace(-radius, radius, m), w
 
 
 def _budget_check(plan_shape: tuple[int, ...]) -> None:
@@ -231,10 +296,10 @@ def _budget_check(plan_shape: tuple[int, ...]) -> None:
         )
 
 
-def _build_plan(radii: list[float], m: int, sigma: float, auto: bool) -> QuadPlan:
-    ms = [max(m, _alias_nodes(r)) if auto else m for r in radii]
-    _budget_check(tuple(ms))
-    rules = [_axis_rule(r, m) for r, m in zip(radii, ms)]
+def _build_plan(
+    radii: list[float], ms: list[int], sigma: float, midpoint: bool = False
+) -> QuadPlan:
+    rules = [_axis_rule(r, m, midpoint) for r, m in zip(radii, ms)]
     if sigma > 0.0:
         rules = [(y, w * np.exp(-0.5 * sigma * sigma * y**2)) for y, w in rules]
     return QuadPlan(nodes=tuple(y for y, _ in rules), weights=tuple(w for _, w in rules))
@@ -276,36 +341,42 @@ def _decay_radii(cf: CharFn, tail_tol: float) -> list[float]:
     return [2.0 * float(x) for x in need]
 
 
-def _plan(cf: CharFn, sigma: float, params: MollificationParams) -> QuadPlan:
-    """The quadrature rule for scale sigma.  An explicit radius is used as
-    given; otherwise sigma > 0 takes the erfc radius of the Gaussian damping
-    and sigma = 0 (inversion) the decay scan of |chi|.  No axis gets fewer
-    than ``params.nodes(d)`` nodes, so a lattice of that many per axis
-    that is over the node budget fails before chi is called.
-
-    A ``tail_tol`` that reaches the whole quantity it bounds raises
-    ValidationError, since it would leave no box to choose: the damping
-    integral (2 pi sigma^2)^(-d/2) when sigma > 0, and 1 >= |chi| for the
-    decay scan."""
-    m = params.nodes(cf.d)
-    _budget_check((m,) * cf.d)
-    if params.truncation_radius is not None:
-        return _build_plan([params.truncation_radius] * cf.d, m, sigma, auto=False)
+def _check_tail_tol(d: int, sigma: float, tail_tol: float) -> None:
+    """ValidationError for a ``tail_tol`` that reaches the whole quantity it
+    bounds, since it would leave no box to choose: the damping integral
+    (2 pi sigma^2)^(-d/2) when sigma > 0, and 1 >= |chi| for the decay scan."""
     whole, what = (
-        (_damping_mass(sigma, cf.d), "the damping integral (2 pi sigma^2)^(-d/2)")
+        (_damping_mass(sigma, d), "the damping integral (2 pi sigma^2)^(-d/2)")
         if sigma > 0.0
         else (1.0, "the bound |chi| <= 1")
     )
-    if params.tail_tol >= whole:
+    if tail_tol >= whole:
         raise ValidationError(
-            f"tail_tol {params.tail_tol!r} is not below {whole:.6g} ({what}), so it "
+            f"tail_tol {tail_tol!r} is not below {whole:.6g} ({what}), so it "
             "bounds nothing and leaves no truncation box; lower it"
         )
-    if sigma > 0.0:
-        radii = [truncation_radius(sigma, params.tail_tol, cf.d)] * cf.d
+
+
+def _plan(cf: CharFn, sigma: float, params: MollificationParams) -> QuadPlan:
+    """The fixed-period quadrature rule for scale sigma.  An explicit radius
+    is used as given; otherwise sigma > 0 takes the erfc radius of the
+    Gaussian damping and sigma = 0 (inversion) the decay scan of |chi|, and
+    each axis gets the nodes for ``ALIAS_PERIOD``.  No axis gets fewer than
+    ``params.nodes(d)`` nodes, so a lattice of that many per axis that is
+    over the node budget fails before chi is called."""
+    m = params.nodes(cf.d)
+    _budget_check((m,) * cf.d)
+    if params.truncation_radius is not None:
+        ms, radii = [m] * cf.d, [params.truncation_radius] * cf.d
     else:
-        radii = _decay_radii(cf, params.tail_tol)
-    return _build_plan(radii, m, sigma, auto=True)
+        _check_tail_tol(cf.d, sigma, params.tail_tol)
+        if sigma > 0.0:
+            radii = [truncation_radius(sigma, params.tail_tol, cf.d)] * cf.d
+        else:
+            radii = _decay_radii(cf, params.tail_tol)
+        ms = [max(m, _alias_nodes(r)) for r in radii]
+        _budget_check(tuple(ms))
+    return _build_plan(radii, ms, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +650,10 @@ def _certify(raw: np.ndarray, bound: float, params: MollificationParams) -> np.n
     ``DEFAULT_TAIL_TOL``: a setting that chose nothing cannot loosen it.
     A density is nonnegative, so ripple in [-NEGATIVITY_TOL, 0) is clamped
     to zero and anything lower is a quadrature failure.  No value may
-    exceed ``bound``, the |chi| L1 quadrature mass on the same nodes, by
-    more than ``BOUND_SLACK``; that sum guards the arithmetic, not the
-    quadrature error (ROADMAP item 3).
+    exceed ``bound``, the |chi| L1 quadrature mass on the same nodes (the
+    mean of a searched pair's two masses), by more than ``BOUND_SLACK``;
+    that sum guards the arithmetic, not the quadrature error (ROADMAP
+    item 3).
     """
     tail_tol = DEFAULT_TAIL_TOL if params.truncation_radius is not None else params.tail_tol
     limit = 100.0 * (tail_tol + 1e-12 * max(1.0, bound))
@@ -712,6 +784,62 @@ def _scaled_transform(
     return raw, scale * sum(masses)
 
 
+def _search_lattices(
+    cf: CharFn, sigma: float, extent: float, params: MollificationParams
+) -> Iterator[tuple[float, int]]:
+    """The box radius and nodes per axis of each lattice pair the period
+    search tries, in order (module docstring).  A lattice over the node
+    budget ends the periods; then comes the fixed plan's lattice, if its
+    period is beyond those tried, and ``_plan`` raises NumericFailure if it
+    is over the budget too."""
+    if params.truncation_radius is not None:
+        radius = params.truncation_radius
+    else:
+        _check_tail_tol(cf.d, sigma, params.tail_tol)
+        radius = truncation_radius(sigma, params.tail_tol / _SEARCH_TAIL, cf.d)
+    floor = params.nodes_per_axis or 2
+    period, tried = min(extent + _START_SIGMAS * sigma, ALIAS_PERIOD), 0.0
+    while (m := max(floor, _even_ceil(radius * period / math.pi))) ** cf.d <= NODE_BUDGET:
+        yield radius, m
+        # the lattice's own period, which a node floor may put above the asked one
+        tried = math.pi * (m - 1) / radius
+        period = _PERIOD_GROWTH * tried
+    fixed = _plan(cf, sigma, params)
+    radius, m = float(fixed.nodes[0][-1]), fixed.shape[0]
+    if math.pi * (m - 1) / radius > tried:
+        yield radius, m
+
+
+def _searched_transform(
+    cf: CharFn, sigma: float, z_axes: list[np.ndarray], params: MollificationParams, workers: int
+) -> tuple[np.ndarray, float]:
+    """``_scaled_transform`` on the first lattice pair that passes the alias
+    check (module docstring): the average of the trapezoid and midpoint
+    sums, and the mean of their |chi| L1 masses."""
+    if all(len(z) == 1 for z in z_axes):  # a point: the origin-centred box holding it
+        extent = 2.0 * max(abs(float(z[0])) for z in z_axes)
+    else:
+        extent = max(float(np.ptp(z)) for z in z_axes)
+    # _search_lattices yields at least one pair, or raises
+    for radius, m in _search_lattices(cf, sigma, extent, params):
+        rule = functools.partial(_build_plan, [radius] * cf.d, [m] * cf.d, sigma)
+        (trap, mass), (mid, mid_mass) = (
+            _scaled_transform(cf, rule(midpoint), z_axes, workers) for midpoint in (False, True)
+        )
+        estimate = 0.5 * float(np.max(np.abs(trap.real - mid.real)))
+        if estimate <= ALIAS_TOL:
+            trap += mid
+            trap *= 0.5
+            return trap, 0.5 * (mass + mid_mass)
+    raise NumericFailure(
+        f"alias period search: the alias estimate is {estimate:.3g} > {ALIAS_TOL:g} at "
+        f"period {math.pi * (m - 1) / radius:.4g}, and a larger period's lattice is over the "
+        f"node budget of {NODE_BUDGET}.  The smoothed law has mass that far from the window, "
+        "or the window is too wide: narrow the grid window (a point's is the origin-centred "
+        "box holding it) or raise sigma"
+    )
+
+
 def _density(
     cf: CharFn,
     sigma: float,
@@ -728,8 +856,10 @@ def _density(
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
     params = params or MollificationParams()
-    plan = _plan(cf, sigma, params)
-    raw, bound = _scaled_transform(cf, plan, z_axes, workers)
+    if cf.d >= 2 and sigma > 0.0:
+        raw, bound = _searched_transform(cf, sigma, z_axes, params, workers)
+    else:
+        raw, bound = _scaled_transform(cf, _plan(cf, sigma, params), z_axes, workers)
     return _certify(raw, bound, params)
 
 
@@ -764,8 +894,9 @@ def mollified_density_grid(
 ) -> DensityField:
     """Smoothed density sampled on a grid.
 
-    Shares the quadrature plan with ``mollified_density_at``, so lattice
-    values match the pointwise ones to rounding.  Values pass the checks
+    Values match the pointwise ones to 1e-10: a fixed-period plan is the
+    one ``mollified_density_at`` uses, and a searched one may stop at
+    another period, each within about ``ALIAS_TOL``.  Values pass the checks
     of the pointwise ones (negativity and the |chi| L1 sum), and the
     Riemann sum must come out within 1e-3 of 1, else the grid window or
     quadrature is inadequate and a NumericFailure is raised.  ``workers``

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .charfn import CharFn, cis, convolve, whole_number
+from .charfn import CharFn, LatticeRows, cis, convolve, whole_number
 from .errors import ValidationError
 
 WEIGHT_SUM_TOL = 1e-12
@@ -654,14 +654,24 @@ class AffineMap(DistributionSpec, type="affine_map"):
     def cf(self) -> CharFn:
         """chi_inner(A^T t) exp(i<b,t>), with no phase factor when b = 0.
         A square A of full rank keeps the inner integrability flag (the
-        substitution u = A^T t); any other A gives "unknown"."""
+        substitution u = A^T t); any other A gives "unknown".  A diagonal A
+        maps a ``charfn.LatticeRows`` block onto one (``_lattice_split``):
+        its rows' leading coordinates and the shared last-axis nodes scaled
+        axis by axis, the same values as t A."""
         inner, matrix, shift = self.inner.cf(), self.matrix, self.shift
         shifted = shift.any()
         invertible = matrix.shape[1] == self.dim and np.linalg.matrix_rank(matrix) == self.dim
         flag = inner.integrable if invertible else "unknown"
+        scale = np.diag(matrix)
+        diagonal = matrix.shape[1] == self.dim and np.array_equal(matrix, np.diag(scale))
 
         def ev(pts: np.ndarray) -> np.ndarray:
-            vals = inner.batch_eval(pts @ matrix)
+            split = _lattice_split(pts) if diagonal else None
+            if split is None:
+                vals = inner.batch_eval(pts @ matrix)
+            else:
+                lead, last = split
+                vals = inner.batch_eval(LatticeRows(pts * scale, lead * scale[:-1], last * scale[-1]))
             return vals * cis(pts @ shift) if shifted else vals
 
         return CharFn(self.dim, ev, flag, self.json_type)

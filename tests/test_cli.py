@@ -79,27 +79,49 @@ def test_mollify_small_window_exits_3(spec_files, capsys):
 
 @pytest.mark.parametrize("d", [4, 5])
 def test_high_dimension_exits_3_on_the_node_budget(tmp_path, d, capsys):
-    # no dimension cap: d >= 4 at the default nodes fails the node budget
+    # no dimension cap: d >= 4 at the default nodes fails the node budget,
+    # except 4-d smoothing, whose searched period fits it (36^4 nodes) on
+    # this window; that grid then exits 3 on its mass window
     spec = tmp_path / "g.json"
     cm.save_spec(cm.Gaussian(mean=[0.0] * d, cov=np.eye(d).tolist()), spec)
     grid = ",".join(["-2:2:3"] * d)
-    for argv in (["mollify", "--sigma", "1.0"], ["invert"]):
+    for argv, failure in ((["mollify", "--sigma", "1.0"], "Riemann" if d == 4 else "budget"),
+                          (["invert"], "budget")):
         rc = main(argv + ["--spec", str(spec), "--grid", grid, "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_NUMERIC
-        assert "budget" in capsys.readouterr().err
+        assert failure in capsys.readouterr().err
+
+
+def test_wide_law_far_from_the_origin_exits_3_naming_aliasing(tmp_path, capsys):
+    # N(0, 100 I) on windows holding (30, 0, 0): the fixed period of 64 read
+    # it 26% low there.  On 26:34 the alias estimate stays large while the
+    # period grows; on -32:32 the first period is the fixed one.  Both end
+    # on a lattice over the node budget
+    spec = tmp_path / "wide.json"
+    cm.save_spec(cm.Gaussian(mean=[0.0] * 3, cov=(100.0 * np.eye(3)).tolist()), spec)
+    for window in ("26:34:5", "-32:32:9"):
+        rc = main(["mollify", "--spec", str(spec), "--sigma", "0.5", "--grid",
+                   window + ",-4:4:3,-4:4:3", "--out", str(tmp_path / "wide.csv")])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "alias period search: the alias estimate" in err and "budget" in err
 
 
 def test_sidecar_records_sigma_and_default_nodes(tmp_path):
-    # the node count in the sidecar is the one the plan used: 64 in 3-d
-    spec = tmp_path / "g.json"
-    cm.save_spec(cm.Gaussian(mean=[0.0] * 3, cov=np.eye(3).tolist()), spec)
+    # the node count in the sidecar is the floor the plan used: 64 for a
+    # 3-d inversion, and none for 3-d smoothing, whose period search
+    # chooses the nodes per call.  The inverted law is N(0, 16 I), whose
+    # decay-scan lattice fits the node budget.
     out = tmp_path / "g.csv"
-    rc = main(["mollify", "--spec", str(spec), "--sigma", "1.0", "--grid", "-7:7:8,-7:7:8,-7:7:8",
-               "--out", str(out)])
-    assert rc == EXIT_OK
-    meta = json.loads(out.with_suffix(".meta.json").read_text())
-    assert (meta["sigma"], meta["params"]["nodes_per_axis"]) == (1.0, 64)
-    assert sorted(meta["params"]) == ["nodes_per_axis", "tail_tol", "truncation_radius"]
+    for argv, var, sigma, nodes in ((["mollify", "--sigma", "1.0"], 1.0, 1.0, None),
+                                    (["invert"], 16.0, 0.0, 64)):
+        spec = tmp_path / "g.json"
+        cm.save_spec(cm.Gaussian(mean=[0.0] * 3, cov=(var * np.eye(3)).tolist()), spec)
+        rc = main(argv + ["--spec", str(spec), "--grid", "-7:7:8,-7:7:8,-7:7:8", "--out", str(out)])
+        assert rc == EXIT_OK
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        assert (meta["sigma"], meta["params"]["nodes_per_axis"]) == (sigma, nodes)
+        assert sorted(meta["params"]) == ["nodes_per_axis", "tail_tol", "truncation_radius"]
 
 
 def test_invert_point_mass_exits_2(spec_files, capsys):

@@ -292,15 +292,23 @@ class TestCertificate:
         assert len(rows) == 1 + 1 * 2
 
     def test_4d_certificate_fails_the_node_budget_or_completes(self):
-        # 16^4 probes fit in memory, so the default plan fails on its node
-        # budget (exit 3 at the CLI) and an explicit plan completes
+        # 16^4 probes fit in memory.  On this window the searched default
+        # plan fits the node budget (60^4 nodes at its first period) and
+        # completes, as an explicit plan does.  A wider window puts the
+        # search's periods and the fixed plan over the budget (exit 3 at the
+        # CLI); with the explicit plan the fixed lattice fits, but its alias
+        # estimate on that window is large
         gauss4 = make_cf(cm.Gaussian(mean=[0.0] * 4, cov=np.eye(4).tolist()))
         grid = cm.Grid(axes=((-8.0, 8.0, 17),) * 4)
+        wide = cm.Grid(axes=((-16.0, 16.0, 17),) * 4)
+        explicit = MollificationParams(truncation_radius=6.0, nodes_per_axis=48)
+        for params in (None, explicit):
+            rep = convergence_certificate([gauss4], gauss4, [1], grid, 0.1, params=params)
+            assert rep.cf_sup_error == (0.0,) and rep.final_l1 == 0.0
         with pytest.raises(NumericFailure, match="budget"):
-            convergence_certificate([gauss4], gauss4, [1], grid, 0.1)
-        params = MollificationParams(truncation_radius=6.0, nodes_per_axis=48)
-        rep = convergence_certificate([gauss4], gauss4, [1], grid, 0.1, params=params)
-        assert rep.cf_sup_error == (0.0,) and rep.final_l1 == 0.0
+            convergence_certificate([gauss4], gauss4, [1], wide, 0.1)
+        with pytest.raises(NumericFailure, match="alias estimate.*node budget"):
+            convergence_certificate([gauss4], gauss4, [1], wide, 0.1, params=explicit)
 
     def test_schedule_validation(self, std_gaussian):
         target = make_cf(std_gaussian)

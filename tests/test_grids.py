@@ -203,3 +203,18 @@ def test_read_density_csv_rejects_malformed_files(tmp_path, sidecar_text, csv_ed
         path.write_text(path.read_text().replace(*csv_edit, 1))
     with pytest.raises(ValidationError):
         cm.read_density_csv(path)
+
+
+def test_points_are_typed_lattice_rows_from_2d():
+    from cfmoll.charfn import LatticeRows
+
+    assert type(Grid.parse("-1:1:5").points()) is np.ndarray
+    grid = Grid.parse("-1:1:3,0:2:4,-3:3:5")
+    pts = grid.points()
+    assert type(pts) is LatticeRows and pts.shape == (60, 3)
+    lead, last = pts.lattice
+    assert np.array_equal(last, grid.axis_points(2))
+    assert np.array_equal(lead, pts[::5, :2])
+    # the rows the layout states are the points
+    rebuilt = np.concatenate([np.column_stack([np.tile(r, (5, 1)), last]) for r in lead])
+    assert np.array_equal(rebuilt, np.asarray(pts))

@@ -8,7 +8,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import erfcinv
+from scipy.special import erfcinv, erfcx, ndtr
 
 import cfmoll as cm
 import cfmoll.mollify as mo
@@ -883,7 +883,7 @@ class _RecordingPool:
 
 
 def _small_3d_case():
-    # 48^3 lattice in 8 slabs of 6 rows; non-square grid
+    # a 52^3 and 51^3 lattice pair, each in 8 slabs; non-square grid
     spec = cm.Gaussian(
         mean=[0.0, 0.3, -0.2],
         cov=[[1.0, 0.5, 0.2], [0.5, 1.0, -0.3], [0.2, -0.3, 0.8]],
@@ -1065,9 +1065,11 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_size_leaves_values_alone(self, d, monkeypatch):
         # grid and pointwise (one-point z axes) results in small blocks and
-        # in one block per slab
+        # in one block per slab.  No explicit box: the Empirical's chi does
+        # not decay, so at sigma = 0.8 a box of 6 leaves an endpoint term
+        # that the 2-d period search chases to 1970^2 nodes
         cf = self.CFS[d]
-        params = MollificationParams(truncation_radius=6.0, nodes_per_axis=48)
+        params = MollificationParams(nodes_per_axis=48)
         grid = cm.Grid(axes=((-8.0, 8.5, 17),) * d)
         point = np.linspace(-0.4, 0.6, d)
 
@@ -1090,12 +1092,13 @@ class TestWorkers:
         monkeypatch.setattr(mo, "ThreadPoolExecutor", _RecordingPool)
         return _RecordingPool.sizes
 
-    def test_pool_never_exceeds_the_slab_count(self, pool_sizes):
+    def test_pool_never_exceeds_the_slab_count(self, pool_sizes, transforms):
+        # each transform of the searched pair starts its own pool
         cf, params, grid = _small_3d_case()
-        n_slabs = len(mo._slabs(mo._plan(cf, 1.0, params).shape))
-        for workers in (3, n_slabs + 4):
-            mollified_density_grid(cf, 1.0, grid, params, workers=workers)
-        assert pool_sizes == [3, n_slabs]
+        mollified_density_grid(cf, 1.0, grid, params, workers=3)
+        slabs = [len(mo._slabs(shape)) for shape in transforms]
+        mollified_density_grid(cf, 1.0, grid, params, workers=max(slabs) + 4)
+        assert min(slabs) > 3 and pool_sizes == [3] * len(slabs) + slabs
 
     def test_pool_on_1d_grids(self, pool_sizes, std_gaussian):
         # a 1-d lattice is one job, so no 1-d grid starts a pool, also on
@@ -1253,3 +1256,213 @@ class TestSlabWalk:
         assert (few[0], many[0]) == (8, 60)
         # the point block, W, its |W| scratch and the last axis's output
         assert few[1] == many[1] == 4
+
+
+# ---------------------------------------------------------------------------
+# The alias period search of 2-d and 3-d smoothing lattices
+# ---------------------------------------------------------------------------
+
+_CORR = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+_LAPLACE_B = 0.7
+
+
+def _atoms_2d(atoms):
+    # the benchmark's 2-d Empirical laws: atom counts 10, 15, .., 50 from one seed
+    rng = np.random.default_rng(2024)
+    for n in range(10, atoms + 5, 5):
+        pts = rng.uniform(-2.0, 2.0, size=(n, 2))
+        w = rng.uniform(0.5, 1.5, size=n)
+    return pts, w / w.sum()
+
+
+def _gauss_nd(pts, cov):
+    sol = np.linalg.solve(cov, pts.T)
+    norm = math.sqrt((2.0 * math.pi) ** len(cov) * np.linalg.det(cov))
+    return np.exp(-0.5 * np.sum(pts.T * sol, axis=0)) / norm
+
+
+def _search_laws():
+    """(name, spec, closed-form smoothed density (pts, sigma), grid window
+    half-width) for the laws of the benchmark's smooth-nd workload."""
+
+    def product(p, s):
+        r2 = s * math.sqrt(2.0)
+        a = s * s / _LAPLACE_B
+        lap = np.exp(-0.5 * p[:, 1] ** 2 / s**2) / (4.0 * _LAPLACE_B) * (
+            erfcx((a - p[:, 1]) / r2) + erfcx((a + p[:, 1]) / r2))
+        box = 0.5 * (ndtr((p[:, 0] + 1.0) / s) - ndtr((p[:, 0] - 1.0) / s))
+        return box * lap * gaussian_density(p[:, 2], var=1.0 + s * s)
+
+    def mixture(p, s):
+        atoms, w = _atoms_2d(50)
+        return sum(wj * _gauss_nd(p - a, s * s * np.eye(2)) for a, wj in zip(atoms, w))
+
+    eye = np.eye(3)
+    return [
+        ("gauss", cm.Gaussian(mean=[0.0] * 3, cov=eye.tolist()),
+         lambda p, s: _gauss_nd(p, (1.0 + s * s) * eye), 6.0),
+        ("corr", cm.Gaussian(mean=[0.0] * 3, cov=_CORR.tolist()),
+         lambda p, s: _gauss_nd(p, _CORR + s * s * eye), 6.0),
+        ("product", cm.Product(factors=(cm.UniformBox(lo=[-1.0], hi=[1.0]),
+                                        cm.Laplace1D(scale=_LAPLACE_B),
+                                        cm.Gaussian(mean=[0.0], cov=[[1.0]]))), product, 6.0),
+        ("empirical", cm.Empirical(*_atoms_2d(50)), mixture, 5.0),
+    ]
+
+
+_SEARCH_LAWS = _search_laws()
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """The plan shapes of every lattice transform a call makes."""
+    shapes = []
+    real = mo._scaled_transform
+
+    def spy(cf, plan, z_axes, workers=1):
+        shapes.append(plan.shape)
+        return real(cf, plan, z_axes, workers)
+
+    monkeypatch.setattr(mo, "_scaled_transform", spy)
+    return shapes
+
+
+def _fixed_period(cf, sigma, z_axes, params=MollificationParams()):
+    """The fixed-period trapezoid lattice at ALIAS_PERIOD (``_plan``), which
+    1-d and sigma = 0 calls use; d >= 2 smoothing tries it last."""
+    raw, bound = mo._scaled_transform(cf, mo._plan(cf, sigma, params), z_axes)
+    return mo._certify(raw, bound, params)
+
+
+def _search_radius(sigma, d):
+    return truncation_radius(sigma, cm.grids.DEFAULT_TAIL_TOL / mo._SEARCH_TAIL, d)
+
+
+class TestPeriodSearch:
+    @pytest.mark.parametrize("name, spec, ref, half", [
+        law for law in _SEARCH_LAWS if law[0] != "gauss"], ids=["corr", "product", "empirical"])
+    def test_grid_and_points_agree_at_corners_and_off_window(self, name, spec, ref, half):
+        # a point searches from its own window, so it may take another
+        # lattice than the grid's; both are within ALIAS_TOL-level error
+        cf, d, sigma = make_cf(spec), spec.dim, 0.5
+        grid = cm.Grid(axes=((-half, half, 25),) * d)
+        field = mollified_density_grid(cf, sigma, grid)
+        pts = np.asarray(grid.points())
+        assert np.max(np.abs(field.values - ref(pts, sigma))) <= 1e-10
+        for i in (0, grid.size - 1):
+            assert abs(mollified_density_at(cf, sigma, pts[i]) - field.values[i]) <= 1e-10
+        off = np.array([half + 1.5, -half - 0.5, half + 0.5][:d])
+        assert abs(mollified_density_at(cf, sigma, off) - ref(off[None, :], sigma)[0]) <= 1e-10
+
+    @pytest.mark.parametrize("name, spec, ref, half", _SEARCH_LAWS,
+                             ids=[law[0] for law in _SEARCH_LAWS])
+    def test_searched_values_match_the_fixed_period_lattice(self, name, spec, ref, half):
+        # the fixed lattice's own error (its tail_tol box) sets the bound,
+        # which the closed form shows
+        cf, d = make_cf(spec), spec.dim
+        grid = cm.Grid(axes=((-half, half, 13),) * d)
+        pts = np.asarray(grid.points())
+        z_axes = [grid.axis_points(j) for j in range(d)]
+        for sigma in ((0.5,) if d == 2 else (0.5, 0.7, 1.0)):
+            searched = mollified_density_grid(cf, sigma, grid).values
+            assert np.max(np.abs(searched - _fixed_period(cf, sigma, z_axes))) <= 3e-9
+            assert np.max(np.abs(searched - ref(pts, sigma))) <= 3e-11
+
+    def test_law_far_from_the_origin_reads_right_pointwise(self, transforms):
+        # N((30, 0, 0), I) at its centre: a point's first period is at most
+        # ALIAS_PERIOD, and at sigma = 0.5 the search's box is over the node
+        # budget there, so the pair runs on the fixed plan's lattice
+        cf = make_cf(cm.Gaussian(mean=[30.0, 0.0, 0.0], cov=np.eye(3).tolist()))
+        for sigma in (0.5, 1.0):
+            exact = (2.0 * math.pi * (1.0 + sigma**2)) ** -1.5
+            assert mollified_density_at(cf, sigma, [30.0, 0.0, 0.0]) == pytest.approx(exact, rel=1e-12)
+        fixed = mo._plan(cf, 0.5, MollificationParams()).shape
+        assert fixed == (238,) * 3 and transforms[:2] == [fixed, (237,) * 3]
+
+    def test_wide_law_far_out_is_right_or_names_aliasing(self, transforms):
+        # N(0, 100 I) at (30, 0, 0): the fixed period of 64 read it 26% low
+        # with no message.  At sigma = 0.5 its lattice is the last that fits
+        # the node budget, and the pair's estimate fails; at sigma = 2 a
+        # pair finds the value.
+        cf = make_cf(cm.Gaussian(mean=[0.0] * 3, cov=(100.0 * np.eye(3)).tolist()))
+        z = [30.0, 0.0, 0.0]
+        with pytest.raises(NumericFailure, match="alias estimate.*node budget"):
+            mollified_density_at(cf, 0.5, z)
+        assert transforms == [(238,) * 3, (237,) * 3]
+        exact = float(_gauss_nd(np.array([z]), 104.0 * np.eye(3))[0])
+        assert mollified_density_at(cf, 2.0, z) == pytest.approx(exact, rel=1e-6, abs=0.0)
+
+    def test_even_image_blind_spot(self, transforms):
+        # atoms at z = (5, 5) and at z + P (1, 1), an even image of the first
+        # period P of a point at z: both lattices of the pair count the far
+        # atom with the same sign, so the estimate stays small, the first
+        # pair is accepted and the value is twice the true one.  A node
+        # floor that puts the period near 64 puts no image there.
+        sigma, z = 0.5, [5.0, 5.0]
+        radius = _search_radius(sigma, 2)
+        m = mo._even_ceil(radius * (10.0 + mo._START_SIGMAS * sigma) / math.pi)
+        period = math.pi * (m - 1) / radius
+        far = [5.0 + period, 5.0 + period]
+        cf = make_cf(cm.Empirical(points=[z, far], weights=[0.5, 0.5]))
+        exact = 0.5 / (2.0 * math.pi * sigma**2)
+        got = mollified_density_at(cf, sigma, z)
+        assert transforms == [(m, m), (m - 1, m - 1)]
+        assert got == pytest.approx(2.0 * exact, rel=1e-9)
+        floor = MollificationParams(nodes_per_axis=mo._even_ceil(radius * 64.0 / math.pi))
+        assert mollified_density_at(cf, sigma, z, floor) == pytest.approx(exact, rel=1e-9)
+
+    def test_even_image_blind_spot_on_a_grid(self, transforms):
+        # an atom of weight 1e-4 at an even image of a window point, for the
+        # period the grid accepts without it: its wrapped copy keeps the
+        # Riemann sum near 1, so the grid passes every check while that
+        # point reads about 6e-5 high
+        sigma, grid = 0.5, cm.Grid(axes=((-3.0, 3.0, 25),) * 2)
+        mollified_density_grid(make_cf(cm.Empirical(points=[[0.0, 0.0]], weights=[1.0])), sigma, grid)
+        alone, m = list(transforms), transforms[-2][0]
+        period = math.pi * (m - 1) / _search_radius(sigma, 2)
+        z = np.array([1.0, -1.0])
+        far = (z + period).tolist()
+        cf = make_cf(cm.Empirical(points=[[0.0, 0.0], far], weights=[1.0 - 1e-4, 1e-4]))
+        transforms.clear()
+        field = mollified_density_grid(cf, sigma, grid)
+        assert transforms == alone and field.normalized
+        pts = np.asarray(grid.points())
+        exact = (1.0 - 1e-4) * _gauss_nd(pts, sigma**2 * np.eye(2))
+        err = np.abs(field.values - exact)
+        at_z = int(np.argmin(np.sum((pts - z) ** 2, axis=1)))
+        assert err[at_z] == pytest.approx(1e-4 / (2.0 * math.pi * sigma**2), rel=1e-6)
+        assert np.max(np.delete(err, at_z)) > 1e-10  # the image's tails, too
+
+    @pytest.mark.parametrize("params, first", [
+        (MollificationParams(truncation_radius=9.0), 64),
+        (MollificationParams(nodes_per_axis=96), 96),
+        (MollificationParams(nodes_per_axis=96, tail_tol=1e-10), 96),
+    ], ids=["radius", "nodes", "nodes-tail-tol"])
+    def test_explicit_radius_is_the_box_and_nodes_a_floor(self, params, first, monkeypatch):
+        # 3-d smoothing searches whatever the fields: the radius is every
+        # pair's box, and the node count the first pair's floor
+        radii = []
+        real = mo._build_plan
+
+        def spy(radii_, ms, sigma, midpoint=False):
+            radii.append((radii_[0], ms[0], midpoint))
+            return real(radii_, ms, sigma, midpoint)
+
+        monkeypatch.setattr(mo, "_build_plan", spy)
+        cf = make_cf(cm.Gaussian(mean=[0.0] * 3, cov=_CORR.tolist()))
+        grid = cm.Grid(axes=((-6.0, 6.0, 25),) * 3)
+        got = mollified_density_grid(cf, 0.7, grid, params).values
+        exact = _gauss_nd(np.asarray(grid.points()), _CORR + 0.49 * np.eye(3))
+        assert np.max(np.abs(got - exact)) <= 1e-10
+        box = params.truncation_radius or truncation_radius(0.7, params.tail_tol / mo._SEARCH_TAIL, 3)
+        assert radii[:2] == [(box, first, False), (box, first, True)]
+
+    def test_searched_plans_and_the_sidecar_count(self):
+        # d >= 2 smoothing has no default node floor; a set one is recorded
+        params = MollificationParams()
+        assert [params.nodes(d, 0.5) for d in (1, 2, 3, 4)] == [512, None, None, None]
+        assert [params.nodes(d, 0.0) for d in (1, 2, 3)] == [512, 512, 64]
+        assert MollificationParams(truncation_radius=9.0).nodes(3, 0.5) is None
+        assert MollificationParams(nodes_per_axis=32).nodes(2, 0.5) == 32
+        assert params.to_dict(3, 0.5)["nodes_per_axis"] is None
+        assert params.to_dict(3)["nodes_per_axis"] == 64

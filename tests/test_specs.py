@@ -424,10 +424,52 @@ class TestRowClaim:
         exact = gaussian_density(z[:, 0], var=1.25) * gaussian_density(z[:, 1], var=1.25)
         assert type(field.values) is np.ndarray
         assert np.max(np.abs(field.values - exact)) <= 1e-10
-        # calling a CharFn evaluates a plain array and returns one
+        # calling a CharFn hands its evaluator the block with its layout,
+        # and a plain array as a plain array; both return a plain array
+        typed.clear()
+        assert type(hand(block)) is np.ndarray and type(hand(plain)) is np.ndarray
+        assert typed == [True, False]
         gauss = cm.Gaussian(mean=[0.2, -0.1], cov=[[1.0, 0.3], [0.3, 0.5]]).cf()
         called = gauss(block)
-        assert type(called) is np.ndarray and called.tobytes() == gauss(plain).tobytes()
+        assert type(called) is np.ndarray and called.dtype == complex
+        assert np.max(np.abs(called - gauss(plain))) <= 1e-15
+
+
+class TestDiagonalAffineRows:
+    """A diagonal ``AffineMap`` hands its inner law a typed block."""
+
+    @pytest.mark.parametrize("shift", [[0.0, 0.0], [0.3, -0.2]], ids=["unshifted", "shifted"])
+    def test_inner_law_gets_a_block_with_the_same_bytes(self, monkeypatch, shift):
+        # the product's axis factors are bit-equal on rows and point by
+        # point, so the typed path must give the per-point bytes
+        seen = []
+        real = sp._axis_product
+
+        def spy(factors, pts):
+            seen.append(sp._lattice_split(pts))
+            return real(factors, pts)
+
+        monkeypatch.setattr(sp, "_axis_product", spy)
+        inner = cm.Product(factors=(cm.UniformBox(lo=[-1.0], hi=[1.0]), cm.Laplace1D(scale=0.7)))
+        cf = cm.AffineMap(matrix=[[2.0, 0.0], [0.0, 0.5]], shift=shift, inner=inner).cf()
+        block = _lattice_block(np.linspace(-3.0, 3.0, 5), np.linspace(-2.0, 2.0, 7))
+        typed = cf.batch_eval(block)
+        lead, last = seen[0]
+        assert np.array_equal(lead, block.lattice[0] * 2.0)
+        assert np.array_equal(last, block.lattice[1] * 0.5)
+        plain = cf.batch_eval(np.asarray(block))
+        assert seen[1] is None
+        assert typed.tobytes() == plain.tobytes()
+
+    def test_other_matrices_take_the_per_point_path(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(sp, "_axis_product",
+                            lambda factors, pts: seen.append(sp._lattice_split(pts)) or np.ones(len(pts)))
+        inner = cm.Product(factors=(cm.UniformBox(lo=[-1.0], hi=[1.0]), cm.Laplace1D(scale=0.7)))
+        block = _lattice_block(np.linspace(-3.0, 3.0, 5), np.linspace(-2.0, 2.0, 7))
+        for matrix in ([[2.0, 0.1], [0.0, 0.5]], [[0.0, 1.0], [1.0, 0.0]]):
+            cm.AffineMap(matrix=matrix, shift=[0.0, 0.0], inner=inner).cf().batch_eval(block)
+        assert seen == [None, None]
 
 
 class TestLatticeRows:
