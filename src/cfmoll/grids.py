@@ -9,7 +9,7 @@ cell-volume rule: sum(values) * prod(h_j).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -199,6 +199,158 @@ class MollificationParams:
 # DensityField serialization: CSV values plus a JSON metadata sidecar
 # ---------------------------------------------------------------------------
 
+# .17g text is built in fixed uint8 cells per value (0 = unused, deleted when
+# a chunk is written): sign, a "0.000" prefix, 17 digits each followed by a
+# slot for the decimal point, "e", the exponent's sign and three digits, and
+# one slot the CSV writer fills with the separator.
+_CELL_DIGIT = 6           # digit i sits in cell _CELL_DIGIT + 2 i, its point slot after it
+_CELL_EXP = _CELL_DIGIT + 34
+_CELLS = _CELL_EXP + 6
+# Values the double-double product handles; the rest go to Python's format.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# The tables hold 10^k for k in [_POW_MIN, _POW_MAX], every power 10^(16 - x)
+# the fast path can need, at index 16 - x - _POW_MIN.
+_POW_MIN, _POW_MAX = -266, 299
+# The product's fraction is within 5e-15 of the true one (see
+# write_density_csv), so a fraction this far from 1/2 rounds the right way.
+_TIE_MARGIN = 1e-6
+_CSV_CHUNK_ROWS = 1 << 14
+
+
+@functools.cache
+def _powers_of_ten() -> np.ndarray:
+    """Rows (hi, lo, hi's high half, hi's low half) of 10^k: hi is 10^k
+    rounded to a double and lo the rounded rest, from exact integer
+    arithmetic; the halves split hi for Dekker's product."""
+    hi, lo = [], []
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        ten = 10 ** abs(k)
+        if k >= 0:
+            h = float(ten)
+            rest = float(ten - int(h))
+        else:  # int / int is correctly rounded
+            h = 1 / ten
+            num, den = h.as_integer_ratio()
+            rest = (den - num * ten) / (den * ten)
+        hi.append(h)
+        lo.append(rest)
+    hi = np.array(hi)
+    big = hi * 134217729.0  # Veltkamp's split, 2^27 + 1
+    high = big - (big - hi)
+    return np.stack([hi, np.array(lo), high, hi - high])
+
+
+@functools.cache
+def _exponent_cells() -> np.ndarray:
+    """Rows of the text a decimal exponent x sets, by the index of 10^(16 - x):
+    cells 0-4 the fixed-notation prefix "0." and -x - 1 zeros (x in
+    [-4, -1]), cells 5-9 the exponent "e", its sign and two or three
+    digits (x outside [-4, 16])."""
+    cells = np.zeros((10, _POW_MAX - _POW_MIN + 1), np.uint8)
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        x = 16 - k
+        prefix = "0." + "0" * (-x - 1) if -4 <= x < 0 else ""
+        exponent = "" if -4 <= x < 17 else f"e{x:+03d}"
+        for row, text in ((0, prefix), (5, exponent)):
+            cells[row : row + len(text), k - _POW_MIN] = np.frombuffer(text.encode(), np.uint8)
+    return cells
+
+
+def _scaled_digits(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer and fractional parts of a * 10^(16 - x) for a > 0: Dekker's
+    error-free product of a and the double-double power, then its rest."""
+    hi, lo, high, low = _powers_of_ten()[:, 16 - x - _POW_MIN]
+    p = a * hi
+    big = a * 134217729.0
+    a_high = big - (big - a)
+    a_low = a - a_high
+    err = ((a_high * high - p) + a_high * low + a_low * high) + a_low * low
+    whole = np.floor(p)
+    rest = (p - whole) + (err + a * lo)
+    carry = np.floor(rest)
+    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _format_17g(values: np.ndarray) -> np.ndarray:
+    """The text of ``format(v, ".17g")`` for each value, as uint8 cells of
+    shape ``values.shape + (_CELLS,)`` (layout above; 0 marks an unused
+    cell).  Values the fast path cannot prove are formatted by Python."""
+    v = np.asarray(values, dtype=np.float64)
+    shape = v.shape
+    v = v.reshape(-1)
+    a = np.abs(v)
+    zero = a == 0.0
+    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
+    a[~fast] = 1.0
+    x = np.floor(np.log10(a)).astype(np.int64)
+    n, frac = _scaled_digits(a, x)
+    # log10 can be one off next to a power of ten: one more product fixes it
+    off = np.flatnonzero((n < 10**16) | (n >= 10**17))
+    if off.size:
+        x[off] += np.where(n[off] < 10**16, -1, 1)
+        n[off], frac[off] = _scaled_digits(a[off], x[off])
+    slow = ~zero & ~(fast & (n >= 10**16) & (n < 10**17) & (np.abs(frac - 0.5) > _TIE_MARGIN))
+    n += frac > 0.5
+    top = n == 10**17
+    n[top] = 10**16
+    x[top] += 1
+    n[zero] = 10**16  # "1" with x = 0, its digit then written as "0"
+    x[zero] = 0
+
+    # built one cell row at a time, transposed on return; the digits come
+    # right to left from two halves small enough for uint32 division
+    cells = np.zeros((_CELLS, v.size), np.uint8)
+    digits = cells[_CELL_DIGIT:_CELL_EXP:2]
+    high, low = np.divmod(n, 10**8)
+    for part, first, last in ((low.astype(np.uint32), 9, 16), (high.astype(np.uint32), 0, 8)):
+        for i in range(last, first - 1, -1):
+            rest = part // 10
+            digits[i] = part - rest * 10
+            part = rest
+    place = np.arange(17, dtype=np.uint8)[:, None]
+    sig = np.max((digits != 0) * (place + 1), axis=0)   # significant digits kept
+    fixed = (x >= -4) & (x < 17)
+    shown = np.where(fixed & (x > 0), np.maximum(sig, x + 1), sig).astype(np.uint8)
+    digits += ord("0")
+    digits *= place < shown
+    digits[0, zero] = ord("0")
+    cells[0] = np.signbit(v) * np.uint8(ord("-"))
+    around = _exponent_cells()[:, 16 - x - _POW_MIN]
+    cells[1:_CELL_DIGIT] = around[:5]
+    cells[_CELL_EXP : _CELL_EXP + 5] = around[5:]
+    point = np.flatnonzero(np.where(fixed, (x >= 0) & (sig > x + 1), sig > 1))
+    after = np.where(fixed[point], x[point], 0)    # the digit the point follows
+    cells.reshape(-1)[(_CELL_DIGIT + 1 + 2 * after) * v.size + point] = ord(".")
+    cells = cells.T
+    for i in np.flatnonzero(slow):
+        text = np.frombuffer(format(float(v[i]), ".17g").encode(), np.uint8)
+        cells[i] = 0
+        cells[i, : len(text)] = text
+    return cells.reshape(shape + (_CELLS,))
+
+
+def _packed(cells: np.ndarray) -> np.ndarray:
+    """Rows of ``_format_17g`` cells with the used cells moved to the front,
+    as wide as the longest row."""
+    cells = np.ascontiguousarray(cells)
+    keep = cells != 0
+    used = np.count_nonzero(keep, axis=1)
+    packed = np.zeros((len(cells), int(used.max())), np.uint8)
+    packed[np.arange(packed.shape[1]) < used[:, None]] = cells[keep]
+    return packed
+
+
+def _write_csv(path: Path, header: str, n_rows: int, row_cells) -> None:
+    """Write ``header`` and then ``n_rows`` rows ``_CSV_CHUNK_ROWS`` at a
+    time: ``row_cells(lo, hi)`` gives the text of rows [lo, hi),
+    separators included, as uint8 cells in which 0 marks an unused cell."""
+    with open(path, "wb") as out:
+        out.write(header.encode() + b"\n")
+        for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
+            cells = row_cells(lo, min(lo + _CSV_CHUNK_ROWS, n_rows))
+            out.write(cells.tobytes().translate(None, b"\0"))
+
+
 def write_density_csv(
     field: DensityField,
     csv_path: str | Path,
@@ -206,15 +358,46 @@ def write_density_csv(
 ) -> Path:
     """Write "z1,...,zd,density" rows (17 significant digits, row-major)
     and a sidecar <stem>.meta.json with grid, params, the field's sigma
-    and its normalization residual and flag.  Returns the sidecar path."""
+    and its normalization residual and flag.  Returns the sidecar path.
+
+    Every number is written as the bytes of ``format(v, ".17g")``, which
+    reads back to the same double, but without formatting values one by
+    one in Python.  A value's 17 digits are the integer nearest
+    P = |v| 10^(16 - x), x = floor(log10 |v|), and P is computed as
+    Dekker's error-free product p + e of |v| and the high part of a
+    double-double 10^(16 - x), plus |v| times its low part.  For P in
+    [10^16, 10^17) p is a whole number and |e| <= 8, so the fraction of P
+    is e + |v| lo, whose error is at most 1e17 * 2^-106 (the table) plus
+    three roundings of terms below 16, under 5e-15 in all.  The fraction
+    therefore rounds the right way unless it lies within ``_TIE_MARGIN``
+    of 1/2; such values (exact ties included), |v| outside
+    [1e-280, 1e280) and a product that lands outside [10^16, 10^17) after
+    one correction of x go to Python's correctly rounded ``format``.  The
+    CSV is written ``_CSV_CHUNK_ROWS`` rows at a time, so the text held in
+    memory is bounded whatever the grid size."""
     csv_path = Path(csv_path)
     grid = field.grid
     header = ",".join(f"z{j + 1}" for j in range(grid.d)) + ",density"
-    # each axis coordinate is formatted once; product() walks them row-major
-    axes = [[format(c, ".17g") for c in grid.axis_points(j).tolist()] for j in range(grid.d)]
-    values = [format(v, ".17g") for v in field.values.tolist()]
-    rows = (",".join(coords) + "," + v for coords, v in zip(itertools.product(*axes), values))
-    csv_path.write_text("\n".join(itertools.chain([header], rows)) + "\n")
+    # each axis coordinate is formatted once, with its comma, and gathered
+    # row-major per chunk
+    axes = []
+    for j in range(grid.d):
+        cells = _format_17g(grid.axis_points(j))
+        cells[:, -1] = ord(",")
+        axes.append(_packed(cells))
+    width = sum(text.shape[1] for text in axes)
+
+    def row_cells(lo: int, hi: int) -> np.ndarray:
+        cells = np.empty((hi - lo, width + _CELLS), np.uint8)
+        start = 0
+        for text, index in zip(axes, np.unravel_index(np.arange(lo, hi), grid.shape)):
+            cells[:, start : start + text.shape[1]] = text[index]
+            start += text.shape[1]
+        cells[:, width:] = _format_17g(field.values[lo:hi])
+        cells[:, -1] = ord("\n")
+        return cells
+
+    _write_csv(csv_path, header, grid.size, row_cells)
 
     sidecar = csv_path.with_suffix(".meta.json")
     meta = {

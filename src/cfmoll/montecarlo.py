@@ -41,7 +41,6 @@ mirror-symmetric axis.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +49,7 @@ import numpy as np
 
 from .charfn import CharFn, positive_sigma, whole_number
 from .errors import ValidationError
-from .grids import DensityField, Grid
+from .grids import DensityField, Grid, _format_17g, _write_csv
 from . import specs as sp
 
 
@@ -169,9 +168,14 @@ def write_batch_csv(batch: SampleBatch, csv_path: str | Path) -> Path:
     spec, seed, and n; returns the sidecar path."""
     csv_path = Path(csv_path)
     header = ",".join(f"x{j + 1}" for j in range(batch.d))
-    row = ",".join(["{:.17g}"] * batch.d)
-    rows = itertools.starmap(row.format, batch.points.tolist())
-    csv_path.write_text("\n".join(itertools.chain([header], rows)) + "\n")
+
+    def row_cells(lo: int, hi: int) -> np.ndarray:
+        cells = _format_17g(batch.points[lo:hi])
+        cells[:, :-1, -1] = ord(",")
+        cells[:, -1, -1] = ord("\n")
+        return cells
+
+    _write_csv(csv_path, header, batch.n, row_cells)
     sidecar = csv_path.with_suffix(".meta.json")
     meta = {"spec": sp.spec_to_dict(batch.spec), "seed": batch.seed, "n": batch.n}
     sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

@@ -1,10 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cfmoll as cm
 from cfmoll import Grid, MollificationParams, ValidationError
+from cfmoll import grids
 
 
 def test_grid_parse_and_geometry():
@@ -132,6 +136,9 @@ def _reference_density_csv(field) -> str:
     ((-1.0 / 3.0, 0.7, 7),),
     ((-8.0, 8.0, 5), (0.1, 0.3, 3)),
     ((-6.1, 6.1, 4), (-1.0 / 3.0, 2.0 / 3.0, 3), (0.0, 1e-3, 2)),
+    # one chunk and two rows: -0.0 and negative values on both sides of the
+    # chunk boundary
+    ((-1.0, 1.0, 2), (0.0, 0.3, 3), (-2.5, 2.5, 2731)),
 ])
 def test_density_csv_matches_row_formatter(tmp_path, axes):
     grid = Grid(axes=axes)
@@ -140,6 +147,86 @@ def test_density_csv_matches_row_formatter(tmp_path, axes):
     path = tmp_path / "f.csv"
     cm.write_density_csv(field, path)
     assert path.read_text() == _reference_density_csv(field)
+
+
+def test_density_csv_memory_is_bounded(tmp_path):
+    # the text is built a chunk of rows at a time: a 48^3 field (8.4 MiB
+    # of CSV) peaks far below the whole file
+    grid = Grid(axes=((-6.0, 6.0, 48),) * 3)
+    r2 = np.sum(grid.points() ** 2, axis=1)
+    field = cm.DensityField(grid, np.exp(-r2 / 2) / (2 * np.pi) ** 1.5)
+    cm.write_density_csv(field, tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        cm.write_density_csv(field, tmp_path / "f.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "f.csv").stat().st_size > 8 * 2**20
+    assert peak <= 12 * 2**20
+
+
+def _formatted(values) -> list[str]:
+    """The kernel's text of each value, one string per value."""
+    cells = grids._format_17g(np.asarray(values, dtype=float))
+    cells[:, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+
+def _assert_formats_like_python(values):
+    values = np.asarray(values, dtype=float)
+    got = _formatted(values)
+    want = [format(v, ".17g") for v in values.tolist()]
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def test_format_17g_random_bit_patterns():
+    rng = np.random.default_rng(2028)
+    bits = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64).view(np.float64)
+    bits = bits[np.isfinite(bits)]
+    assert np.signbit(bits).any() and not np.signbit(bits).all()
+    for start in range(0, bits.size, 100_000):
+        _assert_formats_like_python(bits[start : start + 100_000])
+
+
+def _neighbours(v):
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+def test_format_17g_edges():
+    values = [0.0, 5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308,
+              1.7976931348623157e308, np.nextafter(1e23, 0.0), 2.0**-25, 2.0**60, 123.0, 0.5]
+    values += _neighbours(1e-280) + _neighbours(1e280)
+    values += [x for k in range(-30, 31) for x in _neighbours(float(f"1e{k}"))]
+    # the fixed/exponent switch and three-digit exponents
+    values += [1e-4, 1.5e-4, 9.9999999999999991e-5, 1e-5, 1e16, 9.9999999999999998e16, 1e17,
+               1.5e16, 1e100, 1e-100, 3.3e-300, 4.5e299, 1e-99, 1e99]
+    values = np.array(values)
+    _assert_formats_like_python(np.concatenate([values, -values]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_format_17g_matches_python(v):
+    assert _formatted([v]) == [format(v, ".17g")]
+
+
+def test_format_17g_fast_path_covers_lognormal_values(monkeypatch):
+    # count the values left to Python's format: a kernel that sent them all
+    # there would still be byte-exact, but slow
+    calls = []
+
+    def counted(value, spec):
+        calls.append(value)
+        return format(value, spec)
+
+    values = np.random.default_rng(5).lognormal(0.0, 4.0, 100_000)
+    monkeypatch.setattr(grids, "format", counted, raising=False)
+    got = _formatted(values)
+    monkeypatch.undo()
+    assert got == [format(v, ".17g") for v in values.tolist()]
+    assert len(calls) <= 100
 
 
 def _window_test(field) -> bool:

@@ -513,13 +513,17 @@ class TestBatchExport:
         assert np.allclose(rows, batch.points[:, 0], rtol=0, atol=0)
 
     def test_csv_matches_row_formatter(self, tmp_path):
-        batch = sample(cm.Gaussian(mean=[0.0, 1.0], cov=[[1.0, 0.3], [0.3, 2.0]]), 200, 5)
+        # a seeded 2-d batch one chunk and 200 rows long, written the way
+        # the row-by-row writer did
+        n = cm.grids._CSV_CHUNK_ROWS + 200
+        batch = sample(cm.Gaussian(mean=[0.0, 1.0], cov=[[1.0, 0.3], [0.3, 2.0]]), n, 5)
         awkward = np.array([[0.0, 5e-324], [0.1, 1.0 / 3.0], [-0.0, -2.0 / 3.0]])
         points = np.concatenate([batch.points, awkward])
         batch = dataclasses.replace(batch, points=points)
         csv_path = tmp_path / "batch.csv"
         cm.write_batch_csv(batch, csv_path)
-        lines = ["x1,x2"] + [",".join(format(c, ".17g") for c in row) for row in points]
+        row = ",".join(["{:.17g}"] * 2)
+        lines = ["x1,x2"] + [row.format(*r) for r in points.tolist()]
         assert csv_path.read_text() == "\n".join(lines) + "\n"
 
 
