@@ -21,9 +21,13 @@ alias period P = 2 pi / h: it reads sum_n s_n g(z + n P) over n in Z^d.
 1-d lattices and sigma = 0 lattices keep one fixed period (``_plan``):
 in automatic mode each axis gets the nodes for P >= ``ALIAS_PERIOD``,
 where unit-scale laws carry negligible mass.  There a search would cost
-more than it saves: a 1-d transform's cost is set by its chirp-z output,
-not its node count, and a sigma = 0 lattice (Laplace on [-6, 6] needs
-P >= 32) would pay for failed smaller pairs on a 1.3M-node axis.
+more than it saves.  A 1-d smoothing lattice has the 512-node floor at
+unit-scale sigma (1216 nodes at sigma = 0.1), one chirp-z row whose FFT
+length K + n - 1 is mostly the n output points, so fewer nodes save
+little.  A sigma = 0 lattice (Laplace on [-6, 6] needs
+P >= 32) would pay for failed smaller pairs on a 1.3M-node axis, where
+the cost grows with the node count m: one FFT row per 4096 nodes of the
+folded half, m / 8192 rows in all.
 
 Every other lattice, d >= 2 at sigma > 0, searches its period per call
 (``_searched_transform``).  For a period P it runs the transform twice:
@@ -77,11 +81,19 @@ error of its own that the plan does not bound (ROADMAP item 3, the
 inversion budget, sizes it).
 
 The weighted lattice is contracted one axis at a time onto the z axes
-(pointwise evaluations are one-point axes).  Each contraction
-sum_k W_k exp(-i z_a y_k) takes one of two forms, chosen from the array
-shape alone:
+(pointwise evaluations are one-point axes).  A 1-d lattice is first
+folded on its Hermitian half (``_hermitian_fold``): m is even and the
+nodes mirror bit for bit, so no node sits at 0, and in place, block by
+block, the upper half of W becomes E = W[m/2:] + conj(W[:m/2][::-1]).
+For any W the real part of the sum over all nodes equals that of the sum
+of E over the m/2 upper nodes, so only those are contracted, and the
+value is that real part.  The Hermitian defect sum |D|, with
+D = W[m/2:] - conj(W[:m/2][::-1]), bounds the imaginary part of the
+whole sum at every z, and is the 1-d residue the checks read.  Each
+contraction sum_k W_k exp(-i z_a y_k) takes one of two forms, chosen
+from the array shape alone:
 
-- row split: a vector (a 1-d lattice) is cut into rows of
+- row split: a vector (the folded half of a 1-d lattice) is cut into rows of
   K = min(m, 4096) nodes, k = q K + s.  The inner sums over s for all rows
   are one matrix product with the phase row on a one-point z axis, and
   otherwise one batched Bluestein chirp-z transform, an FFT convolution of
@@ -98,17 +110,19 @@ shape alone:
   measured 4-5x slower.
 
 W has the dtype chi returns.  A real chi (a symmetric law's closed form)
-gives a real W: it is weighted and |W|-summed in real arithmetic, and
-its first contraction is one real matrix product with the phase matrix
-read as cos and -sin pairs, half the multiplies of a complex one; a
-real 1-d W meets a one-point phase row the same way.  The imaginary part
-of the sums still comes from those sine products, so the residue check
-below sees an evaluator that is real but not even.
+gives a real W: it is weighted, |W|-summed and folded in real
+arithmetic, and its first contraction is one real matrix product with
+the phase matrix read as cos and -sin pairs, half the multiplies of a
+complex one; a real folded 1-d W meets a one-point phase row the same
+way.  For d >= 2 the imaginary part of the sums still comes from those
+sine products, so the residue check below sees an evaluator that is real
+but not even; in 1-d such an evaluator leaves a nonzero defect.
 
 The form depends on the lattice dimension alone, never on the worker
 count.  Every density value, pointwise or on a grid, then passes the
-same checks in one place (``_certify``): the Hermitian imaginary
-residue, finiteness, the negativity floor and the |chi| L1 sum.
+same checks in one place (``_certify``): the imaginary residue (the
+Hermitian defect in 1-d), finiteness, the negativity floor and the |chi|
+L1 sum.
 
 The lattice is walked in slabs of axis-0 rows whose bounds depend on the
 lattice shape alone, so a 2-d or 3-d lattice is never held whole.  Each
@@ -249,10 +263,10 @@ def truncation_radius(sigma: float, tail_tol: float, d: int) -> float:
 @dataclass(frozen=True)
 class QuadPlan:
     """Per-axis nodes and weights of a trapezoid rule on [-R_j, R_j] (R_j
-    is ``nodes[j][-1]``) or of its midpoint rule (R_j is ``nodes[j][-1]``
-    plus half a step).  At sigma > 0 the weights carry the Gaussian damping
-    exp(-sigma^2 y^2 / 2), so the plan is the whole quadrature rule and
-    W = chi times the weights."""
+    is ``nodes[j][-1]`` to rounding) or of its midpoint rule (R_j is
+    ``nodes[j][-1]`` plus half a step).  At sigma > 0 the weights carry
+    the Gaussian damping exp(-sigma^2 y^2 / 2), so the plan is the whole
+    quadrature rule and W = chi times the weights."""
 
     nodes: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
@@ -277,13 +291,22 @@ def _alias_nodes(radius: float) -> int:
 
 def _axis_rule(radius: float, m: int, midpoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The trapezoid rule on [-R, R] with m nodes and step h = 2R / (m - 1),
-    or its midpoint rule: the m - 1 nodes shifted by h / 2, weight h each."""
+    or its midpoint rule: the m - 1 nodes shifted by h / 2, weight h each.
+
+    Node k is (k - c) h with c the centre index, built in place: k - c is
+    an exact integer or half-integer, so the nodes mirror bit for bit
+    (y == -y[::-1]), and on a 1-d lattice a Hermitian chi leaves the fold
+    (``_hermitian_fold``) a defect of exactly 0."""
     h = 2.0 * radius / (m - 1)
+    n = m - 1 if midpoint else m
+    y = np.arange(n, dtype=float)
+    y -= 0.5 * (n - 1)
+    y *= h
     if midpoint:
-        return np.linspace(0.5 * h - radius, radius - 0.5 * h, m - 1), np.full(m - 1, h)
+        return y, np.full(n, h)
     w = np.full(m, h)
     w[0] = w[-1] = 0.5 * h
-    return np.linspace(-radius, radius, m), w
+    return y, w
 
 
 def _budget_check(plan_shape: tuple[int, ...]) -> None:
@@ -638,13 +661,44 @@ def _outer_sum(inner: np.ndarray, starts: np.ndarray, z: np.ndarray) -> np.ndarr
     return np.einsum("qa,qa->a", inner, cis(-np.outer(starts, z)))
 
 
-def _certify(raw: np.ndarray, bound: float, params: MollificationParams) -> np.ndarray:
-    """Every check a density value passes, pointwise or on a grid; returns
-    the real part of the scaled sums ``raw``, flattened row-major, with
-    ripple clamped to zero.
+def _hermitian_fold(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Fold W of a 1-d lattice onto its upper half, in place.  The lattice
+    has an even m and mirrored nodes (``_axis_rule``), so upper node
+    j = m/2 + i sits at -y of node m/2 - 1 - i; with L = W[:m/2][::-1]
+    the upper half becomes E = W[m/2:] + conj(L), and the return is that
+    view with sum |D| for D = W[m/2:] - conj(L).  For any W, on the upper
+    nodes,
+        Re sum_k W_k exp(-i z y_k) = Re sum_j E_j exp(-i z y_j),
+        Im sum_k W_k exp(-i z y_k) = Im sum_j D_j exp(-i z y_j),
+    so sum |D|, the Hermitian defect, bounds the imaginary part at every z
+    and is 0 where chi(-y) = conj chi(y).  Pairs go through in blocks of
+    ``_EVAL_BLOCK``, so no temporary is as long as the lattice."""
+    half = len(w) // 2
+    upper, lower = w[half:], w[:half][::-1]
+    diff = np.empty(min(half, _EVAL_BLOCK), dtype=w.dtype)
+    mags = np.empty(len(diff))
+    defect = 0.0
+    for a in range(0, half, _EVAL_BLOCK):
+        u = upper[a : a + _EVAL_BLOCK]
+        mirror = lower[a : a + _EVAL_BLOCK].conj()  # a view when W is real
+        d = np.subtract(u, mirror, out=diff[: len(u)])
+        defect += float(np.sum(np.abs(d, out=mags[: len(u)])))
+        u += mirror
+    return upper, defect
 
-    The imaginary residue of a Hermitian-symmetric chi is rounding, so one
-    above 100 (tail_tol + 1e-12 max(1, bound)) means a broken evaluator, as
+
+def _certify(
+    values: np.ndarray, residue: float, bound: float, params: MollificationParams
+) -> np.ndarray:
+    """Every check a density value passes, pointwise or on a grid; returns
+    the scaled real sums ``values``, flattened row-major (copied where
+    they are not contiguous), with ripple clamped to zero in place.
+
+    ``residue`` bounds the imaginary part of the sums: the Hermitian defect
+    of W in 1-d (``_hermitian_fold``), which bounds it at every point, and
+    the largest |imaginary part| of the sums for d >= 2.  For a
+    Hermitian-symmetric chi it is rounding (0 in 1-d), so one above
+    100 (tail_tol + 1e-12 max(1, bound)) means a broken evaluator, as
     does a value that is not finite.  An explicit ``truncation_radius``
     leaves ``params.tail_tol`` unread by the plan, so the limit then takes
     ``DEFAULT_TAIL_TOL``: a setting that chose nothing cannot loosen it.
@@ -657,13 +711,12 @@ def _certify(raw: np.ndarray, bound: float, params: MollificationParams) -> np.n
     """
     tail_tol = DEFAULT_TAIL_TOL if params.truncation_radius is not None else params.tail_tol
     limit = 100.0 * (tail_tol + 1e-12 * max(1.0, bound))
-    im_max = float(np.max(np.abs(raw.imag)))
-    if im_max > limit:
+    if residue > limit:
         raise NumericFailure(
-            f"imaginary residue {im_max:g} exceeds {limit:g}; the "
+            f"imaginary residue {residue:g} exceeds {limit:g}; the "
             "CharFn is not Hermitian-symmetric (broken evaluator)"
         )
-    values = np.ascontiguousarray(raw.real).reshape(-1)
+    values = np.ascontiguousarray(values).reshape(-1)
     if not np.all(np.isfinite(values)):
         raise NumericFailure("density values are not finite; check the CharFn")
     vmin = float(values.min())
@@ -712,12 +765,15 @@ def _slab_transform(
 
 def _scaled_transform(
     cf: CharFn, plan: QuadPlan, z_axes: list[np.ndarray], workers: int = 1
-) -> tuple[np.ndarray, float]:
-    """The (2 pi)^-d scaled complex sums on the tensor lattice of ``z_axes``
-    plus the |chi| L1 quadrature mass; ``_certify`` checks them.
-    Pointwise calls pass one-point axes.
+) -> tuple[np.ndarray, float, float]:
+    """The real parts of the (2 pi)^-d scaled sums on the tensor lattice of
+    ``z_axes``, a bound on their imaginary parts (the residue) and the
+    |chi| L1 quadrature mass; ``_certify`` checks them.  Pointwise calls
+    pass one-point axes.
 
-    A 1-d lattice is one slab, contracted on one thread.  A 2-d or 3-d
+    A 1-d lattice is one slab, contracted on one thread: W is folded onto
+    the upper half of its nodes (``_hermitian_fold``), the residue is the
+    Hermitian defect, and only the folded half is contracted.  A 2-d or 3-d
     lattice is walked in the slabs of ``_slabs`` on up to ``workers``
     threads, each holding one set of ``_Buffers`` for the call.  A slab
     contracts axes d-1 .. 1 and writes its rows at their own axis-0
@@ -726,15 +782,17 @@ def _scaled_transform(
     products are added in order; the runs depend on shapes alone, so the
     values do not depend on the worker count.  Each axis's phase matrix
     is built once here when it holds at most ``_PHASE_BLOCK`` elements; a
-    larger one is built in blocks, so memory stays bounded.
+    larger one is built in blocks, so memory stays bounded.  The values
+    are a view of the complex sums, whose largest |imaginary part| is the
+    residue; neither takes a temporary while the slab buffers are alive.
     """
     z_axes = [np.asarray(z, dtype=float) for z in z_axes]
     scale = (2.0 * math.pi) ** (-cf.d)
     if plan.d == 1:
         t, mass = _weight_tensor(cf, plan, 0, plan.shape[0])
-        raw = _vector_contract(t, plan.nodes[0], z_axes[0])
-        raw *= scale
-        return raw, scale * mass
+        folded, defect = _hermitian_fold(t)
+        raw = _vector_contract(folded, plan.nodes[0][len(folded) :], z_axes[0])
+        return scale * raw.real, scale * defect, scale * mass
     phases = [
         _phase_matrix(y, z) if len(y) * len(z) <= _PHASE_BLOCK else None
         for y, z in zip(plan.nodes, z_axes)
@@ -781,7 +839,7 @@ def _scaled_transform(
         with ThreadPoolExecutor(max_workers=n) as pool:
             walk(pool.map)
     raw *= scale
-    return raw, scale * sum(masses)
+    return raw.real, float(np.maximum(raw.imag.max(), -raw.imag.min())), scale * sum(masses)
 
 
 def _search_lattices(
@@ -812,10 +870,11 @@ def _search_lattices(
 
 def _searched_transform(
     cf: CharFn, sigma: float, z_axes: list[np.ndarray], params: MollificationParams, workers: int
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, float]:
     """``_scaled_transform`` on the first lattice pair that passes the alias
     check (module docstring): the average of the trapezoid and midpoint
-    sums, and the mean of their |chi| L1 masses."""
+    values, the larger of their residues (which bounds the average's) and
+    the mean of their |chi| L1 masses."""
     if all(len(z) == 1 for z in z_axes):  # a point: the origin-centred box holding it
         extent = 2.0 * max(abs(float(z[0])) for z in z_axes)
     else:
@@ -823,14 +882,14 @@ def _searched_transform(
     # _search_lattices yields at least one pair, or raises
     for radius, m in _search_lattices(cf, sigma, extent, params):
         rule = functools.partial(_build_plan, [radius] * cf.d, [m] * cf.d, sigma)
-        (trap, mass), (mid, mid_mass) = (
+        (trap, residue, mass), (mid, mid_residue, mid_mass) = (
             _scaled_transform(cf, rule(midpoint), z_axes, workers) for midpoint in (False, True)
         )
-        estimate = 0.5 * float(np.max(np.abs(trap.real - mid.real)))
+        estimate = 0.5 * float(np.max(np.abs(trap - mid)))
         if estimate <= ALIAS_TOL:
             trap += mid
             trap *= 0.5
-            return trap, 0.5 * (mass + mid_mass)
+            return trap, max(residue, mid_residue), 0.5 * (mass + mid_mass)
     raise NumericFailure(
         f"alias period search: the alias estimate is {estimate:.3g} > {ALIAS_TOL:g} at "
         f"period {math.pi * (m - 1) / radius:.4g}, and a larger period's lattice is over the "
@@ -857,10 +916,10 @@ def _density(
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
     params = params or MollificationParams()
     if cf.d >= 2 and sigma > 0.0:
-        raw, bound = _searched_transform(cf, sigma, z_axes, params, workers)
+        values, residue, bound = _searched_transform(cf, sigma, z_axes, params, workers)
     else:
-        raw, bound = _scaled_transform(cf, _plan(cf, sigma, params), z_axes, workers)
-    return _certify(raw, bound, params)
+        values, residue, bound = _scaled_transform(cf, _plan(cf, sigma, params), z_axes, workers)
+    return _certify(values, residue, bound, params)
 
 
 # ---------------------------------------------------------------------------

@@ -463,8 +463,8 @@ class TestPointwiseChecks:
             at = invert_density_at(cf, [z], params)
             field = invert_density_grid(cf, grid, params)
         plan = mo._plan(cf, sigma, params)
-        raw, _ = mo._scaled_transform(cf, plan, [np.array([z])])
-        assert -NEGATIVITY_TOL <= raw.real.item() < -1e-9
+        raw, _, _ = mo._scaled_transform(cf, plan, [np.array([z])])
+        assert -NEGATIVITY_TOL <= raw.item() < -1e-9
         assert at == 0.0
         assert field.values[node] == 0.0
 
@@ -608,12 +608,12 @@ class TestParamsAndPolicies:
     def test_negativity_policy(self):
         vals = np.array([0.5, -0.5 * NEGATIVITY_TOL, 1e-3])
         params = MollificationParams()
-        out = mo._certify(vals + 0j, 1.0, params)
+        out = mo._certify(vals, 0.0, 1.0, params)
         assert np.array_equal(out, [0.5, 0.0, 1e-3])
         with pytest.raises(NumericFailure, match="below -1e-06"):
-            mo._certify(np.array([0.5, -2.0 * NEGATIVITY_TOL]) + 0j, 1.0, params)
+            mo._certify(np.array([0.5, -2.0 * NEGATIVITY_TOL]), 0.0, 1.0, params)
         with pytest.raises(NumericFailure, match="L1 certificate"):
-            mo._certify(np.array([0.5, 0.4]) + 0j, 0.45, params)
+            mo._certify(np.array([0.5, 0.4]), 0.0, 0.45, params)
 
     def test_node_budget_guard(self):
         spec = cm.Product(factors=(cm.Laplace1D(scale=1.0), cm.Laplace1D(scale=1.0)))
@@ -838,6 +838,125 @@ class TestContractAxis:
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
+def _whole_lattice_sums(cf, plan, z):
+    """(2 pi)^-1 sum_k W_k exp(-i z_a y_k) over every node of a 1-d plan,
+    by the explicit phase matrix."""
+    y = plan.nodes[0]
+    w = cf.batch_eval(y[:, None]) * plan.weights[0]
+    return np.exp(-1j * np.outer(z, y)) @ w / (2.0 * math.pi)
+
+
+class TestHermitianFold:
+    """A 1-d lattice is folded onto its upper m/2 nodes before the
+    contraction, and its residue is the Hermitian defect of W."""
+
+    LAWS = [
+        ("laplace", cm.Laplace1D(scale=1.0), 0.0),
+        ("box", cm.UniformBox(lo=[-1.0], hi=[1.0]), 0.5),
+        ("shifted-gauss", cm.Gaussian(mean=[0.7], cov=[[1.3]]), 0.0),
+        ("empirical", cm.Empirical(points=[[-1.2], [0.4], [2.0]], weights=[0.3, 0.5, 0.2]), 0.5),
+    ]
+
+    @pytest.mark.parametrize("name, spec, sigma", LAWS, ids=[law[0] for law in LAWS])
+    @pytest.mark.parametrize("z", [
+        np.linspace(-6.0, 6.0, 41), np.array([0.3]), np.linspace(-2.5, 9.5, 37),
+    ], ids=["grid", "point", "off-centre"])
+    def test_folded_sum_matches_the_whole_lattice(self, name, spec, sigma, z):
+        # real (Laplace, centred box) and complex (shifted Gaussian, atoms)
+        # chi; 5000 folded nodes take two rows, the second partial
+        cf = make_cf(spec)
+        complex_chi = name in ("shifted-gauss", "empirical")
+        assert np.iscomplexobj(cf.batch_eval(np.ones((1, 1)))) == complex_chi
+        params = MollificationParams(truncation_radius=40.0, nodes_per_axis=10000)
+        plan = mo._plan(cf, sigma, params)
+        values, residue, _ = mo._scaled_transform(cf, plan, [z])
+        want = _whole_lattice_sums(cf, plan, z)
+        assert values.shape == want.shape
+        assert np.max(np.abs(values - want.real)) <= 1e-13 * np.max(np.abs(want))
+        assert residue == 0.0
+
+    @pytest.mark.parametrize("m", [16, 18, 512, 1000, 4098, 1335090])
+    def test_nodes_mirror_bit_for_bit(self, m):
+        for midpoint in (False, True):
+            y, w = mo._axis_rule(7.3, m, midpoint)
+            assert len(y) == m - midpoint
+            assert np.array_equal(y, -y[::-1]) and np.array_equal(w, w[::-1])
+            h = 2.0 * 7.3 / (m - 1)
+            ends = 7.3 - 0.5 * h * midpoint
+            assert np.max(np.abs(y - np.linspace(-ends, ends, len(y)))) <= 1e-14 * 7.3
+        assert mo._axis_rule(7.3, m)[0][m // 2] > 0.0  # no trapezoid node at 0
+
+    def test_contraction_takes_the_upper_half(self, monkeypatch, std_gaussian):
+        seen = []
+        contract = mo._vector_contract
+
+        def spy(t, y, z):
+            seen.append((len(t), len(y), float(y[0])))
+            return contract(t, y, z)
+
+        monkeypatch.setattr(mo, "_vector_contract", spy)
+        laplace, gauss = make_cf(cm.Laplace1D(scale=1.0)), make_cf(std_gaussian)
+        grid = cm.Grid(axes=((-6.0, 6.0, 121),))
+        invert_density_grid(laplace, grid)
+        mollified_density_grid(gauss, 0.5, grid)
+        halves = [mo._plan(cf, sigma, MollificationParams()).shape[0] // 2
+                  for cf, sigma in ((laplace, 0.0), (gauss, 0.5))]
+        assert halves[0] > 600_000
+        assert [s[:2] for s in seen] == [(h, h) for h in halves]
+        assert all(s[2] > 0.0 for s in seen)
+
+    @pytest.mark.parametrize("spec, sigma", [
+        (cm.Laplace1D(scale=1.0), 0.0),
+        (cm.Convolution(parts=(cm.UniformBox(lo=[-1.0], hi=[1.0]), cm.Laplace1D(scale=1.0))), 0.0),
+        (cm.Gaussian(mean=[0.7], cov=[[1.3]]), 0.0),
+        (cm.Empirical(points=[[-1.2], [0.4], [2.0]], weights=[0.3, 0.5, 0.2]), 0.5),
+        (cm.StandardizedIIDSum(
+            base=cm.Empirical(points=[[-1.0], [1.0]], weights=[0.5, 0.5]), n=5), 0.5),
+    ], ids=["laplace", "unif-laplace", "shifted-gauss", "empirical", "rademacher-sum"])
+    def test_closed_forms_have_no_defect(self, spec, sigma, monkeypatch):
+        residues = []
+        certify = mo._certify
+
+        def spy(values, residue, bound, params):
+            residues.append(residue)
+            return certify(values, residue, bound, params)
+
+        monkeypatch.setattr(mo, "_certify", spy)
+        cf, grid = make_cf(spec), cm.Grid(axes=((-6.0, 6.0, 121),))
+        if sigma > 0.0:
+            mollified_density_grid(cf, sigma, grid)
+            mollified_density_at(cf, sigma, [0.3])
+        else:
+            invert_density_grid(cf, grid)
+            invert_density_at(cf, [0.3])
+        assert residues == [0.0, 0.0]
+
+    def test_defect_catches_cancelling_sine_sums(self):
+        # chi(t) = exp(-t^2 / 2) (1 + 1e-3 i (1 - t^2)) is not Hermitian: its
+        # imaginary part is even.  At z = 0 the whole lattice's imaginary
+        # sum is 1e-3 times the integral of (1 - t^2) exp(-t^2 / 2), which
+        # is 0, so the largest |imaginary part| of the sums reads rounding
+        # there.  The defect bounds it everywhere and fails: it is
+        # 2e-3 / (2 pi) times the integral of |1 - t^2| exp(-t^2 / 2) over
+        # t > 0, which is 2 exp(-1/2)
+        def chi(pts):
+            t2 = pts[:, 0] ** 2
+            return np.exp(-0.5 * t2) * (1.0 + 1e-3j * (1.0 - t2))
+
+        cf = CharFn(1, chi, "yes")
+        params = MollificationParams()
+        plan = mo._plan(cf, 0.0, params)
+        limit = 100.0 * (params.tail_tol + 1e-12)
+        assert abs(_whole_lattice_sums(cf, plan, np.array([0.0]))[0].imag) < 1e-6 * limit
+        z = np.linspace(-6.0, 6.0, 41)
+        _, residue, _ = mo._scaled_transform(cf, plan, [z])
+        assert np.max(np.abs(_whole_lattice_sums(cf, plan, z).imag)) <= residue
+        # (to the trapezoid error at the kink t = 1)
+        assert residue == pytest.approx(2e-3 * math.exp(-0.5) / math.pi, rel=1e-3)
+        with pytest.raises(NumericFailure, match="imaginary residue .* not Hermitian-symmetric"):
+            invert_density_at(cf, [0.0], params)
+
+
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, sys
 import cfmoll
@@ -946,11 +1065,11 @@ class TestSlabs:
             z_axes = [grid.axis_points(j) for j in range(3)]
         plan = mo._plan(cf, sigma, params)
         assert len(mo._slabs(plan.shape)) > 1
-        vals, mass = mo._scaled_transform(cf, plan, z_axes)
+        vals, _, mass = mo._scaled_transform(cf, plan, z_axes)
         monkeypatch.setattr(mo, "_SLAB_NODES", math.prod(plan.shape))
         monkeypatch.setattr(mo, "_MIN_SLABS", 1)
         assert mo._slabs(plan.shape) == [(0, plan.shape[0])]
-        whole, whole_mass = mo._scaled_transform(cf, plan, z_axes)
+        whole, _, whole_mass = mo._scaled_transform(cf, plan, z_axes)
         assert np.max(np.abs(vals - whole)) <= 1e-13 * np.max(np.abs(whole))
         assert mass == pytest.approx(whole_mass, rel=1e-12, abs=0)
 
@@ -1003,9 +1122,9 @@ class TestSlabs:
         inner = mo._scaled_transform
 
         def recording(*args, **kwargs):
-            vals, bound = inner(*args, **kwargs)
+            vals, residue, bound = inner(*args, **kwargs)
             bounds.append(bound)
-            return vals, bound
+            return vals, residue, bound
 
         monkeypatch.setattr(mo, "_scaled_transform", recording)
         invert_density_grid(cf, cm.Grid(axes=((-5.0, 5.0, 32), (-5.0, 5.0, 32))), workers=2)
@@ -1151,10 +1270,11 @@ class TestRealSlabs:
             mixed, mass = mo._weight_tensor(self._flipping(cf, first), plan, lo, hi)
             assert mixed.dtype == np.complex128
             assert np.array_equal(mixed, real) and mass == real_mass
-        want, want_mass = mo._scaled_transform(complex_cf, plan, z_axes)
+        want, want_residue, want_mass = mo._scaled_transform(complex_cf, plan, z_axes)
         for ev in (cf, self._flipping(cf, 0), self._flipping(cf, 1)):
-            got, mass = mo._scaled_transform(ev, plan, z_axes)
+            got, residue, mass = mo._scaled_transform(ev, plan, z_axes)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            assert abs(residue - want_residue) <= 1e-15 * np.max(np.abs(want))
             assert mass == want_mass
 
 
@@ -1193,11 +1313,14 @@ class TestSlabWalk:
         assert np.iscomplexobj(cf.batch_eval(np.zeros((1, 3)))) == (kind == "complex")
         want, want_mass = self._dense(cf, plan, self.Z_AXES)
         runs = [mo._scaled_transform(cf, plan, self.Z_AXES, workers) for workers in (1, 2, 3)]
-        for got, mass in runs:
+        for got, residue, mass in runs:
+            # the real parts, and the largest |imaginary part| as the residue
             assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want.real)) <= 1e-13 * np.max(np.abs(want))
+            assert abs(residue - np.max(np.abs(want.imag))) <= 1e-13 * np.max(np.abs(want))
             assert mass == pytest.approx(want_mass, rel=1e-13, abs=0)
-            assert got.tobytes() == runs[0][0].tobytes() and mass == runs[0][1]
+            assert got.tobytes() == runs[0][0].tobytes()
+            assert (residue, mass) == runs[0][1:]
 
     def test_buffer_sets_under_thread_switching(self, monkeypatch):
         # more workers than cores, one-row slabs and a short switch
@@ -1206,12 +1329,12 @@ class TestSlabWalk:
         monkeypatch.setattr(mo, "_SLAB_NODES", 22 * 26)
         assert len(mo._slabs(plan.shape)) == 20
         cf = TestBlockedEvaluation.CFS[3]
-        serial, _ = mo._scaled_transform(cf, plan, self.Z_AXES, 1)
+        serial, _, _ = mo._scaled_transform(cf, plan, self.Z_AXES, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                threaded, _ = mo._scaled_transform(cf, plan, self.Z_AXES, 6)
+                threaded, _, _ = mo._scaled_transform(cf, plan, self.Z_AXES, 6)
                 assert threaded.tobytes() == serial.tobytes()
         finally:
             sys.setswitchinterval(interval)
@@ -1330,8 +1453,8 @@ def transforms(monkeypatch):
 def _fixed_period(cf, sigma, z_axes, params=MollificationParams()):
     """The fixed-period trapezoid lattice at ALIAS_PERIOD (``_plan``), which
     1-d and sigma = 0 calls use; d >= 2 smoothing tries it last."""
-    raw, bound = mo._scaled_transform(cf, mo._plan(cf, sigma, params), z_axes)
-    return mo._certify(raw, bound, params)
+    values, residue, bound = mo._scaled_transform(cf, mo._plan(cf, sigma, params), z_axes)
+    return mo._certify(values, residue, bound, params)
 
 
 def _search_radius(sigma, d):

@@ -691,8 +691,9 @@ class TestClosedFormRows:
                 return out
 
             monkeypatch.setattr(sp, "_lattice_split", recorded)
-            rows, _ = mo._scaled_transform(cf, plan, z_axes)
+            rows, rows_residue, _ = mo._scaled_transform(cf, plan, z_axes)
             assert seen and all(seen)
             monkeypatch.setattr(sp, "_lattice_split", lambda pts: None)
-            points, _ = mo._scaled_transform(cf, plan, z_axes)
+            points, residue, _ = mo._scaled_transform(cf, plan, z_axes)
             assert np.max(np.abs(rows - points)) <= 1e-15 * np.max(np.abs(points))
+            assert abs(rows_residue - residue) <= 1e-15 * np.max(np.abs(points))
